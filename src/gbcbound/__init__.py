@@ -14,7 +14,6 @@ from .bound import (
     bound_rhs,
     check_inequality,
     eval_lhs,
-    eval_lhs_extended,
     finite_diff_partials,
     reduced_bound_value,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "containment",
     "equality_condition",
     "eval_lhs",
-    "eval_lhs_extended",
     "finite_diff_partials",
     "in_outer_region",
     "load_scenario",

@@ -9,13 +9,21 @@ left-hand side of the outer-bound inequality is
 with dN_k = N_k - N_{k+1} (dN_K = N_K), and the distortion tuple can be
 achievable only if lhs <= P + N_1 for every admissible schedule.
 
-Each term is evaluated in the log domain (sum of log-ratios, one exp per
-term): the bracket raised to 1/b overflows quickly for small b if formed
-as a plain product.  Infinite schedule entries are handled by a shared-rate
-limit: all +inf entries tend to infinity together, under which every term
-stays finite (terms whose factors are all diverging collapse to dN_k, the
-rest lose their diverging prefix).  That limit equals the finite
-evaluation of the suffix system that starts at the first finite entry.
+Regrouped, every factor depends on a single schedule entry:
+
+    term_k = dN_k * [ g_k(tau_k) * prod_{j<k} h_j(tau_j) ]^(1/b)
+    g_k(tau) = (N_S + tau) / (D_k + tau),   h_j(tau) = (D_{j+1} + tau) / (D_j + tau)
+
+so lhs = a_1 + c_1 (a_2 + c_2 (... + c_{K-1} a_K)) with a_k = dN_k g_k^(1/b)
+and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h,
+for one schedule or a whole grid of entries; the evaluator here and the
+supremum search in ``membership`` both use it.  The logs are formed from
+log1p of nonnegative ratios such as (N_S - D_k) / (D_k + tau), which are
+exactly 0 at tau = +inf.  An infinite entry thus contributes g = h = 1,
+which is the shared-rate limit (all infinite entries diverge together)
+with no separate code path.  Each term is summed in the log domain before
+one exp: the bracket raised to 1/b overflows quickly for small b if
+formed as a plain product.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
+
+import numpy as np
 
 from .core import (
     BroadcastScenario,
@@ -36,7 +46,6 @@ __all__ = [
     "BoundEvaluation",
     "bound_rhs",
     "eval_lhs",
-    "eval_lhs_extended",
     "reduced_bound_value",
     "check_inequality",
     "finite_diff_partials",
@@ -68,49 +77,55 @@ def bound_rhs(scenario: BroadcastScenario) -> float:
     return scenario.power + scenario.noises[0]
 
 
-def _lhs_raw(
-    ns: float,
-    b: float,
-    deltas: Sequence[float],
-    dv: Sequence[float],
-    taus: Sequence[float],
-) -> float:
-    """Finite-schedule evaluation on pre-validated plain values, log domain per term."""
-    lead = math.log(dv[0] + taus[0])
-    ratio_sum = 0.0  # sum_{j=2..k} log(D_j + tau_{j-1}) - log(D_j + tau_j)
-    total = 0.0
-    for k in range(len(dv)):
-        if k >= 1:
-            ratio_sum += math.log(dv[k] + taus[k - 1]) - math.log(dv[k] + taus[k])
-        log_bracket = math.log(ns + taus[k]) - lead + ratio_sum
-        total += deltas[k] * math.exp(log_bracket / b)
-    return total
+class _Chain:
+    """The functional at one fixed (scenario, D), ready for repeated evaluation.
 
+    Inputs are taken as already validated; the public functions validate.
+    """
 
-def _lhs_finite(scenario: BroadcastScenario, d: DistortionTuple, taus: tuple[float, ...]) -> float:
-    return _lhs_raw(
-        scenario.source_var,
-        scenario.bandwidth,
-        scenario.delta_noises(),
-        d.values,
-        taus,
-    )
+    def __init__(self, scenario: BroadcastScenario, d: DistortionTuple) -> None:
+        self.ns = scenario.source_var
+        self.b = scenario.bandwidth
+        self.dn = np.array(scenario.delta_noises())
+        self.d = np.array(d.values)
+        self.d_next = np.append(self.d[1:], self.d[-1])  # D_{k+1}, with h_K = 1
+        self.gap = self.ns - self.d
+        self.rise = np.maximum(self.d_next - self.d, 0.0)
+        self.fall = np.maximum(self.d - self.d_next, 0.0)
+
+    def log_factors(self, tau, k=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """log g_k(tau) and log h_k(tau) for the receivers ``k`` (default all), elementwise.
+
+        ``tau`` broadcasts against the selected D entries: one schedule
+        (shape (K,)) for all receivers, or a grid of entries or a scalar
+        for one receiver.  Every log1p argument is >= 0, so h stays
+        accurate when D_{k+1} << D_k, and every one is exactly 0 at
+        tau = +inf.  log h_K is 0.
+        """
+        den = self.d[k] + tau
+        log_h = np.log1p(self.rise[k] / den) - np.log1p(self.fall[k] / (self.d_next[k] + tau))
+        return np.log1p(self.gap[k] / den), log_h
+
+    def links(self, tau, k=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The chain's a_k = dN_k g_k^(1/b) and c_k = h_k^(1/b) at ``tau``, elementwise."""
+        log_g, log_h = self.log_factors(tau, k)
+        return self.dn[k] * np.exp(log_g / self.b), np.exp(log_h / self.b)
+
+    def lhs(self, taus: Sequence[float]) -> float:
+        """Left-hand side at one schedule, each term summed in the log domain."""
+        log_g, log_h = self.log_factors(np.array(taus))
+        log_g[1:] += np.cumsum(log_h[:-1])
+        return float(self.dn @ np.exp(log_g / self.b))
 
 
 def eval_lhs(
     scenario: BroadcastScenario, distortions: Distortions, tau: Schedule
 ) -> float:
-    """Left-hand side for an all-finite schedule.
-
-    Raises NonFiniteTau if the schedule contains +inf (use
-    :func:`eval_lhs_extended` for those).
-    """
+    """Left-hand side at one schedule; +inf entries take the shared-rate limit."""
     d = check_distortions(scenario, distortions)
     t = TauSchedule.of(tau)
     _check_schedule_length(t, scenario)
-    if not t.is_finite:
-        raise NonFiniteTau("schedule contains +inf; use eval_lhs_extended")
-    return _lhs_finite(scenario, d, t.taus)
+    return _Chain(scenario, d).lhs(t.taus)
 
 
 def _check_schedule_length(t: TauSchedule, scenario: BroadcastScenario) -> None:
@@ -118,33 +133,6 @@ def _check_schedule_length(t: TauSchedule, scenario: BroadcastScenario) -> None:
         raise InvalidTauSchedule(
             f"schedule length {len(t)} != {scenario.num_receivers} receivers"
         )
-
-
-def eval_lhs_extended(
-    scenario: BroadcastScenario, distortions: Distortions, tau: Schedule
-) -> float:
-    """Left-hand side with +inf entries allowed (shared-rate limit).
-
-    With m infinite entries (a prefix, by monotonicity), terms 1..m each
-    tend to dN_k and the remaining terms reduce to the finite evaluation
-    of the suffix system (receivers m+1..K), so the value is
-
-        (N_1 - N_{m+1}) + lhs_finite(suffix).
-
-    Finite schedules take the plain finite path, so the two evaluators
-    agree exactly when both apply.
-    """
-    d = check_distortions(scenario, distortions)
-    t = TauSchedule.of(tau)
-    _check_schedule_length(t, scenario)
-    m = t.num_infinite
-    if m == 0:
-        return _lhs_finite(scenario, d, t.taus)
-    sub = scenario.tail(m + 1)
-    sub_d = DistortionTuple(d.values[m:])
-    sub_t = t.taus[m:]
-    prefix = scenario.noises[0] - scenario.noises[m]
-    return prefix + _lhs_finite(sub, sub_d, sub_t)
 
 
 def reduced_bound_value(
@@ -155,8 +143,7 @@ def reduced_bound_value(
         (N_1 - N_k) + N_k * (N_S / D_k)^(1/b).
 
     Comparing this with P + N_1 is algebraically the point-to-point
-    constraint D_k >= D_k*.  The expression mirrors the extended
-    evaluator's computation path so the two agree to the last few ulps.
+    constraint D_k >= D_k*.
     """
     scenario._check_index(k)
     d = check_distortions(scenario, distortions)
@@ -178,7 +165,7 @@ def check_inequality(
     exact-equality cases (matched bandwidth at the trivial point)
     classify as satisfied under round-off.
     """
-    lhs = eval_lhs_extended(scenario, distortions, tau)
+    lhs = eval_lhs(scenario, distortions, tau)
     rhs = bound_rhs(scenario)
     slack = rhs - lhs
     satisfied = lhs <= rhs * (1.0 + rel_tol)
@@ -216,9 +203,9 @@ def finite_diff_partials(
                 f"D_{i + 1} +- h leaves (0, N_S): {vals[i]} +- {h}"
             )
         vals[i] = up
-        f_up = _lhs_finite(scenario, DistortionTuple(tuple(vals)), t.taus)
+        f_up = _Chain(scenario, DistortionTuple(tuple(vals))).lhs(t.taus)
         vals[i] = down
-        f_down = _lhs_finite(scenario, DistortionTuple(tuple(vals)), t.taus)
+        f_down = _Chain(scenario, DistortionTuple(tuple(vals))).lhs(t.taus)
         vals[i] = d.values[i]
         out.append((f_up - f_down) / (2.0 * h))
     return tuple(out)

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import BroadcastScenario, DistortionTuple, validate_scenario
+from .core import BroadcastScenario, DistortionTuple, check_channel, validate_scenario
 from .errors import (
     DimensionMismatch,
     DistortionAtSourceVariance,
     InvalidCapacities,
     InvalidSplit,
-    NonDecreasingNoises,
     NonPositiveParameter,
     NonStrictOrdering,
 )
@@ -65,18 +64,7 @@ class GaussianBC:
     def __post_init__(self) -> None:
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "noises", tuple(float(n) for n in self.noises))
-        if not math.isfinite(self.power) or self.power <= 0.0:
-            raise NonPositiveParameter(f"power must be finite and > 0, got {self.power}")
-        if not self.noises:
-            raise NonPositiveParameter("at least one receiver is required")
-        for n in self.noises:
-            if not math.isfinite(n) or n <= 0.0:
-                raise NonPositiveParameter(f"noise variances must be finite and > 0, got {n}")
-        for a, b in zip(self.noises, self.noises[1:]):
-            if not a > b:
-                raise NonDecreasingNoises(
-                    f"noise variances must be strictly decreasing, got {a} before {b}"
-                )
+        check_channel(self.power, self.noises)
 
     @property
     def num_receivers(self) -> int:

@@ -166,9 +166,7 @@ def cmd_eval(args) -> int:
 def cmd_membership(args) -> int:
     scenario = _load_scenario_arg(args)
     distortions = _parse_list(args.distortions, "distortions")
-    verdict = in_outer_region(
-        scenario, distortions, rel_tol=args.tolerance, grid=args.grid
-    )
+    verdict = in_outer_region(scenario, distortions, rel_tol=args.tolerance)
     _emit(
         {
             "command": "membership",
@@ -384,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("membership", parents=[common], help="decide region membership via the schedule supremum")
     p.add_argument("--distortions", required=True, help="comma list, e.g. 0.5,0.25")
-    p.add_argument("--grid", type=int, default=None, help="grid resolution per axis")
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("trace", parents=[common], help="trace the minimal D_2 over a D_1 grid (K = 2)")

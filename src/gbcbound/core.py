@@ -57,6 +57,23 @@ def _require_ext_real(value: float, what: str) -> float:
     return x
 
 
+def check_channel(power: float, noises: tuple[float, ...]) -> None:
+    """Validate a degraded Gaussian broadcast channel: P finite and > 0,
+    at least one noise variance, each finite and > 0, strictly decreasing."""
+    if not math.isfinite(power) or power <= 0.0:
+        raise NonPositiveParameter(f"power must be finite and > 0, got {power}")
+    if not noises:
+        raise NonPositiveParameter("at least one receiver is required")
+    for n in noises:
+        if not math.isfinite(n) or n <= 0.0:
+            raise NonPositiveParameter(f"noise variances must be finite and > 0, got {n}")
+    for a, b in zip(noises, noises[1:]):
+        if not a > b:
+            raise NonDecreasingNoises(
+                f"noise variances must be strictly decreasing, got {a} before {b}"
+            )
+
+
 @dataclass(frozen=True)
 class BroadcastScenario:
     """A Gaussian source broadcast over a K-user Gaussian channel.
@@ -79,20 +96,11 @@ class BroadcastScenario:
         object.__setattr__(self, "noises", tuple(float(n) for n in self.noises))
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "source_var", float(self.source_var))
-        for name in ("power", "bandwidth", "source_var"):
+        check_channel(self.power, self.noises)
+        for name in ("bandwidth", "source_var"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise NonPositiveParameter(f"{name} must be finite and > 0, got {v}")
-        if not self.noises:
-            raise NonPositiveParameter("at least one receiver is required")
-        for n in self.noises:
-            if not math.isfinite(n) or n <= 0.0:
-                raise NonPositiveParameter(f"noise variances must be finite and > 0, got {n}")
-        for a, b in zip(self.noises, self.noises[1:]):
-            if not a > b:
-                raise NonDecreasingNoises(
-                    f"noise variances must be strictly decreasing, got {a} before {b}"
-                )
 
     @property
     def num_receivers(self) -> int:
@@ -115,16 +123,6 @@ class BroadcastScenario:
         return BroadcastScenario(
             power=c * self.power,
             noises=tuple(c * n for n in self.noises),
-            bandwidth=self.bandwidth,
-            source_var=self.source_var,
-        )
-
-    def tail(self, start: int) -> "BroadcastScenario":
-        """Sub-scenario keeping receivers start..K (1-based start)."""
-        self._check_index(start)
-        return BroadcastScenario(
-            power=self.power,
-            noises=self.noises[start - 1 :],
             bandwidth=self.bandwidth,
             source_var=self.source_var,
         )

@@ -4,13 +4,16 @@ A tuple D belongs to the region iff lhs(D, tau) <= P + N_1 for *every*
 admissible schedule, so membership reduces to maximizing the functional
 over the schedule set {0 = tau_K <= ... <= tau_1 <= +inf}.
 
-The search works in compactified coordinates t = tau / (1 + tau), which
-map [0, +inf] onto [0, 1] and turn the step schedules (the ones that
-recover the per-receiver point-to-point constraints) into ordinary
-corners of the grid.  An exhaustive grid over the ordered (K-1)-tuple
-set is followed by cyclic per-coordinate golden-section refinement from
-the best few grid points.  Grid evaluation is a pure map and could be
-parallelized; everything here is reentrant.
+The functional nests like Horner's rule in factors that each depend on
+one schedule entry (see ``bound``), and the only coupling between entries
+is their order.  So the supremum is a backward recursion over a single
+grid of tau values, a chain dynamic program costing O(K M) for M grid
+points.  The grid holds exact 0 and +inf, so the step schedules (the ones
+that recover the per-receiver point-to-point constraints) are always
+candidates.  The grid witness is then polished by cyclic per-coordinate
+golden-section ascent in compactified coordinates t = tau / (s + tau),
+which map [0, +inf] onto [0, 1]; ``argmax_t`` reports s = 1.  Everything
+here is reentrant.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .bound import Distortions, _lhs_raw, bound_rhs, eval_lhs
+import numpy as np
+
+from .bound import Distortions, _Chain, bound_rhs, eval_lhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-9
+GRID_POINTS = 2049
 COORD_TOL = 1e-10
 MAX_SWEEPS = 60
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,8 +63,9 @@ class SupResult:
     ``argmax_tau`` lives on the compactified closure: entries may be
     +inf when the maximum is approached along a diverging schedule.
     ``certified_gap`` is an empirical error indicator (improvement the
-    refinement stage found beyond the grid, plus the objective movement
-    in the final sweep), not a rigorous Lipschitz certificate.
+    polish found beyond the grid witness, plus the objective movement in
+    the final sweep), not a rigorous bound.  ``iterations`` counts grid
+    evaluations plus polish evaluations.
     """
 
     sup_value: float
@@ -85,65 +92,52 @@ class TrivialComparison(Enum):
     STRICTLY_TIGHTER = "strictly_tighter"
 
 
-def default_grid(num_receivers: int) -> int:
-    if num_receivers <= 3:
-        return 64
-    if num_receivers <= 5:
-        return 16
-    if num_receivers <= 8:
-        return 8
-    return 4
+def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
+    """Exact 0, geometric points from well below min D_k to well above N_S, exact +inf."""
+    lo, hi = math.log(1e-3 * min(d.values)), math.log(1e3 * scenario.source_var)
+    return np.concatenate(([0.0], np.exp(np.linspace(lo, hi, GRID_POINTS - 2)), [math.inf]))
 
 
-def _tau_from_t(t: float) -> float:
-    return math.inf if t >= 1.0 else t / (1.0 - t)
+def _chain_dp(chain: _Chain, grid: np.ndarray) -> list[float]:
+    """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0).
 
-
-def _make_objective(
-    scenario: BroadcastScenario, d: DistortionTuple
-) -> Callable[[Sequence[float]], float]:
-    """Objective over free compactified coordinates (t_1 >= ... >= t_{K-1}).
-
-    Pre-slices the suffix systems so schedules with infinite entries cost
-    the same as finite ones.
+    Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
+    with M_K = a_K(0): each stage is a running maximum over the grid, and
+    the witness is read back from the stages by argmax.
     """
-    ns = scenario.source_var
-    b = scenario.bandwidth
-    noises = scenario.noises
-    deltas = scenario.delta_noises()
-    dv = d.values
-    k_total = len(dv)
-    prefix_sums = tuple(noises[0] - noises[m] for m in range(k_total))
-
-    def objective(t_free: Sequence[float]) -> float:
-        taus = []
-        m = 0
-        for t in t_free:
-            if t >= 1.0:
-                m += 1
-            else:
-                tau = t / (1.0 - t)
-                if taus and tau > taus[-1]:
-                    tau = taus[-1]  # guard against 1-ulp monotonicity glitches
-                taus.append(tau)
-        taus.append(0.0)
-        if m == 0:
-            return _lhs_raw(ns, b, deltas, dv, taus)
-        return prefix_sums[m] + _lhs_raw(ns, b, deltas[m:], dv[m:], taus)
-
-    return objective
+    free = len(chain.d) - 1
+    running = chain.links(0.0, free)[0]
+    stages = []
+    for k in range(free - 1, -1, -1):
+        a, c = chain.links(grid, k)
+        value = a + c * running
+        stages.append(value)
+        running = np.maximum.accumulate(value)
+    taus = []
+    top = len(grid)
+    for value in reversed(stages):
+        top = int(np.argmax(value[:top])) + 1
+        taus.append(float(grid[top - 1]))
+    return taus + [0.0]
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float, int]:
+def _t(tau: float, scale: float = 1.0) -> float:
+    """Compactified coordinate t = tau / (scale + tau), mapping [0, +inf] onto [0, 1]."""
+    return 1.0 if tau == math.inf else tau / (scale + tau)
+
+
+def _tau(t: float, scale: float) -> float:
+    return math.inf if t >= 1.0 else scale * t / (1.0 - t)
+
+
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, int]:
     """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
     a, b = lo, hi
     h = b - a
-    if h <= tol:
+    if h <= COORD_TOL:
         x = 0.5 * (a + b)
         return x, f(x), 1
-    n = max(1, int(math.ceil(math.log(tol / h) / math.log(_INVPHI))))
+    n = max(1, int(math.ceil(math.log(COORD_TOL / h) / math.log(_INVPHI))))
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     yc, yd = f(c), f(d)
@@ -163,100 +157,97 @@ def _golden_max(
     return (c, yc, evals) if yc > yd else (d, yd, evals)
 
 
+def _moves(taus: list[float]) -> list[tuple[int, int]]:
+    """Polish coordinates (i, j): every free entry alone, then every run of equal free entries."""
+    free = len(taus) - 1
+    runs = []
+    i = 0
+    for _, run in groupby(taus[:free]):
+        n = len(list(run))
+        if n > 1:
+            runs.append((i, i + n - 1))
+        i += n
+    return [(i, i) for i in range(free)] + runs
+
+
 def _refine(
-    objective: Callable[[Sequence[float]], float],
-    t_start: Sequence[float],
-    start_value: float,
-    coord_tol: float,
-) -> tuple[tuple[float, ...], float, float, int]:
-    """Cyclic per-coordinate golden-section ascent from one start point.
+    chain: _Chain, taus: list[float], value: float
+) -> tuple[list[float], float, float, int]:
+    """Cyclic coordinate golden-section ascent from one schedule.
 
-    Never moves to a worse point, so the incumbent value is monotone.
-    Returns (t, value, last_sweep_gain, evals).
+    A move sets entries i..j to one value x between their neighbours:
+    one entry, or a run of equal entries, which moving one entry at a
+    time cannot shift together.  With the other entries fixed,
+    lhs = A + C F(x) with C > 0 and
+    F(x) = a_i(x) + c_i(x) (... (a_j(x) + c_j(x) S)), where S, the chain's
+    value from entry j+1 on, does not depend on x.  So the search
+    maximizes F, in t = x / (scale + x) with the current value as the
+    scale, which resolves x relative to its size.  A move is kept only
+    when the evaluator confirms a gain, so the incumbent value is
+    monotone; a coordinate is searched again only after another moved.
+    Returns (taus, value, last_sweep_gain, evals).
     """
-    t = list(t_start)
-    value = start_value
-    evals = 0
+    done: set[tuple[int, int]] = set()
     sweep_gain = 0.0
+    evals = 0
     for _ in range(MAX_SWEEPS):
-        sweep_start = value
-        max_move = 0.0
-        for i in range(len(t)):
-            lo = t[i + 1] if i + 1 < len(t) else 0.0
-            hi = t[i - 1] if i >= 1 else 1.0
-            if hi - lo <= coord_tol:
-                continue
-
-            def f(x: float, i: int = i) -> float:
-                probe = t[:i] + [x] + t[i + 1 :]
-                return objective(probe)
-
-            x_best, f_best, used = _golden_max(f, lo, hi, coord_tol)
-            evals += used
-            if f_best > value:
-                max_move = max(max_move, abs(x_best - t[i]))
-                t[i] = x_best
-                value = f_best
-        sweep_gain = value - sweep_start
-        if max_move < coord_tol:
+        moves = [m for m in _moves(taus) if m not in done]
+        if not moves:
             break
-    return tuple(t), value, sweep_gain, evals
+        sweep_start = value
+        for i, j in moves:
+            done.add((i, j))
+            upper = taus[i - 1] if i else math.inf
+            scale = taus[i] if 0.0 < taus[i] < math.inf else 1.0
+            lo, hi = _t(taus[j + 1], scale), _t(upper, scale)
+            if hi - lo <= COORD_TOL:
+                continue
+            a, c = chain.links(np.array(taus))
+            rest = a[-1]
+            for k in range(len(taus) - 2, j, -1):
+                rest = a[k] + c[k] * rest
+
+            def f(t: float, i=i, j=j, rest=rest, scale=scale) -> float:
+                x = _tau(t, scale)
+                value = rest
+                for k in range(j, i - 1, -1):
+                    a_k, c_k = chain.links(x, k)
+                    value = a_k + c_k * value
+                return value
+
+            t_best, _, used = _golden_max(f, lo, hi)
+            x = min(max(_tau(t_best, scale), taus[j + 1]), upper)
+            probe = taus[:i] + [x] * (j - i + 1) + taus[j + 1 :]
+            probe_value = chain.lhs(probe)
+            evals += used + 1
+            if probe_value > value:
+                if any(abs(t_best - _t(old, scale)) >= COORD_TOL for old in taus[i : j + 1]):
+                    done = {(i, j)}
+                taus, value = probe, probe_value
+        sweep_gain = value - sweep_start
+    return taus, value, sweep_gain, evals
 
 
-def sup_bound_lhs(
-    scenario: BroadcastScenario,
-    distortions: Distortions,
-    grid: int | None = None,
-    coord_tol: float = COORD_TOL,
-    starts: int = 5,
-) -> SupResult:
+def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupResult:
     """Maximize the functional over all admissible schedules.
 
-    Exhaustive ordered grid (``grid`` points per axis, default by K),
-    then golden-section refinement from the ``starts`` best grid points.
-    The all-zero schedule is always a grid corner, so the result is
-    never below the plain tau = 0 evaluation.
+    The chain dynamic program finds the best schedule on a fixed grid
+    that holds 0 and +inf, so the all-zero and the step schedules are
+    always candidates; golden-section ascent then polishes that witness
+    off the grid.  ``sup_value`` is the evaluator's value at exactly
+    ``argmax_tau``.
     """
     d = check_distortions(scenario, distortions)
-    k_total = scenario.num_receivers
-    objective = _make_objective(scenario, d)
-    free = k_total - 1
-    if free == 0:
-        value = objective(())
-        return SupResult(
-            sup_value=value,
-            argmax_tau=TauSchedule((0.0,)),
-            argmax_t=(),
-            iterations=1,
-            certified_gap=0.0,
-        )
-    if grid is None:
-        grid = default_grid(k_total)
-    if grid < 2:
-        raise InvalidDistortion(f"grid resolution must be >= 2, got {grid}")
-    axis = [i / (grid - 1) for i in range(grid)]
-    scored: list[tuple[float, tuple[float, ...]]] = []
-    evals = 0
-    for combo in combinations_with_replacement(axis, free):
-        t = combo[::-1]  # nonincreasing
-        scored.append((objective(t), t))
-        evals += 1
-    scored.sort(key=lambda item: item[0], reverse=True)
-    grid_best = scored[0][0]
-    best_t, best_value = scored[0][1], grid_best
-    best_gain = 0.0
-    for start_value, start_t in scored[:starts]:
-        t, value, gain, used = _refine(objective, start_t, start_value, coord_tol)
-        evals += used
-        if value > best_value:
-            best_t, best_value, best_gain = t, value, gain
-    argmax_tau = TauSchedule(tuple(_tau_from_t(t) for t in best_t) + (0.0,))
+    chain = _Chain(scenario, d)
+    witness = _chain_dp(chain, _tau_grid(scenario, d))
+    start_value = chain.lhs(witness)
+    taus, value, gain, evals = _refine(chain, witness, start_value)
     return SupResult(
-        sup_value=best_value,
-        argmax_tau=argmax_tau,
-        argmax_t=tuple(best_t),
-        iterations=evals,
-        certified_gap=(best_value - grid_best) + best_gain,
+        sup_value=value,
+        argmax_tau=TauSchedule(tuple(taus)),
+        argmax_t=tuple(_t(tau) for tau in taus[:-1]),
+        iterations=(len(witness) - 1) * GRID_POINTS + 1 + evals,
+        certified_gap=(value - start_value) + gain,
     )
 
 
@@ -264,10 +255,9 @@ def in_outer_region(
     scenario: BroadcastScenario,
     distortions: Distortions,
     rel_tol: float = DEFAULT_REL_TOL,
-    grid: int | None = None,
 ) -> MembershipVerdict:
     """Does D satisfy the whole inequality family (sup <= P + N_1)?"""
-    sup = sup_bound_lhs(scenario, distortions, grid=grid)
+    sup = sup_bound_lhs(scenario, distortions)
     rhs = bound_rhs(scenario)
     margin = rhs - sup.sup_value
     member = sup.sup_value <= rhs * (1.0 + rel_tol)
@@ -280,7 +270,6 @@ def trace_boundary(
     search_range: tuple[float, float] | None = None,
     width: float = 1e-10,
     rel_tol: float = DEFAULT_REL_TOL,
-    grid: int | None = None,
 ) -> float:
     """Minimal D_K keeping (fixed_1..fixed_{K-1}, D_K) inside the region.
 
@@ -306,9 +295,7 @@ def trace_boundary(
             raise InvalidDistortion(f"search range ({lo}, {hi}) outside (0, N_S]")
 
     def member(dk: float) -> bool:
-        return in_outer_region(
-            scenario, fixed_vals + (dk,), rel_tol=rel_tol, grid=grid
-        ).member
+        return in_outer_region(scenario, fixed_vals + (dk,), rel_tol=rel_tol).member
 
     if not member(hi):
         raise InfeasibleEverywhere(
@@ -328,7 +315,6 @@ def trace_boundary(
 def classify_vs_trivial(
     scenario: BroadcastScenario,
     rel_tol: float = DEFAULT_REL_TOL,
-    grid: int | None = None,
 ) -> TrivialComparison:
     """Compare the schedule-indexed bound with the trivial one, empirically.
 
@@ -351,7 +337,7 @@ def classify_vs_trivial(
     rhs = bound_rhs(scenario)
     problems: list[str] = []
 
-    member_at_star = in_outer_region(scenario, dstar, rel_tol=rel_tol, grid=grid).member
+    member_at_star = in_outer_region(scenario, dstar, rel_tol=rel_tol).member
     expect_member = analytic is not TrivialComparison.STRICTLY_TIGHTER
     if member_at_star != expect_member:
         problems.append(
@@ -359,13 +345,13 @@ def classify_vs_trivial(
         )
 
     deflated = tuple(0.98 * v for v in dstar)
-    if in_outer_region(scenario, deflated, rel_tol=rel_tol, grid=grid).member:
+    if in_outer_region(scenario, deflated, rel_tol=rel_tol).member:
         problems.append("point below every per-receiver floor classified as member")
 
     if expect_member:
         ns = scenario.source_var
         inflated = tuple(min(1.02 * v, ns) for v in dstar)
-        if not in_outer_region(scenario, inflated, rel_tol=rel_tol, grid=grid).member:
+        if not in_outer_region(scenario, inflated, rel_tol=rel_tol).member:
             problems.append("inflated trivial point classified as non-member")
 
     if k_total >= 2:
@@ -390,14 +376,13 @@ def boundary_trace_rows(
     scenario: BroadcastScenario,
     fixed_grid: Iterable[Sequence[float]],
     rel_tol: float = DEFAULT_REL_TOL,
-    grid: int | None = None,
 ) -> list[tuple[float, ...]]:
     """Boundary rows (D_1..D_{K-1}, D_K_min, sup_value, margin) for CSV export."""
     rows = []
     for fixed in fixed_grid:
-        dk = trace_boundary(scenario, fixed, rel_tol=rel_tol, grid=grid)
+        dk = trace_boundary(scenario, fixed, rel_tol=rel_tol)
         verdict = in_outer_region(
-            scenario, tuple(float(x) for x in fixed) + (dk,), rel_tol=rel_tol, grid=grid
+            scenario, tuple(float(x) for x in fixed) + (dk,), rel_tol=rel_tol
         )
         rows.append(tuple(float(x) for x in fixed) + (dk, verdict.sup.sup_value, verdict.margin))
     return rows

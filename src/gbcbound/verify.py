@@ -97,7 +97,7 @@ def _check_matched_equality(rng: random.Random, trials: int) -> CheckResult:
         dstar = trivial_distortions(sc)
         tau = random_schedule(rng, sc.num_receivers)
         rhs = bound.bound_rhs(sc)
-        val = bound.eval_lhs_extended(sc, dstar, tau)
+        val = bound.eval_lhs(sc, dstar, tau)
         if abs(val - rhs) > 1e-9 * rhs:
             failures += 1
     return CheckResult("matched-equality", trials, failures)
@@ -113,7 +113,7 @@ def _check_compression_bound(rng: random.Random, trials: int) -> CheckResult:
         rhs = bound.bound_rhs(sc)
         for _ in range(10):
             tau = random_schedule(rng, sc.num_receivers)
-            if bound.eval_lhs_extended(sc, dstar, tau) > rhs * (1.0 + 1e-9):
+            if bound.eval_lhs(sc, dstar, tau) > rhs * (1.0 + 1e-9):
                 failures += 1
         sup = membership.sup_bound_lhs(sc, dstar)
         if sup.sup_value > rhs * (1.0 + 1e-6):
@@ -143,12 +143,12 @@ def _check_step_reduction(rng: random.Random, trials: int) -> CheckResult:
         d = random_distortions(rng, sc)
         k_total = sc.num_receivers
         for k in range(1, k_total + 1):
-            ext = bound.eval_lhs_extended(sc, d, step_schedule(k_total, k))
+            ext = bound.eval_lhs(sc, d, step_schedule(k_total, k))
             red = bound.reduced_bound_value(sc, d, k)
             if abs(ext - red) > 1e-12 * max(abs(red), 1e-300):
                 failures += 1
         k_mid = (k_total + 1) // 2
-        limit = bound.eval_lhs_extended(sc, d, step_schedule(k_total, k_mid))
+        limit = bound.eval_lhs(sc, d, step_schedule(k_total, k_mid))
         gaps = []
         for big in (1e3, 1e6, 1e9):
             taus = (big,) * (k_mid - 1) + (0.0,) * (k_total - k_mid + 1)

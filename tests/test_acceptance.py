@@ -11,7 +11,6 @@ import time
 from gbcbound.bound import (
     bound_rhs,
     eval_lhs,
-    eval_lhs_extended,
     finite_diff_partials,
     reduced_bound_value,
 )
@@ -73,7 +72,7 @@ def test_criterion_02_compression_never_violates():
         for _ in range(50):
             tau = random_schedule(rng, sc.num_receivers)
             checks += 1
-            if eval_lhs_extended(sc, dstar, tau) > rhs * (1.0 + 1e-9):
+            if eval_lhs(sc, dstar, tau) > rhs * (1.0 + 1e-9):
                 failures.append((sc, tuple(tau)))
         sup = sup_bound_lhs(sc, dstar)
         checks += 1
@@ -126,7 +125,7 @@ def test_criterion_04_step_schedule_reduction():
         d = tuple(math.exp(rng.uniform(math.log(1e-3), 0.0)) * ns for _ in range(sc.num_receivers))
         k_total = sc.num_receivers
         for k in range(1, k_total + 1):
-            ext = eval_lhs_extended(sc, d, step_schedule(k_total, k))
+            ext = eval_lhs(sc, d, step_schedule(k_total, k))
             red = reduced_bound_value(sc, d, k)
             checks += 1
             if abs(ext - red) > 1e-12 * abs(red):

@@ -8,7 +8,6 @@ from gbcbound.bound import (
     bound_rhs,
     check_inequality,
     eval_lhs,
-    eval_lhs_extended,
     finite_diff_partials,
     reduced_bound_value,
 )
@@ -69,9 +68,12 @@ def test_eval_zero_schedule_collapse():
             assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_eval_rejects_infinite_schedule():
-    with pytest.raises(NonFiniteTau):
-        eval_lhs(S_MATCHED, (0.5, 0.25), (math.inf, 0))
+def test_eval_infinite_entry_is_shared_rate_limit():
+    # tau_1 = +inf: term 1 tends to dN_1 and term 2 to N_2 (N_S / D_2)^(1/b)
+    for sc in (S_MATCHED, S_EXPAND, S_COMPRESS):
+        got = eval_lhs(sc, (0.5, 0.25), (math.inf, 0))
+        want = (3 - 1) + 1 * (1 / 0.25) ** (1 / sc.bandwidth)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_eval_rejects_bad_distortions():
@@ -85,7 +87,7 @@ def test_eval_rejects_bad_distortions():
 
 def test_extended_two_user_closed_form():
     for d2 in (0.1, 0.25, 0.8):
-        got = eval_lhs_extended(S_MATCHED, (0.5, d2), (math.inf, 0))
+        got = eval_lhs(S_MATCHED, (0.5, d2), (math.inf, 0))
         want = (3 - 1) + 1 * (1 / d2) ** 1.0
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -98,7 +100,7 @@ def test_extended_limit_of_finite_evaluations():
         d = random_distortions(rng, sc)
         k_total = sc.num_receivers
         k = rng.randint(2, k_total)
-        limit = eval_lhs_extended(sc, d, step_schedule(k_total, k))
+        limit = eval_lhs(sc, d, step_schedule(k_total, k))
         gaps = []
         for big in (1e3, 1e6, 1e9):
             taus = (big,) * (k - 1) + (0.0,) * (k_total - k + 1)
@@ -110,15 +112,9 @@ def test_extended_limit_of_finite_evaluations():
 def test_extended_three_user_step():
     sc = validate_scenario(3, [4, 2, 1], 1.3)
     d = (0.7, 0.4, 0.2)
-    got = eval_lhs_extended(sc, d, step_schedule(3, 2))
+    got = eval_lhs(sc, d, step_schedule(3, 2))
     want = (4 - 2) + 2 * (1 / 0.4) ** (1 / 1.3)
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_extended_agrees_with_finite_path():
-    val_f = eval_lhs(S_EXPAND, (0.3, 0.2), (2.5, 0))
-    val_e = eval_lhs_extended(S_EXPAND, (0.3, 0.2), (2.5, 0))
-    assert val_f == val_e
 
 
 def test_reduced_bound_examples():
@@ -138,7 +134,7 @@ def test_reduction_identity_tight():
         sc = random_scenario(rng)
         d = random_distortions(rng, sc)
         for k in range(1, sc.num_receivers + 1):
-            ext = eval_lhs_extended(sc, d, step_schedule(sc.num_receivers, k))
+            ext = eval_lhs(sc, d, step_schedule(sc.num_receivers, k))
             red = reduced_bound_value(sc, d, k)
             assert abs(ext - red) <= 1e-12 * abs(red)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import gbcbound
 from gbcbound.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -279,8 +281,12 @@ def test_simulate_rejects_bandwidth_mismatch(capsys, expansion):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this suite, installed or not
+    package_root = str(Path(gbcbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-m", "gbcbound", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "gbcbound", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "gbcbound" in proc.stdout

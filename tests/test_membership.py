@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gbcbound.bound import bound_rhs, eval_lhs
+from gbcbound.bound import bound_rhs, check_inequality, eval_lhs
 from gbcbound.core import (
     trivial_distortion,
     trivial_distortions,
@@ -18,7 +18,7 @@ from gbcbound.membership import (
     sup_bound_lhs,
     trace_boundary,
 )
-from gbcbound.verify import random_scenario
+from gbcbound.verify import random_distortions, random_scenario
 
 S_MATCHED = validate_scenario(3, [3, 1], 1)
 S_EXPAND = validate_scenario(3, [3, 1], 2)
@@ -49,15 +49,48 @@ def test_sup_never_below_zero_schedule():
         assert res.sup_value >= zero_val - 1e-12 * abs(zero_val)
 
 
-def test_sup_grid_refinement_consistency():
-    """Doubling the grid moves the supremum by < 1e-6 relative."""
+def test_sup_witness_consistency():
+    """The reported supremum is the evaluator's value at the reported witness,
+    the verdict agrees with check_inequality there, and no two-level
+    schedule beats it."""
     rng = random.Random(31)
-    for _ in range(10):
-        sc = random_scenario(rng, k_range=(2, 3))
-        d = tuple(rng.uniform(0.05, 1.0) * sc.source_var for _ in range(sc.num_receivers))
-        coarse = sup_bound_lhs(sc, d, grid=64).sup_value
-        fine = sup_bound_lhs(sc, d, grid=128).sup_value
-        assert abs(coarse - fine) <= 1e-6 * max(1.0, abs(fine))
+    regimes = (lambda: math.exp(rng.uniform(math.log(0.1), math.log(0.95))),
+               lambda: 1.0,
+               lambda: math.exp(rng.uniform(math.log(1.05), math.log(8.0))))
+    levels = [10.0 ** (e / 2) for e in range(-12, 13)] + [math.inf]
+    for k in (1, 2, 3, 5, 8, 16):
+        for draw_b in regimes:
+            for _ in range(4):
+                sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b(),
+                                     min_ratio=1.05 if k >= 8 else 1.2)
+                d = random_distortions(rng, sc)
+                rhs = bound_rhs(sc)
+                verdict = in_outer_region(sc, d)
+                sup = verdict.sup
+                assert sup.sup_value == eval_lhs(sc, d, sup.argmax_tau)
+                ev = check_inequality(sc, d, sup.argmax_tau, verdict.tolerance)
+                assert verdict.member == ev.satisfied
+                slack = 1e-12 * max(abs(sup.sup_value), rhs)
+                for m in range(1, k):
+                    for s in levels:
+                        lhs = eval_lhs(sc, d, (s,) * m + (0.0,) * (k - m))
+                        assert sup.sup_value >= lhs - slack, (k, m, s)
+
+
+def test_reproducer_is_non_member():
+    """A maximizer at tau ~ 5e-3, far below where a coarse grid looks, must be found."""
+    sc = validate_scenario(
+        10.408299403129902,
+        [1.5319987010856546, 0.42284007000578716, 0.14230776211069576,
+         0.09410284722975634, 0.022458921322477083],
+        1.4480871282058703,
+    )
+    d = (0.05134967501451325, 0.08934536726890427, 0.004013983515728514,
+         0.13523201232033158, 0.024135166043304252)
+    verdict = in_outer_region(sc, d)
+    assert not verdict.member
+    assert not check_inequality(sc, d, verdict.sup.argmax_tau).satisfied
+    assert verdict.sup.sup_value >= 11.9759
 
 
 def test_membership_examples():
@@ -155,8 +188,8 @@ def test_classification_detects_forced_bug(monkeypatch):
 
     real = m.in_outer_region
 
-    def corrupted(scenario, distortions, rel_tol=1e-9, grid=None):
-        verdict = real(scenario, distortions, rel_tol=rel_tol, grid=grid)
+    def corrupted(scenario, distortions, rel_tol=1e-9):
+        verdict = real(scenario, distortions, rel_tol=rel_tol)
         return type(verdict)(
             member=not verdict.member,
             sup=verdict.sup,

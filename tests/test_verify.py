@@ -30,11 +30,11 @@ def test_forced_bug_is_caught(monkeypatch):
     """Self-test of the harness: a negated comparison must fail the equality suite."""
     import gbcbound.bound as bound_mod
 
-    real = bound_mod.eval_lhs_extended
+    real = bound_mod.eval_lhs
 
     def corrupted(scenario, distortions, tau):
         return real(scenario, distortions, tau) * 1.001
 
-    monkeypatch.setattr(bound_mod, "eval_lhs_extended", corrupted)
+    monkeypatch.setattr(bound_mod, "eval_lhs", corrupted)
     results = {r.name: r for r in run_all_checks(trials=30, seed=42)}
     assert not results["matched-equality"].passed
