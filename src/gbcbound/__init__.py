@@ -45,7 +45,6 @@ from .membership import (
     MembershipVerdict,
     SupResult,
     TrivialComparison,
-    boundary_trace_rows,
     classify_vs_trivial,
     in_outer_region,
     sup_bound_lhs,
@@ -76,7 +75,6 @@ __all__ = [
     "TrivialComparison",
     "bound_rhs",
     "boundary_rates",
-    "boundary_trace_rows",
     "check_inequality",
     "check_minkowski",
     "classify_vs_trivial",

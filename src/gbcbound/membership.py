@@ -10,10 +10,11 @@ is their order.  So the supremum is a backward recursion over a single
 grid of tau values, a chain dynamic program costing O(K M) for M grid
 points.  The grid holds exact 0 and +inf, so the step schedules (the ones
 that recover the per-receiver point-to-point constraints) are always
-candidates.  The grid witness is then polished by cyclic per-coordinate
-golden-section ascent in compactified coordinates t = tau / (s + tau),
-which map [0, +inf] onto [0, 1]; ``argmax_t`` reports s = 1.  Everything
-here is reentrant.
+candidates.  The same recursion then refines its witness: each zoom pass
+reruns it on a small grid of geometric windows around the witness's
+entries, so runs of equal entries move together.  ``argmax_t`` reports
+the witness in compactified coordinates t = tau / (1 + tau), which map
+[0, +inf] onto [0, 1].  Everything here is reentrant.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,15 +45,15 @@ __all__ = [
     "in_outer_region",
     "trace_boundary",
     "classify_vs_trivial",
-    "boundary_trace_rows",
 ]
 
 DEFAULT_REL_TOL = 1e-9
 GRID_POINTS = 2049
-COORD_TOL = 1e-10
-MAX_SWEEPS = 60
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+ZOOM_POINTS = 257
+ZOOM_STEP = 1e-8
+MARGIN = 1e3
+TRACE_WIDTH = 1e-10
+_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class SupResult:
 
     ``argmax_tau`` lives on the compactified closure: entries may be
     +inf when the maximum is approached along a diverging schedule.
-    ``certified_gap`` is an empirical error indicator (improvement the
-    polish found beyond the grid witness, plus the objective movement in
-    the final sweep), not a rigorous bound.  ``iterations`` counts grid
-    evaluations plus polish evaluations.
+    ``certified_gap`` is an empirical error indicator (what the zoom
+    passes gained over the first grid's witness, plus the gain of the
+    last pass), not a rigorous bound.  ``iterations`` counts the grid
+    evaluations of every pass, plus one evaluation of each pass's witness.
     """
 
     sup_value: float
@@ -93,8 +93,8 @@ class TrivialComparison(Enum):
 
 
 def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
-    """Exact 0, geometric points from well below min D_k to well above N_S, exact +inf."""
-    lo, hi = math.log(1e-3 * min(d.values)), math.log(1e3 * scenario.source_var)
+    """Exact 0, geometric points from min D_k / MARGIN to MARGIN N_S, exact +inf."""
+    lo, hi = math.log(min(d.values) / MARGIN), math.log(MARGIN * scenario.source_var)
     return np.concatenate(([0.0], np.exp(np.linspace(lo, hi, GRID_POINTS - 2)), [math.inf]))
 
 
@@ -121,133 +121,72 @@ def _chain_dp(chain: _Chain, grid: np.ndarray) -> list[float]:
     return taus + [0.0]
 
 
-def _t(tau: float, scale: float = 1.0) -> float:
-    """Compactified coordinate t = tau / (scale + tau), mapping [0, +inf] onto [0, 1]."""
-    return 1.0 if tau == math.inf else tau / (scale + tau)
+def _t(tau: float) -> float:
+    """Compactified coordinate t = tau / (1 + tau), mapping [0, +inf] onto [0, 1]."""
+    return 1.0 if tau == math.inf else tau / (1.0 + tau)
 
 
-def _tau(t: float, scale: float) -> float:
-    return math.inf if t >= 1.0 else scale * t / (1.0 - t)
+def _zoom_grid(grid: np.ndarray, taus: list[float], step: float) -> np.ndarray:
+    """The next pass's grid: 0, +inf, the witness ``taus`` (all on ``grid``),
+    and a window of ZOOM_POINTS geometric points around each free entry x.
 
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    h = b - a
-    if h <= COORD_TOL:
-        x = 0.5 * (a + b)
-        return x, f(x), 1
-    n = max(1, int(math.ceil(math.log(COORD_TOL / h) / math.log(_INVPHI))))
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    evals = 2
-    for _ in range(n - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd = f(d)
-        evals += 1
-    return (c, yc, evals) if yc > yd else (d, yd, evals)
-
-
-def _moves(taus: list[float]) -> list[tuple[int, int]]:
-    """Polish coordinates (i, j): every free entry alone, then every run of equal free entries."""
-    free = len(taus) - 1
-    runs = []
-    i = 0
-    for _, run in groupby(taus[:free]):
-        n = len(list(run))
-        if n > 1:
-            runs.append((i, i + n - 1))
-        i += n
-    return [(i, i) for i in range(free)] + runs
-
-
-def _refine(
-    chain: _Chain, taus: list[float], value: float
-) -> tuple[list[float], float, float, int]:
-    """Cyclic coordinate golden-section ascent from one schedule.
-
-    A move sets entries i..j to one value x between their neighbours:
-    one entry, or a run of equal entries, which moving one entry at a
-    time cannot shift together.  With the other entries fixed,
-    lhs = A + C F(x) with C > 0 and
-    F(x) = a_i(x) + c_i(x) (... (a_j(x) + c_j(x) S)), where S, the chain's
-    value from entry j+1 on, does not depend on x.  So the search
-    maximizes F, in t = x / (scale + x) with the current value as the
-    scale, which resolves x relative to its size.  A move is kept only
-    when the evaluator confirms a gain, so the incumbent value is
-    monotone; a coordinate is searched again only after another moved.
-    Returns (taus, value, last_sweep_gain, evals).
+    The window spans x's cell of ``grid`` and at least [x / r, x r], with
+    r = exp(``step``) the step of the pass that put x there, so an entry
+    can follow its neighbours even where windows overlap and cells are
+    narrow.  A cell that reaches 0 or +inf (x is 0, +inf, or next to one)
+    is cut off MARGIN times beyond the last positive finite grid point.
+    0 and +inf appear once; a positive point may appear twice, which
+    neither the recursion nor the cell lookup minds.
     """
-    done: set[tuple[int, int]] = set()
-    sweep_gain = 0.0
-    evals = 0
-    for _ in range(MAX_SWEEPS):
-        moves = [m for m in _moves(taus) if m not in done]
-        if not moves:
-            break
-        sweep_start = value
-        for i, j in moves:
-            done.add((i, j))
-            upper = taus[i - 1] if i else math.inf
-            scale = taus[i] if 0.0 < taus[i] < math.inf else 1.0
-            lo, hi = _t(taus[j + 1], scale), _t(upper, scale)
-            if hi - lo <= COORD_TOL:
-                continue
-            a, c = chain.links(np.array(taus))
-            rest = a[-1]
-            for k in range(len(taus) - 2, j, -1):
-                rest = a[k] + c[k] * rest
-
-            def f(t: float, i=i, j=j, rest=rest, scale=scale) -> float:
-                x = _tau(t, scale)
-                value = rest
-                for k in range(j, i - 1, -1):
-                    a_k, c_k = chain.links(x, k)
-                    value = a_k + c_k * value
-                return value
-
-            t_best, _, used = _golden_max(f, lo, hi)
-            x = min(max(_tau(t_best, scale), taus[j + 1]), upper)
-            probe = taus[:i] + [x] * (j - i + 1) + taus[j + 1 :]
-            probe_value = chain.lhs(probe)
-            evals += used + 1
-            if probe_value > value:
-                if any(abs(t_best - _t(old, scale)) >= COORD_TOL for old in taus[i : j + 1]):
-                    done = {(i, j)}
-                taus, value = probe, probe_value
-        sweep_gain = value - sweep_start
-    return taus, value, sweep_gain, evals
+    r = math.exp(step)
+    last = len(grid) - 2
+    xs = set(taus[:-1])
+    parts = [[0.0, math.inf], [x for x in xs if 0.0 < x < math.inf]]
+    for x in xs:
+        i = int(np.searchsorted(grid, x))
+        lo = min(grid[i - 1], x / r) if i > 1 else grid[1] / MARGIN
+        hi = max(grid[i + 1], x * r) if i < last else grid[last] * MARGIN
+        parts.append(np.exp(math.log(lo) + math.log(hi / lo) * _UNIT))
+    return np.sort(np.concatenate(parts))
 
 
 def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupResult:
     """Maximize the functional over all admissible schedules.
 
-    The chain dynamic program finds the best schedule on a fixed grid
+    The chain dynamic program finds the best schedule on a first grid
     that holds 0 and +inf, so the all-zero and the step schedules are
-    always candidates; golden-section ascent then polishes that witness
-    off the grid.  ``sup_value`` is the evaluator's value at exactly
-    ``argmax_tau``.
+    always candidates.  Each zoom pass then reruns it on a grid around
+    the incumbent witness (``_zoom_grid``), whose geometric step shrinks
+    from r to r^(2 / (ZOOM_POINTS - 1)), until the step is at most
+    ZOOM_STEP relative.  The witness's own entries stay on every grid,
+    and a pass's witness is kept only if the evaluator confirms a gain,
+    so the value never goes down.  ``sup_value`` is the evaluator's value
+    at exactly ``argmax_tau``.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
-    witness = _chain_dp(chain, _tau_grid(scenario, d))
-    start_value = chain.lhs(witness)
-    taus, value, gain, evals = _refine(chain, witness, start_value)
+    free = len(d.values) - 1
+    grid = _tau_grid(scenario, d)
+    taus = _chain_dp(chain, grid)
+    first = value = chain.lhs(taus)
+    evals = free * len(grid) + 1
+    step = math.log(grid[2] / grid[1])
+    gain = 0.0
+    while free and step > ZOOM_STEP:
+        grid = _zoom_grid(grid, taus, step)
+        probe = _chain_dp(chain, grid)
+        probe_value = chain.lhs(probe)
+        evals += free * len(grid) + 1
+        gain = max(probe_value - value, 0.0)
+        if probe_value > value:
+            taus, value = probe, probe_value
+        step *= 2.0 / (ZOOM_POINTS - 1)
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
         argmax_t=tuple(_t(tau) for tau in taus[:-1]),
-        iterations=(len(witness) - 1) * GRID_POINTS + 1 + evals,
-        certified_gap=(value - start_value) + gain,
+        iterations=evals,
+        certified_gap=(value - first) + gain,
     )
 
 
@@ -267,17 +206,15 @@ def in_outer_region(
 def trace_boundary(
     scenario: BroadcastScenario,
     fixed: Sequence[float],
-    search_range: tuple[float, float] | None = None,
-    width: float = 1e-10,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Minimal D_K keeping (fixed_1..fixed_{K-1}, D_K) inside the region.
 
     Monotonicity of the functional in D_K makes feasibility monotone, so
-    plain bisection applies.  The default bracket starts below the
-    point-to-point optimum D_K*, which no member can undercut, and ends
-    at N_S.  Raises InfeasibleEverywhere when even D_K = N_S fails
-    (some fixed distortion is below its own floor).
+    plain bisection applies, down to TRACE_WIDTH.  The bracket starts
+    below the point-to-point optimum D_K*, which no member can undercut,
+    and ends at N_S.  Raises InfeasibleEverywhere when even D_K = N_S
+    fails (some fixed distortion is below its own floor).
     """
     k_total = scenario.num_receivers
     fixed_vals = tuple(float(x) for x in fixed)
@@ -285,14 +222,7 @@ def trace_boundary(
         raise InvalidDistortion(
             f"expected {k_total - 1} fixed distortions, got {len(fixed_vals)}"
         )
-    ns = scenario.source_var
-    dk_star = trivial_distortion(scenario, k_total)
-    if search_range is None:
-        lo, hi = 0.5 * dk_star, ns
-    else:
-        lo, hi = float(search_range[0]), float(search_range[1])
-        if not (0.0 < lo <= hi <= ns):
-            raise InvalidDistortion(f"search range ({lo}, {hi}) outside (0, N_S]")
+    lo, hi = 0.5 * trivial_distortion(scenario, k_total), scenario.source_var
 
     def member(dk: float) -> bool:
         return in_outer_region(scenario, fixed_vals + (dk,), rel_tol=rel_tol).member
@@ -303,7 +233,7 @@ def trace_boundary(
         )
     if member(lo):
         return lo
-    while hi - lo > width:
+    while hi - lo > TRACE_WIDTH:
         mid = 0.5 * (lo + hi)
         if member(mid):
             hi = mid
@@ -370,19 +300,3 @@ def classify_vs_trivial(
             + "; ".join(problems)
         )
     return analytic
-
-
-def boundary_trace_rows(
-    scenario: BroadcastScenario,
-    fixed_grid: Iterable[Sequence[float]],
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> list[tuple[float, ...]]:
-    """Boundary rows (D_1..D_{K-1}, D_K_min, sup_value, margin) for CSV export."""
-    rows = []
-    for fixed in fixed_grid:
-        dk = trace_boundary(scenario, fixed, rel_tol=rel_tol)
-        verdict = in_outer_region(
-            scenario, tuple(float(x) for x in fixed) + (dk,), rel_tol=rel_tol
-        )
-        rows.append(tuple(float(x) for x in fixed) + (dk, verdict.sup.sup_value, verdict.margin))
-    return rows

@@ -162,6 +162,13 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
     run_cli(capsys, "trace", "--scenario", expansion, "--d1-grid", "0.25:0.3:3", "--out", str(out_b))
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "trace_manifest.json").read_bytes() == (out_b / "trace_manifest.json").read_bytes()
+    # the README's membership example
+    argv = ["membership", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--distortions", "0.25,0.0625"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_trace_invalid_grid(capsys, expansion, tmp_path):

@@ -12,13 +12,12 @@ from gbcbound.core import (
 from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
     TrivialComparison,
-    boundary_trace_rows,
     classify_vs_trivial,
     in_outer_region,
     sup_bound_lhs,
     trace_boundary,
 )
-from gbcbound.verify import random_distortions, random_scenario
+from gbcbound.verify import random_distortions, random_scenario, random_schedule
 
 S_MATCHED = validate_scenario(3, [3, 1], 1)
 S_EXPAND = validate_scenario(3, [3, 1], 2)
@@ -49,11 +48,23 @@ def test_sup_never_below_zero_schedule():
         assert res.sup_value >= zero_val - 1e-12 * abs(zero_val)
 
 
+def _nudged(taus, f):
+    """``taus`` with one entry at a time scaled by f, wherever the order allows it."""
+    for j in range(len(taus) - 1):
+        tau = taus[:j] + (taus[j] * f,) + taus[j + 1:]
+        if all(a >= b for a, b in zip(tau, tau[1:])):
+            yield tau
+
+
 def test_sup_witness_consistency():
     """The reported supremum is the evaluator's value at the reported witness,
-    the verdict agrees with check_inequality there, and no two-level
-    schedule beats it."""
+    the verdict agrees with check_inequality there, and no probe beats it:
+    two-level schedules, random schedules (some with infinite prefixes),
+    the witness scaled by 0.5 and 2, and the witness with one entry moved
+    by 1e-4 relative, which catches a witness left at the first grid's
+    spacing."""
     rng = random.Random(31)
+    draws = random.Random(32)
     regimes = (lambda: math.exp(rng.uniform(math.log(0.1), math.log(0.95))),
                lambda: 1.0,
                lambda: math.exp(rng.uniform(math.log(1.05), math.log(8.0))))
@@ -71,10 +82,12 @@ def test_sup_witness_consistency():
                 ev = check_inequality(sc, d, sup.argmax_tau, verdict.tolerance)
                 assert verdict.member == ev.satisfied
                 slack = 1e-12 * max(abs(sup.sup_value), rhs)
-                for m in range(1, k):
-                    for s in levels:
-                        lhs = eval_lhs(sc, d, (s,) * m + (0.0,) * (k - m))
-                        assert sup.sup_value >= lhs - slack, (k, m, s)
+                probes = [(s,) * m + (0.0,) * (k - m) for m in range(1, k) for s in levels]
+                probes += [random_schedule(draws, k) for _ in range(8)]
+                probes += [tuple(f * t for t in sup.argmax_tau.taus) for f in (0.5, 2.0)]
+                probes += [tau for f in (1 - 1e-4, 1 + 1e-4) for tau in _nudged(sup.argmax_tau.taus, f)]
+                for tau in probes:
+                    assert sup.sup_value >= eval_lhs(sc, d, tau) - slack, (k, tau)
 
 
 def test_reproducer_is_non_member():
@@ -157,20 +170,9 @@ def test_trace_infeasible_everywhere():
         trace_boundary(S_MATCHED, (0.9 * trivial_distortion(S_MATCHED, 1),))
 
 
-def test_trace_respects_search_range():
-    with pytest.raises(InvalidDistortion):
-        trace_boundary(S_MATCHED, (0.5,), search_range=(0.0, 2.0))
+def test_trace_rejects_wrong_prefix_length():
     with pytest.raises(InvalidDistortion):
         trace_boundary(S_MATCHED, (0.5, 0.2))
-
-
-def test_boundary_trace_rows_shape():
-    rows = boundary_trace_rows(S_MATCHED, [(0.5,), (0.6,)])
-    assert len(rows) == 2
-    for row in rows:
-        assert len(row) == 4  # D_1, D_2_min, sup, margin
-        assert row[1] == pytest.approx(0.25, abs=1e-7)
-        assert row[2] == pytest.approx(6.0, rel=1e-6)
 
 
 def test_classification_rules():
