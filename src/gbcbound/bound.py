@@ -111,11 +111,23 @@ class _Chain:
         log_g, log_h = self.log_factors(tau, k)
         return self.dn[k] * np.exp(log_g / self.b), np.exp(log_h / self.b)
 
-    def lhs(self, taus: Sequence[float]) -> float:
-        """Left-hand side at one schedule, each term summed in the log domain."""
+    def _log_brackets(self, taus: Sequence[float]) -> np.ndarray:
+        """log of each term's bracket raised to 1/b, at one schedule."""
         log_g, log_h = self.log_factors(np.array(taus))
         log_g[1:] += np.cumsum(log_h[:-1])
-        return float(self.dn @ np.exp(log_g / self.b))
+        return log_g / self.b
+
+    def lhs(self, taus: Sequence[float]) -> float:
+        """Left-hand side at one schedule, each term summed in the log domain."""
+        return float(self.dn @ np.exp(self._log_brackets(taus)))
+
+    def split_last(self, taus: Sequence[float]) -> tuple[float, float]:
+        """Left-hand side at one schedule as (first K - 1 terms, last term).
+
+        D_K enters only the last term, through g_K(0) = N_S / D_K and h_{K-1}.
+        """
+        terms = self.dn * np.exp(self._log_brackets(taus))
+        return float(terms[:-1].sum()), float(terms[-1])
 
 
 def eval_lhs(

@@ -14,7 +14,12 @@ candidates.  The same recursion then refines its witness: each zoom pass
 reruns it on a small grid of geometric windows around the witness's
 entries, so runs of equal entries move together.  ``argmax_t`` reports
 the witness in compactified coordinates t = tau / (1 + tau), which map
-[0, +inf] onto [0, 1].  Everything here is reentrant.
+[0, +inf] onto [0, 1].
+
+``trace_boundary`` finds the smallest member D_K for a fixed prefix by
+root-finding on the supremum, which is convex and nonincreasing in D_K:
+each step is the closed-form root of the witness's own curve in D_K,
+safeguarded by bisection.  Everything here is reentrant.
 """
 
 from __future__ import annotations
@@ -203,6 +208,30 @@ def in_outer_region(
     return MembershipVerdict(member=member, sup=sup, margin=margin, rhs=rhs, tolerance=rel_tol)
 
 
+def _last_root(chain: _Chain, taus: Sequence[float], target: float) -> float:
+    """D_K at which lhs(``taus``) falls to ``target``, the other D_k fixed.
+
+    ``chain`` holds the prefix and D_K = lo, where the step starts.  Only
+    the last term depends on D_K: it is C (1 + tau_{K-1} / D_K)^(1/b), or
+    C' D_K^(-1/b) when tau_{K-1} = +inf or K = 1.  Matching it to
+    ``target`` minus the other terms gives log1p(tau_{K-1} / D_K) =
+    log1p(tau_{K-1} / lo) + u, with u = b log of the factor by which the
+    last term must fall.  NaN where no D_K > 0 reaches the target (the
+    curve is flat in D_K at tau_{K-1} = 0, or its limit stays above the
+    target) or the last term overflowed.
+    """
+    head, last = chain.split_last(taus)
+    lo = float(chain.d[-1])
+    if not (head < target and 0.0 < last < math.inf):
+        return math.nan
+    u = chain.b * math.log((target - head) / last)
+    tau = taus[-2] if len(taus) > 1 else math.inf
+    if tau == math.inf:
+        return lo * math.exp(-u)
+    v = math.log1p(tau / lo) + u
+    return tau / math.expm1(v) if v > 0.0 else math.nan
+
+
 def trace_boundary(
     scenario: BroadcastScenario,
     fixed: Sequence[float],
@@ -210,11 +239,27 @@ def trace_boundary(
 ) -> float:
     """Minimal D_K keeping (fixed_1..fixed_{K-1}, D_K) inside the region.
 
-    Monotonicity of the functional in D_K makes feasibility monotone, so
-    plain bisection applies, down to TRACE_WIDTH.  The bracket starts
-    below the point-to-point optimum D_K*, which no member can undercut,
-    and ends at N_S.  Raises InfeasibleEverywhere when even D_K = N_S
-    fails (some fixed distortion is below its own floor).
+    D_K,min is the boundary of the verdict sup <= (P + N_1)(1 + rel_tol),
+    so it carries the tolerance's shift: at b <= 1 it is
+    N_S (N_K / (P + N_K + rel_tol (P + N_1)))^b, just below the
+    point-to-point optimum D_K*.  The result is a member, and
+    D_K,min - TRACE_WIDTH is not.
+
+    The search keeps a bracket (lo, hi] with lo a non-member and hi a
+    member.  D_K enters only the last term of the chain, as a positive
+    constant times (1 + tau_{K-1} / D_K)^(1/b), or times D_K^(-1/b) when
+    tau_{K-1} = +inf or K = 1: convex and nonincreasing in D_K, and so is
+    the supremum over schedules.  Any schedule's curve lies below the
+    supremum's, so its root (``_last_root``) is at or below the boundary.
+    Each step goes to the root of lo's witness, a Newton-like step that
+    never overshoots, kept at least TRACE_WIDTH / 2 inside the bracket;
+    once the steps are that small, the probe just above lo closes the
+    bracket.  A root off the bracket by more than TRACE_WIDTH (rounding
+    can put a converged root just outside), or two steps in a row that
+    fail to halve the bracket, give a bisection step instead.  lo starts at D_K* / 2, which the step schedule
+    (+inf, ..., +inf, 0) already excludes, so that schedule is the first
+    witness; hi starts at N_S.  Raises InfeasibleEverywhere when even
+    D_K = N_S fails (some fixed distortion is below its own floor).
     """
     k_total = scenario.num_receivers
     fixed_vals = tuple(float(x) for x in fixed)
@@ -223,22 +268,27 @@ def trace_boundary(
             f"expected {k_total - 1} fixed distortions, got {len(fixed_vals)}"
         )
     lo, hi = 0.5 * trivial_distortion(scenario, k_total), scenario.source_var
-
-    def member(dk: float) -> bool:
-        return in_outer_region(scenario, fixed_vals + (dk,), rel_tol=rel_tol).member
-
-    if not member(hi):
+    if not in_outer_region(scenario, fixed_vals + (hi,), rel_tol=rel_tol).member:
         raise InfeasibleEverywhere(
             f"no feasible D_{k_total} in ({lo}, {hi}] for fixed prefix {fixed_vals}"
         )
-    if member(lo):
-        return lo
+    target = bound_rhs(scenario) * (1.0 + rel_tol)
+    taus = (math.inf,) * (k_total - 1) + (0.0,)
+    stalled = 0  # steps in a row that failed to halve the bracket
     while hi - lo > TRACE_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
+        width = hi - lo
+        root = _last_root(_Chain(scenario, DistortionTuple(fixed_vals + (lo,))), taus, target)
+        bisect = stalled == 2 or not lo - TRACE_WIDTH < root < hi + TRACE_WIDTH
+        if bisect:
+            x = 0.5 * (lo + hi)
         else:
-            lo = mid
+            x = max(lo + 0.5 * TRACE_WIDTH, min(root, hi - 0.5 * TRACE_WIDTH))
+        verdict = in_outer_region(scenario, fixed_vals + (x,), rel_tol=rel_tol)
+        if verdict.member:
+            hi = x
+        else:
+            lo, taus = x, verdict.sup.argmax_tau.taus
+        stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
     return hi
 
 

@@ -1,16 +1,19 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from gbcbound.bound import bound_rhs, check_inequality, eval_lhs
 from gbcbound.core import (
+    load_scenario,
     trivial_distortion,
     trivial_distortions,
     validate_scenario,
 )
 from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
+    TRACE_WIDTH,
     TrivialComparison,
     classify_vs_trivial,
     in_outer_region,
@@ -22,6 +25,22 @@ from gbcbound.verify import random_distortions, random_scenario, random_schedule
 S_MATCHED = validate_scenario(3, [3, 1], 1)
 S_EXPAND = validate_scenario(3, [3, 1], 2)
 S_COMPRESS = validate_scenario(3, [3, 1], 0.5)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _regimes(rng):
+    return (lambda: math.exp(rng.uniform(math.log(0.1), math.log(0.95))),
+            lambda: 1.0,
+            lambda: math.exp(rng.uniform(math.log(1.05), math.log(8.0))))
+
+
+def _near_floor(rng, sc, count):
+    """D_j = D_j* (N_S / D_j*)^u for j = 1..count, each u uniform on [0, 0.5]."""
+    out = []
+    for j in range(1, count + 1):
+        floor = trivial_distortion(sc, j)
+        out.append(floor * (sc.source_var / floor) ** rng.uniform(0.0, 0.5))
+    return tuple(out)
 
 
 def test_sup_flat_landscape_at_matched_bandwidth():
@@ -65,12 +84,9 @@ def test_sup_witness_consistency():
     spacing."""
     rng = random.Random(31)
     draws = random.Random(32)
-    regimes = (lambda: math.exp(rng.uniform(math.log(0.1), math.log(0.95))),
-               lambda: 1.0,
-               lambda: math.exp(rng.uniform(math.log(1.05), math.log(8.0))))
     levels = [10.0 ** (e / 2) for e in range(-12, 13)] + [math.inf]
     for k in (1, 2, 3, 5, 8, 16):
-        for draw_b in regimes:
+        for draw_b in _regimes(rng):
             for _ in range(4):
                 sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b(),
                                      min_ratio=1.05 if k >= 8 else 1.2)
@@ -163,6 +179,77 @@ def test_trace_expansion_binding_threshold():
 def test_trace_monotone_in_fixed_distortion():
     cuts = [trace_boundary(S_EXPAND, (d1,)) for d1 in (0.25, 0.28, 0.32, 0.36)]
     assert all(a >= b - 1e-9 for a, b in zip(cuts, cuts[1:]))
+
+
+def test_trace_contract_on_random_rows():
+    """The returned D_K,min is a member and D_K,min - TRACE_WIDTH is not, so
+    by monotonicity the boundary lies within the width below it; a prefix
+    raises InfeasibleEverywhere exactly when D_K = N_S is a non-member."""
+    rng = random.Random(41)
+    raised = 0
+    for k in (1, 2, 3, 5):
+        for draw_b in _regimes(rng):
+            for _ in range(4):
+                sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b())
+                prefix = _near_floor(rng, sc, k - 1)
+                if not in_outer_region(sc, prefix + (sc.source_var,)).member:
+                    with pytest.raises(InfeasibleEverywhere):
+                        trace_boundary(sc, prefix)
+                    raised += 1
+                    continue
+                dk = trace_boundary(sc, prefix)
+                assert in_outer_region(sc, prefix + (dk,)).member, (sc, prefix, dk)
+                if dk > TRACE_WIDTH:
+                    assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, (sc, prefix, dk)
+    assert 0 < raised < 24
+
+
+def test_sup_convex_nonincreasing_in_last_distortion():
+    """The root-finding in trace_boundary relies on the supremum being convex
+    and nonincreasing in D_K with the prefix fixed."""
+    rng = random.Random(43)
+    for k in (1, 2, 3, 5):
+        for draw_b in _regimes(rng):
+            for _ in range(4):
+                sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b())
+                prefix = _near_floor(rng, sc, k - 1)
+                lo = 0.5 * trivial_distortion(sc, k)
+                a, b = sorted(lo * (sc.source_var / lo) ** rng.random() for _ in range(2))
+                sa, sm, sb = (sup_bound_lhs(sc, prefix + (x,)).sup_value for x in (a, 0.5 * (a + b), b))
+                slack = 1e-12 * bound_rhs(sc)
+                assert sm <= 0.5 * (sa + sb) + slack, (sc, prefix, a, b)
+                assert sa + slack >= sm and sm + slack >= sb, (sc, prefix, a, b)
+
+
+def _sup_calls_per_row(monkeypatch, sc, prefixes):
+    import gbcbound.membership as m
+
+    real = m.sup_bound_lhs
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(m, "sup_bound_lhs", counted)
+    for prefix in prefixes:
+        trace_boundary(sc, prefix)
+    return calls / len(prefixes)
+
+
+def test_trace_sup_calls_per_row(monkeypatch):
+    """Root-finding takes about 8 supremum calls per row where bisection took 36:
+    the README's trace grid, and K = 3 rows on matched_k3's channel at b = 2."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
+    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 12
+    ch = load_scenario(SCENARIOS / "matched_k3.json")
+    sc = validate_scenario(ch.power, ch.noises, 2.0)
+    f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
+    d2 = f2 * (sc.source_var / f2) ** 0.15
+    rows = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 25), d2) for i in range(25)]
+    assert _sup_calls_per_row(monkeypatch, sc, rows) <= 12
 
 
 def test_trace_infeasible_everywhere():

@@ -32,7 +32,7 @@ def test_boundary_gap_sweep_smoke(tmp_path):
         rows = list(csv.DictReader(handle))
     # b <= 1: the boundary is the point-to-point floor D_2*, which the
     # verdict's relative tolerance moves down to ``lowest``; the gap over
-    # D_2* is that shift, up to the bisection width
+    # D_2* is that shift, up to the trace width
     sc = load_scenario(REPO / "scenarios" / "matched_k2.json")
     n2 = sc.noises[1]
     lowest = sc.source_var * (n2 / (sc.power + n2 + DEFAULT_REL_TOL * bound_rhs(sc))) ** 0.5
