@@ -15,15 +15,18 @@ Regrouped, every factor depends on a single schedule entry:
     g_k(tau) = (N_S + tau) / (D_k + tau),   h_j(tau) = (D_{j+1} + tau) / (D_j + tau)
 
 so lhs = a_1 + c_1 (a_2 + c_2 (... + c_{K-1} a_K)) with a_k = dN_k g_k^(1/b)
-and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h,
-for one schedule or a whole grid of entries; the evaluator here and the
-supremum search in ``membership`` both use it.  The logs are formed from
-log1p of nonnegative ratios such as (N_S - D_k) / (D_k + tau), which are
-exactly 0 at tau = +inf.  An infinite entry thus contributes g = h = 1,
-which is the shared-rate limit (all infinite entries diverge together)
-with no separate code path.  Each term is summed in the log domain before
-one exp: the bracket raised to 1/b overflows quickly for small b if
-formed as a plain product.
+and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h
+at one schedule, for the evaluator here; ``_Chain.links`` computes a_k and
+c_k for every free receiver on a whole grid of entries, for the supremum
+search in ``membership``, with the same arithmetic.  Each log is one log1p
+of a nonnegative ratio, (N_S - D_k) / (D_k + tau) for g and
+|D_{k+1} - D_k| / (min(D_k, D_{k+1}) + tau) for h, which takes the sign of
+D_{k+1} - D_k; both ratios are exactly 0 at tau = +inf.  An infinite entry
+thus contributes g = h = 1, which is the shared-rate limit (all infinite
+entries diverge together) with no separate code path.  Each term is summed
+in the log domain before one exp: the bracket raised to 1/b overflows
+quickly for small b if formed as a plain product.  A term past the float
+range is +inf, and so is the left-hand side.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ class _Chain:
     """The functional at one fixed (scenario, D), ready for repeated evaluation.
 
     Inputs are taken as already validated; the public functions validate.
+    log h_k = sign_k log1p(delta_k / (base_k + tau)), with delta_k =
+    |D_{k+1} - D_k| >= 0, base_k = min(D_k, D_{k+1}) and sign_k = -1 where
+    D_{k+1} < D_k, else +1 (delta_K = 0, so h_K = 1).
     """
 
     def __init__(self, scenario: BroadcastScenario, d: DistortionTuple) -> None:
@@ -88,28 +94,48 @@ class _Chain:
         self.b = scenario.bandwidth
         self.dn = np.array(scenario.delta_noises())
         self.d = np.array(d.values)
-        self.d_next = np.append(self.d[1:], self.d[-1])  # D_{k+1}, with h_K = 1
+        d_next = np.append(self.d[1:], self.d[-1])
         self.gap = self.ns - self.d
-        self.rise = np.maximum(self.d_next - self.d, 0.0)
-        self.fall = np.maximum(self.d - self.d_next, 0.0)
+        self.delta = np.abs(d_next - self.d)
+        self.base = np.minimum(self.d, d_next)
+        self.sign = np.where(d_next < self.d, -1.0, 1.0)
 
-    def log_factors(self, tau, k=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """log g_k(tau) and log h_k(tau) for the receivers ``k`` (default all), elementwise.
+    def log_factors(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log g_k(tau_k) and log h_k(tau_k) at one schedule (shape (K,)).
 
-        ``tau`` broadcasts against the selected D entries: one schedule
-        (shape (K,)) for all receivers, or a grid of entries or a scalar
-        for one receiver.  Every log1p argument is >= 0, so h stays
-        accurate when D_{k+1} << D_k, and every one is exactly 0 at
-        tau = +inf.  log h_K is 0.
+        Each is one log1p of a ratio >= 0, so h stays accurate when
+        D_{k+1} << D_k, and each ratio is exactly 0 at tau = +inf.
         """
-        den = self.d[k] + tau
-        log_h = np.log1p(self.rise[k] / den) - np.log1p(self.fall[k] / (self.d_next[k] + tau))
-        return np.log1p(self.gap[k] / den), log_h
+        log_g = np.log1p(self.gap / (self.d + taus))
+        return log_g, self.sign * np.log1p(self.delta / (self.base + taus))
 
-    def links(self, tau, k=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """The chain's a_k = dN_k g_k^(1/b) and c_k = h_k^(1/b) at ``tau``, elementwise."""
-        log_g, log_h = self.log_factors(tau, k)
-        return self.dn[k] * np.exp(log_g / self.b), np.exp(log_h / self.b)
+    def links(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The chain's links a_k = dN_k g_k^(1/b) and c_k = h_k^(1/b) on ``grid``.
+
+        Returns a and c for the K - 1 free receivers as (K - 1, M) arrays,
+        row k - 1 for receiver k, and the last link a_K(0).  Both arrays
+        are built in place in one allocation: a fresh temporary at every
+        step, or two allocations that the C allocator can hand back to the
+        system after each pass, cost more than the arithmetic at K = 16.
+        Dividing by sign_k b gives exactly log h_k / b.  Entries past the
+        float range are +inf (or 0).
+        """
+        free = len(self.d) - 1
+        col = (slice(None, free), None)
+        a, c = np.empty((2, free, len(grid)))
+        np.add(self.d[col], grid, out=a)
+        np.divide(self.gap[col], a, out=a)
+        np.log1p(a, out=a)
+        np.divide(a, self.b, out=a)
+        np.exp(a, out=a)
+        np.multiply(a, self.dn[col], out=a)
+        np.add(self.base[col], grid, out=c)
+        np.divide(self.delta[col], c, out=c)
+        np.log1p(c, out=c)
+        np.divide(c, self.b * self.sign[col], out=c)
+        np.exp(c, out=c)
+        last = self.dn[-1] * np.exp(np.log1p(self.gap[-1] / self.d[-1]) / self.b)
+        return a, c, last
 
     def _log_brackets(self, taus: Sequence[float]) -> np.ndarray:
         """log of each term's bracket raised to 1/b, at one schedule."""
@@ -118,15 +144,20 @@ class _Chain:
         return log_g / self.b
 
     def lhs(self, taus: Sequence[float]) -> float:
-        """Left-hand side at one schedule, each term summed in the log domain."""
-        return float(self.dn @ np.exp(self._log_brackets(taus)))
+        """Left-hand side at one schedule, each term summed in the log domain.
+
+        A term past the float range makes it +inf.
+        """
+        with np.errstate(over="ignore"):
+            return float(self.dn @ np.exp(self._log_brackets(taus)))
 
     def split_last(self, taus: Sequence[float]) -> tuple[float, float]:
         """Left-hand side at one schedule as (first K - 1 terms, last term).
 
         D_K enters only the last term, through g_K(0) = N_S / D_K and h_{K-1}.
         """
-        terms = self.dn * np.exp(self._log_brackets(taus))
+        with np.errstate(over="ignore"):
+            terms = self.dn * np.exp(self._log_brackets(taus))
         return float(terms[:-1].sum()), float(terms[-1])
 
 

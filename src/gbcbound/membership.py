@@ -8,11 +8,16 @@ The functional nests like Horner's rule in factors that each depend on
 one schedule entry (see ``bound``), and the only coupling between entries
 is their order.  So the supremum is a backward recursion over a single
 grid of tau values, a chain dynamic program costing O(K M) for M grid
-points.  The grid holds exact 0 and +inf, so the step schedules (the ones
-that recover the per-receiver point-to-point constraints) are always
+points.  Each pass builds all its links at once, as (K - 1) x M arrays
+computed in place (``bound._Chain.links``), and runs the recursion on
+their rows.  The grid holds exact 0 and +inf, so the step schedules (the
+ones that recover the per-receiver point-to-point constraints) are always
 candidates.  The same recursion then refines its witness: each zoom pass
 reruns it on a small grid of geometric windows around the witness's
-entries, so runs of equal entries move together.  ``argmax_t`` reports
+entries, so runs of equal entries move together; a pass that returns the
+incumbent witness costs no evaluation.  Past the float range (small b) a
+stage holds +inf, and NaN where a link underflowed to 0; the readback
+never picks a NaN, so the supremum is +inf there.  ``argmax_t`` reports
 the witness in compactified coordinates t = tau / (1 + tau), which map
 [0, +inf] onto [0, 1].
 
@@ -69,8 +74,11 @@ class SupResult:
     +inf when the maximum is approached along a diverging schedule.
     ``certified_gap`` is an empirical error indicator (what the zoom
     passes gained over the first grid's witness, plus the gain of the
-    last pass), not a rigorous bound.  ``iterations`` counts the grid
-    evaluations of every pass, plus one evaluation of each pass's witness.
+    last pass), not a rigorous bound; it is 0 when ``sup_value`` is +inf,
+    the correctly rounded value of any supremum past the float range.
+    ``iterations`` counts the grid evaluations of every pass, plus one
+    evaluation of each pass's witness (known without evaluating when it
+    is the incumbent).
     """
 
     sup_value: float
@@ -107,23 +115,38 @@ def _chain_dp(chain: _Chain, grid: np.ndarray) -> list[float]:
     """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0).
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
-    with M_K = a_K(0): each stage is a running maximum over the grid, and
-    the witness is read back from the stages by argmax.
+    with M_K = a_K(0): each stage is a running maximum over the grid, run
+    in place on one row of ``chain.links``, and the witness is read back
+    from the stages (``_pick``).  Past the float range a stage can hold
+    +inf, and NaN where an underflowed c_k meets an infinite M_{k+1}; the
+    running maximum skips NaN, and the readback never picks one.
     """
-    free = len(chain.d) - 1
-    running = chain.links(0.0, free)[0]
-    stages = []
-    for k in range(free - 1, -1, -1):
-        a, c = chain.links(grid, k)
-        value = a + c * running
-        stages.append(value)
-        running = np.maximum.accumulate(value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, c, running = chain.links(grid)
+        for k in range(len(c) - 1, -1, -1):
+            value = np.multiply(c[k], running, out=c[k])
+            np.add(value, a[k], out=value)
+            running = np.fmax.accumulate(value, out=a[k])
     taus = []
     top = len(grid)
-    for value in reversed(stages):
-        top = int(np.argmax(value[:top])) + 1
+    for value in c:
+        top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
     return taus + [0.0]
+
+
+def _pick(value: np.ndarray) -> int:
+    """Index of the first maximum of a stage, unless it is +inf or NaN.
+
+    Then the stage overflowed: the last +inf entry, which leaves the
+    widest range to the later entries whose running maximum is what
+    overflowed, or the first maximum among the entries that are not NaN.
+    """
+    i = int(value.argmax())
+    if value[i] < math.inf:
+        return i
+    hits = np.flatnonzero(value == math.inf)
+    return int(hits[-1]) if len(hits) else int(np.nanargmax(value))
 
 
 def _t(tau: float) -> float:
@@ -165,8 +188,9 @@ def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupR
     from r to r^(2 / (ZOOM_POINTS - 1)), until the step is at most
     ZOOM_STEP relative.  The witness's own entries stay on every grid,
     and a pass's witness is kept only if the evaluator confirms a gain,
-    so the value never goes down.  ``sup_value`` is the evaluator's value
-    at exactly ``argmax_tau``.
+    so the value never goes down; a pass that returns the incumbent needs
+    no evaluation.  ``sup_value`` is the evaluator's value at exactly
+    ``argmax_tau``, +inf past the float range.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
@@ -180,18 +204,19 @@ def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupR
     while free and step > ZOOM_STEP:
         grid = _zoom_grid(grid, taus, step)
         probe = _chain_dp(chain, grid)
-        probe_value = chain.lhs(probe)
         evals += free * len(grid) + 1
-        gain = max(probe_value - value, 0.0)
-        if probe_value > value:
-            taus, value = probe, probe_value
+        gain = 0.0
+        if probe != taus:
+            probe_value = chain.lhs(probe)
+            if probe_value > value:
+                gain, taus, value = probe_value - value, probe, probe_value
         step *= 2.0 / (ZOOM_POINTS - 1)
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
         argmax_t=tuple(_t(tau) for tau in taus[:-1]),
         iterations=evals,
-        certified_gap=(value - first) + gain,
+        certified_gap=(value - first) + gain if value < math.inf else 0.0,
     )
 
 

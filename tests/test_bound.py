@@ -1,10 +1,13 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbcbound.bound import (
+    _Chain,
     bound_rhs,
     check_inequality,
     eval_lhs,
@@ -12,6 +15,7 @@ from gbcbound.bound import (
     reduced_bound_value,
 )
 from gbcbound.core import (
+    check_distortions,
     step_schedule,
     trivial_distortions,
     validate_scenario,
@@ -219,3 +223,45 @@ def test_lhs_positive_and_oracle_consistent(d1, d2, tau1, b):
     val = eval_lhs(sc, (d1, d2), (tau1, 0.0))
     assert val > 0
     assert val == pytest.approx(lhs_product_oracle(sc, (d1, d2), (tau1, 0.0)), rel=1e-9)
+
+
+def _log_ratio(num, den, tau):
+    """log((num + tau) / (den + tau)) to 50 digits; 0 at tau = +inf."""
+    if tau == math.inf:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(((Decimal(num) + Decimal(tau)) / (Decimal(den) + Decimal(tau))).ln())
+
+
+@pytest.mark.parametrize("d1, d2", [(0.3, 0.3), (1.0, 1e-12), (1e-12, 1.0)])
+@pytest.mark.parametrize("tau", [0.0, 1e12, math.inf])
+def test_log_factors_match_high_precision_reference(d1, d2, tau):
+    """log h_1 = log((D_2 + tau) / (D_1 + tau)) and log g_k = log((N_S + tau) / (D_k + tau))
+    within a few ulps of a 50-digit reference, at D_2 / D_1 = 1, 1e-12 and
+    1e12 and tau = 0, 1e12 and +inf; exact where the reference is 0."""
+    sc = validate_scenario(1, [1, 0.5], 0.5)
+    log_g, log_h = _Chain(sc, check_distortions(sc, (d1, d2))).log_factors(np.array([tau, 0.0]))
+    pairs = [(log_h[0], _log_ratio(d2, d1, tau)), (log_h[1], 0.0),
+             (log_g[0], _log_ratio(1.0, d1, tau)), (log_g[1], _log_ratio(1.0, d2, 0.0))]
+    for got, want in pairs:
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+
+
+def test_links_match_log_factors():
+    """The links the supremum's recursion runs on, built in place for all free
+    receivers on a grid, are exactly dN_k g_k^(1/b) and h_k^(1/b) from the
+    per-schedule log factors: the same arithmetic, entry by entry."""
+    rng = random.Random(5)
+    grid = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 7), [math.inf]))
+    for k in (1, 2, 5, 16):
+        sc = random_scenario(rng, k_range=(k, k), min_ratio=1.05)
+        chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
+        a, c, last = chain.links(grid)
+        assert a.shape == c.shape == (k - 1, len(grid))
+        for j, tau in enumerate(grid):
+            log_g, log_h = chain.log_factors(np.full(k, tau))
+            assert np.array_equal(a[:, j], (chain.dn * np.exp(log_g / sc.bandwidth))[:-1])
+            assert np.array_equal(c[:, j], np.exp(log_h / sc.bandwidth)[:-1])
+        log_g, _ = chain.log_factors(np.zeros(k))
+        assert last == chain.dn[-1] * np.exp(log_g[-1] / sc.bandwidth)

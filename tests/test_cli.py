@@ -126,6 +126,22 @@ def test_membership_payload(capsys, expansion):
     assert len(payload["argmax_t"]) == 1
 
 
+def test_membership_payload_past_float_range(capsys, tmp_path):
+    """At b = 0.0009 the supremum is +inf: sup_value and margin are spelled
+    "inf" and "-inf", and certified_gap stays a number."""
+    path = tmp_path / "small_b.json"
+    path.write_text(json.dumps({"power": 3, "noises": [3, 1], "bandwidth": 0.0009}))
+    d2 = 0.5 * (1 / 4) ** 0.0009
+    code, payload = run_cli(
+        capsys, "membership", "--scenario", str(path), "--distortions", f"0.99995,{d2!r}"
+    )
+    assert code == 0
+    validate_payload(payload, "membership.schema.json")
+    assert payload["member"] is False
+    assert (payload["sup_value"], payload["margin"]) == ("inf", "-inf")
+    assert math.isfinite(payload["certified_gap"])
+
+
 def test_membership_single_user(capsys, tmp_path):
     path = tmp_path / "k1.json"
     path.write_text(json.dumps({"power": 1, "noises": [1], "bandwidth": 2}))

@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gbcbound.bound import bound_rhs, check_inequality, eval_lhs
+from gbcbound.bound import _Chain, bound_rhs, check_inequality, eval_lhs
 from gbcbound.core import (
+    check_distortions,
     load_scenario,
     trivial_distortion,
     trivial_distortions,
@@ -15,6 +18,7 @@ from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, Invali
 from gbcbound.membership import (
     TRACE_WIDTH,
     TrivialComparison,
+    _chain_dp,
     classify_vs_trivial,
     in_outer_region,
     sup_bound_lhs,
@@ -104,6 +108,36 @@ def test_sup_witness_consistency():
                 probes += [tau for f in (1 - 1e-4, 1 + 1e-4) for tau in _nudged(sup.argmax_tau.taus, f)]
                 for tau in probes:
                     assert sup.sup_value >= eval_lhs(sc, d, tau) - slack, (k, tau)
+
+
+def test_chain_dp_matches_exhaustive_enumeration():
+    """On a 9-point grid holding 0 and +inf, the recursion's witness is worth
+    as much as the best of every nonincreasing schedule on that grid."""
+    rng = random.Random(17)
+    grid = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 7), [math.inf]))
+    for k in (2, 3, 4):
+        for draw_b in _regimes(rng):
+            for _ in range(4):
+                sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b())
+                chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
+                best = max(chain.lhs(taus + (0.0,)) for taus in
+                           itertools.combinations_with_replacement(grid[::-1].tolist(), k - 1))
+                got = chain.lhs(_chain_dp(chain, grid))
+                assert got == pytest.approx(best, rel=1e-12, abs=0.0), (sc, chain.d)
+
+
+def test_small_bandwidth_overflow_is_non_member():
+    """At b = 0.0009 the step schedule (+inf, 0) gives +inf, past the float
+    range, while the recursion's links at small tau underflow to 0: a 0 * inf
+    product must never be read as the maximum."""
+    sc = validate_scenario(3, [3, 1], 0.0009)
+    d = (0.99995, 0.5 * trivial_distortion(sc, 2))
+    verdict = in_outer_region(sc, d)
+    assert not verdict.member
+    assert not check_inequality(sc, d, verdict.sup.argmax_tau).satisfied
+    assert verdict.sup.sup_value == eval_lhs(sc, d, verdict.sup.argmax_tau) == math.inf
+    assert verdict.margin == -math.inf
+    assert math.isfinite(verdict.sup.certified_gap)
 
 
 def test_reproducer_is_non_member():
