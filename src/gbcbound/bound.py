@@ -186,14 +186,19 @@ def reduced_bound_value(
         (N_1 - N_k) + N_k * (N_S / D_k)^(1/b).
 
     Comparing this with P + N_1 is algebraically the point-to-point
-    constraint D_k >= D_k*.
+    constraint D_k >= D_k*.  Past the float range (small b) it is +inf,
+    as ``eval_lhs`` is at that schedule.
     """
     scenario._check_index(k)
     d = check_distortions(scenario, distortions)
     ns = scenario.source_var
     nk = scenario.noises[k - 1]
     log_ratio = math.log(ns) - math.log(d.values[k - 1])
-    return (scenario.noises[0] - nk) + nk * math.exp(log_ratio / scenario.bandwidth)
+    try:
+        growth = math.exp(log_ratio / scenario.bandwidth)
+    except OverflowError:
+        return math.inf
+    return (scenario.noises[0] - nk) + nk * growth
 
 
 def check_inequality(

@@ -178,7 +178,7 @@ def cmd_membership(args) -> int:
             "argmax_tau": list(verdict.sup.argmax_tau.taus),
             "argmax_t": list(verdict.sup.argmax_t),
             "iterations": verdict.sup.iterations,
-            "certified_gap": verdict.sup.certified_gap,
+            "sup_upper": verdict.sup.sup_upper,
             "distortions": list(distortions),
         }
     )

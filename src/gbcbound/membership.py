@@ -12,10 +12,14 @@ points.  Each pass builds all its links at once, as (K - 1) x M arrays
 computed in place (``bound._Chain.links``), and runs the recursion on
 their rows.  The grid holds exact 0 and +inf, so the step schedules (the
 ones that recover the per-receiver point-to-point constraints) are always
-candidates.  The same recursion then refines its witness: each zoom pass
-reruns it on a small grid of geometric windows around the witness's
-entries, so runs of equal entries move together; a pass that returns the
-incumbent witness costs no evaluation.  Past the float range (small b) a
+candidates.  On the first grid the same links also give a rigorous upper
+bound on the supremum, a cell-by-cell enclosure (``_enclosure``), so the
+supremum comes as a bracket [sup_value, sup_upper].  The recursion then
+refines its witness: each zoom pass reruns it on a small grid of
+geometric windows around the witness's entries, so runs of equal entries
+move together; a pass that returns the incumbent witness costs no
+evaluation.  A membership verdict stops refining as soon as the bracket
+lies on one side of the threshold.  Past the float range (small b) a
 stage holds +inf, and NaN where a link underflowed to 0; the readback
 never picks a NaN, so the supremum is +inf there.  ``argmax_t`` reports
 the witness in compactified coordinates t = tau / (1 + tau), which map
@@ -70,12 +74,12 @@ _UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
 class SupResult:
     """Supremum of the functional over all schedules at a fixed D.
 
+    The supremum lies in [``sup_value``, ``sup_upper``].  ``sup_value``
+    is the evaluator's value at exactly ``argmax_tau``, +inf past the
+    float range; ``sup_upper`` is a rigorous upper bound from the first
+    grid (``_enclosure``), +inf where the float range does not suffice.
     ``argmax_tau`` lives on the compactified closure: entries may be
     +inf when the maximum is approached along a diverging schedule.
-    ``certified_gap`` is an empirical error indicator (what the zoom
-    passes gained over the first grid's witness, plus the gain of the
-    last pass), not a rigorous bound; it is 0 when ``sup_value`` is +inf,
-    the correctly rounded value of any supremum past the float range.
     ``iterations`` counts the grid evaluations of every pass, plus one
     evaluation of each pass's witness (known without evaluating when it
     is the incumbent).
@@ -85,7 +89,7 @@ class SupResult:
     argmax_tau: TauSchedule
     argmax_t: tuple[float, ...]
     iterations: int
-    certified_gap: float
+    sup_upper: float
 
 
 @dataclass(frozen=True)
@@ -111,18 +115,28 @@ def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
     return np.concatenate(([0.0], np.exp(np.linspace(lo, hi, GRID_POINTS - 2)), [math.inf]))
 
 
-def _chain_dp(chain: _Chain, grid: np.ndarray) -> list[float]:
-    """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0).
+def _chain_dp(chain: _Chain, grid: np.ndarray, bounded: bool = False) -> tuple[list[float], float]:
+    """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
+    grid[-1] = +inf), and an upper bound on the supremum over all
+    schedules: ``_enclosure`` if ``bounded``, else +inf.
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
     with M_K = a_K(0): each stage is a running maximum over the grid, run
     in place on one row of ``chain.links``, and the witness is read back
     from the stages (``_pick``).  Past the float range a stage can hold
     +inf, and NaN where an underflowed c_k meets an infinite M_{k+1}; the
-    running maximum skips NaN, and the readback never picks one.
+    running maximum skips NaN, and the readback never picks one.  The
+    enclosure reads the links before the recursion overwrites them; any
+    underflow while they are formed or read makes it +inf.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    underflows = []
+    with np.errstate(over="ignore", invalid="ignore", under="call",
+                     call=lambda *_: underflows.append(True)):
         a, c, running = chain.links(grid)
+        upper = _enclosure(chain, a, c, running) if bounded else math.inf
+    if underflows or not upper < math.inf:
+        upper = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(c) - 1, -1, -1):
             value = np.multiply(c[k], running, out=c[k])
             np.add(value, a[k], out=value)
@@ -132,7 +146,55 @@ def _chain_dp(chain: _Chain, grid: np.ndarray) -> list[float]:
     for value in c:
         top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
-    return taus + [0.0]
+    return taus + [0.0], upper
+
+
+def _enclosure(chain: _Chain, a: np.ndarray, c: np.ndarray, last: float) -> float:
+    """Rigorous upper bound on the supremum over *all* schedules, from the
+    links a, c on a grid x_0 = 0 < ... < x_{M-1} = +inf and a_K(0) = ``last``.
+
+    a_k is nonincreasing in tau (N_S >= D_k), c_k is monotone, and the true
+    M_{k+1} is nondecreasing, so every tau in the cell [x_i, x_{i+1}]
+    has a_k(tau) + c_k(tau) M_{k+1}(tau) <= a_k(x_i) + max(c_k(x_i),
+    c_k(x_{i+1})) U_{k+1}(x_{i+1}), where U_{k+1} >= M_{k+1} at the grid
+    points.  U_k(x_j) is the running maximum of these cell bounds below
+    x_j (x_0 lies in the first cell), and U_K = a_K(0).  The last cell
+    ends at +inf, where a_k and c_k = 1 take their exact limits, so
+    U_1(+inf), the largest cell bound of the first stage, bounds the
+    supremum.  The maxima propagate NaN: a 0 * inf cell is never skipped,
+    and the caller maps NaN to +inf.
+
+    Outward rounding (eps = 2^-52; basic operations round to within
+    eps / 2, and exp and log1p are taken to be within 2 ulps, 2 eps).  In
+    a link, N_S - D_k or |D_{k+1} - D_k|, the sum with tau and the ratio
+    put a relative error of at most 3 eps / 2 on the ratio r, which moves
+    log1p(r) by at most that much relatively, since r / (1 + r) <= log1p(r);
+    log1p and the division by b add 2 eps and eps / 2.  So the exponent y
+    = log g / b or log h / b carries a relative error of at most 4 eps,
+    exp turns it into 4 eps |y| and adds 2 eps, and dN_k and its product
+    add eps: each link is within lam = 4 eps (Y + 1) relatively, where Y
+    bounds |y| over the grid.  |log g| and |log h| fall as tau grows, so
+    Y is their largest value at tau = 0.  Each stage's product and sum
+    add eps, and all terms are nonnegative, so U_1 is within
+    delta = K eps (4 Y + 6) of its exact-arithmetic value (the spare eps
+    per stage covers second-order terms), and the true bound is at most
+    U_1 / (1 - delta) <= U_1 (1 + 2 delta).  The analysis assumes every
+    result in the normal range: the caller makes the bound +inf on any
+    underflow.
+    """
+    bound = np.full(c.shape[1] - 1, last)  # U_{k+1}(x_1), ..., U_{k+1}(x_{M-1})
+    cell = np.empty_like(bound)
+    for k in range(len(c) - 1, -1, -1):
+        np.maximum(c[k, :-1], c[k, 1:], out=cell)
+        np.multiply(cell, bound, out=cell)
+        np.add(cell, a[k, :-1], out=cell)
+        if k:
+            np.maximum.accumulate(cell, out=bound)
+    top = cell.max() if len(c) else last
+    log_g, log_h = chain.log_factors(np.zeros(len(chain.d)))
+    y = max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b
+    delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
+    return float(top * (1.0 + 2.0 * delta))
 
 
 def _pick(value: np.ndarray) -> int:
@@ -178,12 +240,15 @@ def _zoom_grid(grid: np.ndarray, taus: list[float], step: float) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupResult:
-    """Maximize the functional over all admissible schedules.
+def sup_bound_lhs(
+    scenario: BroadcastScenario, distortions: Distortions, *, target: float | None = None
+) -> SupResult:
+    """Bracket the functional's supremum over all admissible schedules.
 
     The chain dynamic program finds the best schedule on a first grid
     that holds 0 and +inf, so the all-zero and the step schedules are
-    always candidates.  Each zoom pass then reruns it on a grid around
+    always candidates, and bounds the supremum from above on the same
+    links (``sup_upper``).  Each zoom pass then reruns it on a grid around
     the incumbent witness (``_zoom_grid``), whose geometric step shrinks
     from r to r^(2 / (ZOOM_POINTS - 1)), until the step is at most
     ZOOM_STEP relative.  The witness's own entries stay on every grid,
@@ -191,32 +256,38 @@ def sup_bound_lhs(scenario: BroadcastScenario, distortions: Distortions) -> SupR
     so the value never goes down; a pass that returns the incumbent needs
     no evaluation.  ``sup_value`` is the evaluator's value at exactly
     ``argmax_tau``, +inf past the float range.
+
+    With a ``target``, the search stops as soon as the bracket decides
+    how the supremum compares with it: after the first pass when
+    ``sup_value > target`` or ``sup_upper <= target``, and after any zoom
+    pass that lifts ``sup_value`` above it.  ``sup_value`` is then the
+    lower end at that point, not the fully refined value.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
     free = len(d.values) - 1
     grid = _tau_grid(scenario, d)
-    taus = _chain_dp(chain, grid)
-    first = value = chain.lhs(taus)
+    taus, upper = _chain_dp(chain, grid, bounded=True)
+    value = chain.lhs(taus)
     evals = free * len(grid) + 1
     step = math.log(grid[2] / grid[1])
-    gain = 0.0
-    while free and step > ZOOM_STEP:
+    decided = target is not None and (value > target or upper <= target)
+    while free and step > ZOOM_STEP and not decided:
         grid = _zoom_grid(grid, taus, step)
-        probe = _chain_dp(chain, grid)
+        probe, _ = _chain_dp(chain, grid)
         evals += free * len(grid) + 1
-        gain = 0.0
         if probe != taus:
             probe_value = chain.lhs(probe)
             if probe_value > value:
-                gain, taus, value = probe_value - value, probe, probe_value
+                taus, value = probe, probe_value
+                decided = target is not None and value > target
         step *= 2.0 / (ZOOM_POINTS - 1)
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
         argmax_t=tuple(_t(tau) for tau in taus[:-1]),
         iterations=evals,
-        certified_gap=(value - first) + gain if value < math.inf else 0.0,
+        sup_upper=upper,
     )
 
 
@@ -225,11 +296,20 @@ def in_outer_region(
     distortions: Distortions,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> MembershipVerdict:
-    """Does D satisfy the whole inequality family (sup <= P + N_1)?"""
-    sup = sup_bound_lhs(scenario, distortions)
+    """Does D satisfy the whole inequality family (sup <= P + N_1)?
+
+    The verdict compares the supremum with the threshold
+    (P + N_1)(1 + rel_tol).  It is certified when the bracket decides:
+    ``sup_upper`` <= threshold (member) or ``sup_value`` > threshold
+    (non-member, violated at ``argmax_tau``), and the search stops there.
+    Otherwise it is the tolerant verdict on the fully refined
+    ``sup_value``.
+    """
     rhs = bound_rhs(scenario)
+    threshold = rhs * (1.0 + rel_tol)
+    sup = sup_bound_lhs(scenario, distortions, target=threshold)
     margin = rhs - sup.sup_value
-    member = sup.sup_value <= rhs * (1.0 + rel_tol)
+    member = sup.sup_value <= threshold
     return MembershipVerdict(member=member, sup=sup, margin=margin, rhs=rhs, tolerance=rel_tol)
 
 

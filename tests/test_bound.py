@@ -131,6 +131,15 @@ def test_reduced_bound_examples():
     assert reduced_bound_value(sc1, (0.5,), 1) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_reduced_bound_past_float_range_is_inf():
+    """At b = 0.0009 the closed form is past the float range: +inf, as the
+    evaluator gives at the same step schedule, not an OverflowError."""
+    sc = validate_scenario(3, [3, 1], 0.0009)
+    d = (0.99995, 0.49)
+    assert reduced_bound_value(sc, d, 2) == math.inf
+    assert eval_lhs(sc, d, step_schedule(2, 2)) == math.inf
+
+
 def test_reduction_identity_tight():
     """Extended evaluation at a step schedule equals the closed form to 1e-12."""
     rng = random.Random(11)

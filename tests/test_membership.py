@@ -17,6 +17,7 @@ from gbcbound.core import (
 from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
     TRACE_WIDTH,
+    SupResult,
     TrivialComparison,
     _chain_dp,
     classify_vs_trivial,
@@ -50,7 +51,7 @@ def _near_floor(rng, sc, count):
 def test_sup_flat_landscape_at_matched_bandwidth():
     res = sup_bound_lhs(S_MATCHED, trivial_distortions(S_MATCHED))
     assert res.sup_value == pytest.approx(bound_rhs(S_MATCHED), rel=1e-9)
-    assert res.certified_gap >= 0.0
+    assert res.sup_value <= res.sup_upper
 
 
 def test_sup_single_receiver_forced_schedule():
@@ -80,12 +81,14 @@ def _nudged(taus, f):
 
 
 def test_sup_witness_consistency():
-    """The reported supremum is the evaluator's value at the reported witness,
-    the verdict agrees with check_inequality there, and no probe beats it:
-    two-level schedules, random schedules (some with infinite prefixes),
-    the witness scaled by 0.5 and 2, and the witness with one entry moved
-    by 1e-4 relative, which catches a witness left at the first grid's
-    spacing."""
+    """The fully refined supremum is the evaluator's value at its witness,
+    and no probe beats it: two-level schedules, random schedules (some with
+    infinite prefixes), the witness scaled by 0.5 and 2, and the witness
+    with one entry moved by 1e-4 relative, which catches a witness left at
+    the first grid's spacing.  A verdict, which may stop at the first pass,
+    agrees with check_inequality at its own witness, no probe exceeds its
+    sup_upper, a member has every probe within the threshold, and a
+    non-member's witness violates the bound."""
     rng = random.Random(31)
     draws = random.Random(32)
     levels = [10.0 ** (e / 2) for e in range(-12, 13)] + [math.inf]
@@ -96,18 +99,24 @@ def test_sup_witness_consistency():
                                      min_ratio=1.05 if k >= 8 else 1.2)
                 d = random_distortions(rng, sc)
                 rhs = bound_rhs(sc)
-                verdict = in_outer_region(sc, d)
-                sup = verdict.sup
+                sup = sup_bound_lhs(sc, d)
                 assert sup.sup_value == eval_lhs(sc, d, sup.argmax_tau)
-                ev = check_inequality(sc, d, sup.argmax_tau, verdict.tolerance)
+                verdict = in_outer_region(sc, d)
+                witness = verdict.sup.argmax_tau
+                assert verdict.sup.sup_value == eval_lhs(sc, d, witness)
+                ev = check_inequality(sc, d, witness, verdict.tolerance)
                 assert verdict.member == ev.satisfied
                 slack = 1e-12 * max(abs(sup.sup_value), rhs)
                 probes = [(s,) * m + (0.0,) * (k - m) for m in range(1, k) for s in levels]
                 probes += [random_schedule(draws, k) for _ in range(8)]
                 probes += [tuple(f * t for t in sup.argmax_tau.taus) for f in (0.5, 2.0)]
                 probes += [tau for f in (1 - 1e-4, 1 + 1e-4) for tau in _nudged(sup.argmax_tau.taus, f)]
+                threshold = rhs * (1.0 + verdict.tolerance)
                 for tau in probes:
-                    assert sup.sup_value >= eval_lhs(sc, d, tau) - slack, (k, tau)
+                    value = eval_lhs(sc, d, tau)
+                    assert sup.sup_value >= value - slack, (k, tau)
+                    assert value <= verdict.sup.sup_upper, (k, tau)
+                    assert value <= threshold or not verdict.member, (k, tau)
 
 
 def test_chain_dp_matches_exhaustive_enumeration():
@@ -122,7 +131,7 @@ def test_chain_dp_matches_exhaustive_enumeration():
                 chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
                 best = max(chain.lhs(taus + (0.0,)) for taus in
                            itertools.combinations_with_replacement(grid[::-1].tolist(), k - 1))
-                got = chain.lhs(_chain_dp(chain, grid))
+                got = chain.lhs(_chain_dp(chain, grid)[0])
                 assert got == pytest.approx(best, rel=1e-12, abs=0.0), (sc, chain.d)
 
 
@@ -137,7 +146,7 @@ def test_small_bandwidth_overflow_is_non_member():
     assert not check_inequality(sc, d, verdict.sup.argmax_tau).satisfied
     assert verdict.sup.sup_value == eval_lhs(sc, d, verdict.sup.argmax_tau) == math.inf
     assert verdict.margin == -math.inf
-    assert math.isfinite(verdict.sup.certified_gap)
+    assert verdict.sup.sup_value <= verdict.sup.sup_upper
 
 
 def test_reproducer_is_non_member():
@@ -284,6 +293,27 @@ def test_trace_sup_calls_per_row(monkeypatch):
     d2 = f2 * (sc.source_var / f2) ** 0.15
     rows = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 25), d2) for i in range(25)]
     assert _sup_calls_per_row(monkeypatch, sc, rows) <= 12
+
+
+def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
+    """perfbench's tracer wraps membership.sup_bound_lhs by name and reads
+    the SupResult's iterations and sup_value, so in_outer_region must call
+    it exactly once, through the module attribute."""
+    import gbcbound.membership as m
+
+    real = m.sup_bound_lhs
+    for d in ((0.25, 0.0625), (1.0, 1.0)):
+        results = []
+
+        def counted(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(m, "sup_bound_lhs", counted)
+        verdict = in_outer_region(S_EXPAND, d)
+        assert len(results) == 1 and results[0] is verdict.sup
+        assert isinstance(verdict.sup, SupResult) and verdict.sup.iterations >= 1
+        assert verdict.margin == verdict.rhs - verdict.sup.sup_value
 
 
 def test_trace_infeasible_everywhere():

@@ -1,0 +1,106 @@
+"""The supremum's upper bound against a 50-digit evaluation of the functional.
+
+``sup_upper`` claims to bound lhs(D, tau) over every schedule, float
+rounding included, so it must lie above the exact value at any schedule
+at all: the witness, every schedule on a small grid, and probes spread
+over K, b, tau and SNR.  The reference works on the float inputs as exact
+decimals, so it shares no arithmetic with the code under test.
+"""
+
+import itertools
+import math
+import random
+from decimal import Decimal, localcontext
+
+from gbcbound.core import validate_scenario, trivial_distortion
+from gbcbound.membership import in_outer_region, sup_bound_lhs
+from gbcbound.verify import random_distortions, random_scenario
+
+GRID = [0.0] + [10.0 ** e for e in range(-3, 4)] + [math.inf]
+
+
+def _log_ratio(num, den, tau):
+    """log((num + tau) / (den + tau)); 0 at tau = +inf."""
+    if tau == math.inf:
+        return Decimal(0)
+    t = Decimal(tau)
+    return ((num + t) / (den + t)).ln()
+
+
+def lhs_reference(sc, d, taus):
+    """sum_k dN_k [g_k(tau_k) prod_{j<k} h_j(tau_j)]^(1/b), to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ns = Decimal(sc.source_var)
+        ds = [Decimal(x) for x in d]
+        noises = [Decimal(n) for n in sc.noises] + [Decimal(0)]
+        total, log_h = Decimal(0), Decimal(0)
+        for k, tau in enumerate(taus):
+            log_g = _log_ratio(ns, ds[k], tau)
+            total += (noises[k] - noises[k + 1]) * ((log_g + log_h) / Decimal(sc.bandwidth)).exp()
+            if k + 1 < len(ds):
+                log_h += _log_ratio(ds[k + 1], ds[k], tau)
+        return total
+
+
+def _bandwidth(rng):
+    return math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
+
+
+def _assert_bounds(sc, d, schedules):
+    res = sup_bound_lhs(sc, d)
+    assert res.sup_value <= res.sup_upper
+    upper = Decimal(res.sup_upper)
+    for taus in list(schedules) + [res.argmax_tau.taus]:
+        assert upper >= lhs_reference(sc, d, taus), (sc, d, taus, res.sup_upper)
+
+
+def test_sup_upper_above_reference_on_small_grid():
+    """K = 2, 3: above the exact value at every nonincreasing schedule on a
+    9-point grid holding 0 and +inf, and at the witness."""
+    rng = random.Random(61)
+    for k in (2, 3):
+        for _ in range(6):
+            sc = random_scenario(rng, k_range=(k, k), bandwidth=_bandwidth(rng))
+            schedules = [taus + (0.0,) for taus in
+                         itertools.combinations_with_replacement(GRID[::-1], k - 1)]
+            _assert_bounds(sc, random_distortions(rng, sc), schedules)
+
+
+def test_sup_upper_above_reference_at_probes():
+    """K up to 16, b from 0.05 to 8, SNR P / N_1 from 1e-4 to 1e4, tau up to
+    1e12: two-level schedules, random ones and the witness.  The zero-
+    information point D = N_S and K = 1 leave the enclosure no slack but
+    the rounding factor's."""
+    rng = random.Random(67)
+    levels = [10.0 ** e for e in range(-3, 13, 3)] + [math.inf]
+    for k in (1, 2, 3, 5, 8, 16):
+        for i in range(3):
+            sc = random_scenario(rng, k_range=(k, k), bandwidth=_bandwidth(rng),
+                                 min_ratio=1.05 if k >= 8 else 1.2)
+            d = (sc.source_var,) * k if i == 0 else random_distortions(rng, sc)
+            schedules = [(s,) * m + (0.0,) * (k - m) for m in range(1, k) for s in levels]
+            for _ in range(4):
+                free = sorted((10.0 ** rng.uniform(-6, 12) for _ in range(k - 1)), reverse=True)
+                schedules.append(tuple(free) + (0.0,))
+            _assert_bounds(sc, d, schedules)
+    for _ in range(8):
+        sc = random_scenario(rng, k_range=(1, 1), bandwidth=_bandwidth(rng))
+        _assert_bounds(sc, random_distortions(rng, sc), [])
+
+
+def test_sup_upper_past_float_range_is_inf():
+    """At b = 0.0009 the step schedule (+inf, 0) is past the float range."""
+    sc = validate_scenario(3, [3, 1], 0.0009)
+    d = (0.99995, 0.5 * trivial_distortion(sc, 2))
+    assert sup_bound_lhs(sc, d).sup_upper == math.inf
+    assert in_outer_region(sc, d).sup.sup_upper == math.inf
+
+
+def test_sup_upper_is_inf_where_a_link_underflows():
+    """The rounding factor holds only for results in the normal range.  At
+    b = 0.01 and D = (N_S, e^-7.09 N_S), c_1(0) = e^-709 is subnormal while
+    the supremum itself is finite, so the bound gives up to +inf."""
+    sc = validate_scenario(3, [3, 1], 0.01)
+    res = sup_bound_lhs(sc, (1.0, math.exp(-7.09)))
+    assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
