@@ -14,7 +14,6 @@ from .bound import (
     bound_rhs,
     check_inequality,
     eval_lhs,
-    finite_diff_partials,
     reduced_bound_value,
 )
 from .capacity import (
@@ -81,7 +80,6 @@ __all__ = [
     "containment",
     "equality_condition",
     "eval_lhs",
-    "finite_diff_partials",
     "in_outer_region",
     "load_scenario",
     "point_to_point_capacity",

@@ -43,7 +43,7 @@ from .core import (
     TauSchedule,
     check_distortions,
 )
-from .errors import InvalidTauSchedule, NonFiniteTau, StepOutOfDomain
+from .errors import InvalidTauSchedule
 
 __all__ = [
     "BoundEvaluation",
@@ -51,7 +51,6 @@ __all__ = [
     "eval_lhs",
     "reduced_bound_value",
     "check_inequality",
-    "finite_diff_partials",
 ]
 
 DEFAULT_REL_TOL = 1e-9
@@ -219,41 +218,3 @@ def check_inequality(
     satisfied = lhs <= rhs * (1.0 + rel_tol)
     return BoundEvaluation(lhs=lhs, rhs=rhs, satisfied=satisfied, slack=slack, tolerance=rel_tol)
 
-
-def finite_diff_partials(
-    scenario: BroadcastScenario,
-    distortions: Distortions,
-    tau: Schedule,
-    h: float | None = None,
-) -> tuple[float, ...]:
-    """Central finite-difference estimates of d(lhs)/d(D_k), all k.
-
-    The functional is monotonically nonincreasing in every D_k, so all
-    estimates should be <= 0 up to discretisation error.  Requires a
-    finite schedule and an interior point: D_k +- h must stay inside
-    (0, N_S).
-    """
-    d = check_distortions(scenario, distortions)
-    t = TauSchedule.of(tau)
-    _check_schedule_length(t, scenario)
-    if not t.is_finite:
-        raise NonFiniteTau("partials are defined along the finite-schedule path")
-    if h is None:
-        h = 1e-7 * scenario.source_var
-    if not h > 0.0:
-        raise StepOutOfDomain(f"step must be > 0, got {h}")
-    out = []
-    vals = list(d.values)
-    for i in range(len(vals)):
-        up, down = vals[i] + h, vals[i] - h
-        if not (0.0 < down and up < scenario.source_var):
-            raise StepOutOfDomain(
-                f"D_{i + 1} +- h leaves (0, N_S): {vals[i]} +- {h}"
-            )
-        vals[i] = up
-        f_up = _Chain(scenario, DistortionTuple(tuple(vals))).lhs(t.taus)
-        vals[i] = down
-        f_down = _Chain(scenario, DistortionTuple(tuple(vals))).lhs(t.taus)
-        vals[i] = d.values[i]
-        out.append((f_up - f_down) / (2.0 * h))
-    return tuple(out)

@@ -240,6 +240,7 @@ def cmd_verify_theorems(args) -> int:
                 "failures": r.failures,
                 "passed": r.passed,
                 "detail": r.detail,
+                "examples": r.examples,
             }
             for r in results
         ],

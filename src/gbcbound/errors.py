@@ -42,14 +42,6 @@ class NonMonotoneTau(InvalidTauSchedule):
     """Schedule entries increase somewhere (must be nonincreasing)."""
 
 
-class NonFiniteTau(InputError):
-    """A finite-only evaluation received a schedule containing +inf."""
-
-
-class StepOutOfDomain(InputError):
-    """Finite-difference step would leave the open distortion domain."""
-
-
 class ZeroP(InputError):
     """Power sum requested with exponent p = 0."""
 

@@ -16,6 +16,7 @@ this inequality to a specific pair of two-entry vectors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,11 +30,11 @@ MIN_P_GAP = 1e-3
 
 
 def _validated(entries: Sequence[float], what: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in entries)
+    vals = tuple(map(float, entries))
     if not vals:
         raise LengthMismatch(f"{what} must have at least one entry")
     for v in vals:
-        if math.isnan(v) or v < 0.0:
+        if not v >= 0.0:  # negative or NaN
             raise LengthMismatch(f"{what} entries must be >= 0 or +inf, got {v}")
     return vals
 
@@ -42,7 +43,7 @@ def _logsumexp(logs: list[float]) -> float:
     m = max(logs)
     if math.isinf(m):
         return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in logs))
+    return m + math.log(math.fsum([math.exp(v - m) for v in logs]))
 
 
 def power_sum(entries: Sequence[float], p: float) -> float:
@@ -55,16 +56,21 @@ def power_sum(entries: Sequence[float], p: float) -> float:
     x = _validated(entries, "power_sum input")
     if p == 0.0:
         raise ZeroP("power sum undefined at p = 0")
+    return _power_sum(x, p)
+
+
+def _power_sum(x: tuple[float, ...], p: float) -> float:
+    """``power_sum`` on entries already validated, at p != 0."""
     if p > 0.0:
-        if any(math.isinf(v) for v in x):
+        if math.inf in x:
             return math.inf
         logs = [p * math.log(v) for v in x if v > 0.0]
         if not logs:
             return 0.0
     else:
-        if any(v == 0.0 for v in x):
+        if 0.0 in x:
             return 0.0
-        logs = [p * math.log(v) for v in x if not math.isinf(v)]
+        logs = [p * math.log(v) for v in x if v < math.inf]
         if not logs:
             return math.inf
     return math.exp(_logsumexp(logs) / p)
@@ -95,8 +101,8 @@ def check_minkowski(
         raise InvalidP(f"p must be > 0, got {p}")
     if abs(p - 1.0) < MIN_P_GAP:
         raise InvalidP(f"p must satisfy |p - 1| >= {MIN_P_GAP}, got {p}")
-    lhs = power_sum(xv, p) + power_sum(yv, p)
-    rhs = power_sum(tuple(a + b for a, b in zip(xv, yv)), p)
+    lhs = _power_sum(xv, p) + _power_sum(yv, p)
+    rhs = _power_sum(tuple(map(operator.add, xv, yv)), p)
     if math.isinf(lhs) and math.isinf(rhs):
         return MinkowskiCheck(direction_holds=True, equality=True, lhs=lhs, rhs=rhs)
     tol = EQUALITY_REL_TOL * max(1.0, rhs if math.isfinite(rhs) else 1.0)

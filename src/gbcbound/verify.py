@@ -5,7 +5,8 @@ randomized regression test: scenarios are drawn from wide log-uniform
 ranges, the fact is evaluated at its stated tolerance, and any violation
 counts as a failure.  All checks are deterministic given the master
 seed (each gets its own stream keyed by check name, so adding or
-reordering checks never changes another check's draws).
+reordering checks never changes another check's draws).  The acceptance
+suite calls the same check functions on its own seeds.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import bound, capacity, membership, minkowski
 from .core import (
     BroadcastScenario,
     TauSchedule,
+    check_distortions,
+    scenario_to_dict,
     step_schedule,
     trivial_distortions,
     validate_scenario,
@@ -29,10 +34,22 @@ __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES", "random_scenario"]
 _LOG_LO = math.log(1e-2)
 _LOG_HI = math.log(1e2)
 _MIN_NOISE_RATIO = 1.2
+_EPS = math.ulp(1.0)
+_EXAMPLES = 3
+_PS = (0.2, 0.5, 0.9, 1.5, 2.0, 4.0)
 
 
 @dataclass
 class CheckResult:
+    """Outcome of one check.
+
+    ``trials`` counts the comparisons the check made and ``failures`` those
+    that failed.  ``examples`` holds the witnesses of the first failures,
+    JSON-safe (+-inf and NaN as strings): each has ``draw``, the index of
+    its draw in the check's stream, and what reproduces it (scenario, D,
+    schedule or vectors, and the compared margin).
+    """
+
     name: str
     trials: int
     failures: int
@@ -42,6 +59,25 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+
+def _record(result: CheckResult, ok: bool, draw: int, **witness) -> None:
+    """Count one comparison of ``result``'s check, keeping the first failures' witnesses."""
+    result.trials += 1
+    if not ok:
+        result.failures += 1
+        if len(result.examples) < _EXAMPLES:
+            result.examples.append({"draw": draw, **{k: _plain(v) for k, v in witness.items()}})
+
+
+def _plain(value):
+    if isinstance(value, BroadcastScenario):
+        return scenario_to_dict(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def random_scenario(
@@ -91,130 +127,203 @@ def random_distortions(rng: random.Random, scenario: BroadcastScenario) -> tuple
 
 def _check_matched_equality(rng: random.Random, trials: int) -> CheckResult:
     """b = 1: the functional equals P + N_1 at the trivial point for every schedule."""
-    failures = 0
-    for _ in range(trials):
+    result = CheckResult("matched-equality", 0, 0)
+    for i in range(trials):
         sc = random_scenario(rng, bandwidth=1.0)
-        dstar = trivial_distortions(sc)
-        tau = random_schedule(rng, sc.num_receivers)
+        dstar = trivial_distortions(sc).values
+        tau = random_schedule(rng, sc.num_receivers).taus
         rhs = bound.bound_rhs(sc)
-        val = bound.eval_lhs(sc, dstar, tau)
-        if abs(val - rhs) > 1e-9 * rhs:
-            failures += 1
-    return CheckResult("matched-equality", trials, failures)
+        margin = bound.eval_lhs(sc, dstar, tau) - rhs
+        _record(result, abs(margin) <= 1e-9 * rhs, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+    return result
 
 
 def _check_compression_bound(rng: random.Random, trials: int) -> CheckResult:
-    """b < 1: the trivial point satisfies every inequality, sup included."""
-    scenarios = max(1, trials // 5)
-    failures = 0
-    for _ in range(scenarios):
-        sc = random_scenario(rng, k_range=(1, 4), bandwidth=rng.uniform(0.05, 0.95))
-        dstar = trivial_distortions(sc)
+    """b < 1: the trivial point satisfies every inequality, sup included.
+
+    Each of trials / 5 scenarios checks 50 random schedules and the supremum.
+    """
+    result = CheckResult("compression-within-bound", 0, 0)
+    for i in range(max(1, trials // 5)):
+        sc = random_scenario(rng, bandwidth=rng.uniform(0.05, 0.95))
+        dstar = trivial_distortions(sc).values
         rhs = bound.bound_rhs(sc)
-        for _ in range(10):
-            tau = random_schedule(rng, sc.num_receivers)
-            if bound.eval_lhs(sc, dstar, tau) > rhs * (1.0 + 1e-9):
-                failures += 1
+        for _ in range(50):
+            tau = random_schedule(rng, sc.num_receivers).taus
+            margin = bound.eval_lhs(sc, dstar, tau) - rhs
+            _record(result, margin <= 1e-9 * rhs, i, scenario=sc, d=dstar, tau=tau, margin=margin)
         sup = membership.sup_bound_lhs(sc, dstar)
-        if sup.sup_value > rhs * (1.0 + 1e-6):
-            failures += 1
-    return CheckResult("compression-within-bound", scenarios, failures)
+        margin = sup.sup_value - rhs
+        _record(result, margin <= 1e-6 * rhs, i, scenario=sc, d=dstar, tau=sup.argmax_tau.taus,
+                margin=margin)
+    return result
+
+
+def _rounding_bound(sc: BroadcastScenario, d: tuple[float, ...], tau: tuple[float, ...],
+                    rhs: float, margin: float) -> float:
+    """Forward bound on the rounding error of ``margin`` = eval_lhs - ``rhs``.
+
+    Unit roundoff is eps / 2 (eps = 2^-52), and log1p and exp are taken to
+    be within 4 ulps (4 eps relative).  Each ratio of ``bound._Chain``
+    carries 3 eps / 2 from its difference, sum and quotient, which moves
+    its log1p by at most that much relatively (r / (1 + r) <= log1p(r)),
+    so each log factor l is within 5.5 eps |l|.  Term k sums k of them
+    (k - 1 additions, eps / 2 of at most L_k, the sum of their absolute
+    values) and divides by b, so its exponent is within dy_k = eps (5.5 +
+    k / 2) L_k / b.  exp adds 4 eps, dN_k eps / 2 and the sum of K
+    nonnegative products K eps / 2, so term T_k is within rel_k =
+    expm1(dy_k) + (4.5 + K / 2) eps.  The bound is 2 sum_k T_k rel_k (the
+    factor 2 covers T_k being itself computed and second-order terms),
+    plus eps (rhs + |margin|) for rhs = P + N_1 and the subtraction.
+    """
+    chain = bound._Chain(sc, check_distortions(sc, d))
+    log_g, log_h = chain.log_factors(np.array(tau))
+    size = np.abs(log_g)
+    size[1:] += np.cumsum(np.abs(log_h[:-1]))
+    k = np.arange(1, len(size) + 1)
+    rel = np.expm1(_EPS * (5.5 + k / 2) * size / sc.bandwidth) + (4.5 + len(k) / 2) * _EPS
+    with np.errstate(over="ignore"):
+        terms = chain.dn * np.exp(chain._log_brackets(tau))
+    return 2.0 * float(terms @ rel) + _EPS * (rhs + abs(margin))
 
 
 def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:
-    """b > 1, K >= 2: a generic interior schedule strictly violates the bound at the trivial point."""
-    failures = 0
-    for _ in range(trials):
+    """b > 1, K >= 2: the schedule (1, 0, ..., 0) strictly violates the bound at the trivial point.
+
+    The violation is strict for every scenario, but it scales with the
+    worst receiver's SNR (relative margins down to about 1e-10), so the
+    computed lhs - rhs must exceed a forward bound on its rounding error
+    rather than a fixed relative margin.
+    """
+    result = CheckResult("expansion-strict-violation", 0, 0)
+    for i in range(trials):
         sc = random_scenario(rng, k_range=(2, 5), bandwidth=rng.uniform(1.05, 8.0))
-        dstar = trivial_distortions(sc)
+        dstar = trivial_distortions(sc).values
         rhs = bound.bound_rhs(sc)
         tau = (1.0,) + (0.0,) * (sc.num_receivers - 1)
-        if not bound.eval_lhs(sc, dstar, tau) > rhs * (1.0 + 1e-9):
-            failures += 1
-    return CheckResult("expansion-strict-violation", trials, failures)
+        margin = bound.eval_lhs(sc, dstar, tau) - rhs
+        ok = margin > _rounding_bound(sc, dstar, tau, rhs, margin)
+        _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+    return result
 
 
 def _check_step_reduction(rng: random.Random, trials: int) -> CheckResult:
-    """Step schedules reduce the functional to the per-receiver closed form."""
-    cases = max(1, trials // 2)
-    failures = 0
-    for _ in range(cases):
+    """Step schedules reduce the functional to the per-receiver closed form.
+
+    At every k >= 2 the finite surrogates tau = 1e3, 1e6, 1e9 on the first
+    k - 1 entries also converge monotonically to the step value, to within
+    1e-6 at 1e9.
+    """
+    result = CheckResult("step-schedule-reduction", 0, 0)
+    for i in range(max(1, trials // 2)):
         sc = random_scenario(rng)
         d = random_distortions(rng, sc)
         k_total = sc.num_receivers
         for k in range(1, k_total + 1):
             ext = bound.eval_lhs(sc, d, step_schedule(k_total, k))
             red = bound.reduced_bound_value(sc, d, k)
-            if abs(ext - red) > 1e-12 * max(abs(red), 1e-300):
-                failures += 1
-        k_mid = (k_total + 1) // 2
-        limit = bound.eval_lhs(sc, d, step_schedule(k_total, k_mid))
-        gaps = []
-        for big in (1e3, 1e6, 1e9):
-            taus = (big,) * (k_mid - 1) + (0.0,) * (k_total - k_mid + 1)
-            gaps.append(abs(bound.eval_lhs(sc, d, taus) - limit))
-        if any(g2 > g1 for g1, g2 in zip(gaps, gaps[1:])):
-            failures += 1
-        if gaps[-1] > 1e-6 * max(abs(limit), 1.0):
-            failures += 1
-    return CheckResult("step-schedule-reduction", cases, failures)
+            ok = ext == red or abs(ext - red) <= 1e-12 * abs(red)
+            _record(result, ok, i, scenario=sc, d=d, k=k, margin=ext - red)
+            if k == 1:
+                continue
+            gaps = [
+                abs(bound.eval_lhs(sc, d, (big,) * (k - 1) + (0.0,) * (k_total - k + 1)) - ext)
+                for big in (1e3, 1e6, 1e9)
+            ]
+            _record(result, gaps[0] >= gaps[1] >= gaps[2], i, scenario=sc, d=d, k=k, gaps=gaps)
+            _record(result, gaps[2] <= 1e-6 * max(abs(ext), 1.0), i, scenario=sc, d=d, k=k, gaps=gaps)
+    return result
 
 
 def _check_monotonicity(rng: random.Random, trials: int) -> CheckResult:
-    """The functional is nonincreasing in every distortion coordinate."""
-    points = max(1, trials // 5)
-    failures = 0
-    for _ in range(points):
+    """The functional is nonincreasing in every distortion coordinate.
+
+    Forward differences through ``eval_lhs`` with step h = 1e-7 N_S must
+    satisfy (lhs(D + h e_k) - lhs(D)) / h <= 1e-6 max(1, lhs / D_k).  A
+    nonincreasing function has no truncation error of the wrong sign, so
+    this needs no smoothness and holds at infinite schedule entries too.
+    """
+    result = CheckResult("distortion-monotonicity", 0, 0)
+    for i in range(max(1, trials // 5)):
         sc = random_scenario(rng)
         ns = sc.source_var
         d = tuple(rng.uniform(0.05, 0.95) * ns for _ in range(sc.num_receivers))
-        tau = random_finite_schedule(rng, sc.num_receivers, hi=10.0)
+        tau = random_schedule(rng, sc.num_receivers, hi=10.0).taus
         val = bound.eval_lhs(sc, d, tau)
         h = 1e-7 * ns
-        partials = bound.finite_diff_partials(sc, d, tau, h=h)
-        for dk, g in zip(d, partials):
-            if g > 1e-6 * max(1.0, abs(val) / dk):
-                failures += 1
-    return CheckResult("distortion-monotonicity", points, failures)
+        for k, dk in enumerate(d):
+            up = d[:k] + (dk + h,) + d[k + 1:]
+            slope = (bound.eval_lhs(sc, up, tau) - val) / h
+            ok = slope <= 1e-6 * max(1.0, abs(val) / dk)
+            _record(result, ok, i, scenario=sc, d=d, tau=tau, k=k + 1, margin=slope)
+    return result
+
+
+def _draw_p(trials: int):
+    """(draw index, p) for ceil(trials / 6) draws at each p of _PS in turn."""
+    per_p = -(-trials // len(_PS))
+    return ((i, _PS[i // per_p]) for i in range(per_p * len(_PS)))
 
 
 def _check_minkowski_direction(rng: random.Random, trials: int) -> CheckResult:
     """Power-sum inequality holds in the stated direction for p < 1 and p > 1."""
-    failures = 0
-    ps = (0.2, 0.5, 0.9, 1.5, 2.0, 4.0)
-    for _ in range(trials):
+    result = CheckResult("minkowski-direction", 0, 0)
+    for i, p in _draw_p(trials):
         n = rng.randint(1, 6)
         x = [rng.expovariate(1.0) for _ in range(n)]
         y = [rng.expovariate(1.0) for _ in range(n)]
-        if rng.random() < 0.05:
+        if rng.random() < 0.1:
             x[rng.randrange(n)] = 0.0
         if rng.random() < 0.05:
             y[rng.randrange(n)] = math.inf
-        res = minkowski.check_minkowski(x, y, rng.choice(ps))
-        if not res.direction_holds:
-            failures += 1
-    return CheckResult("minkowski-direction", trials, failures)
+        res = minkowski.check_minkowski(x, y, p)
+        _record(result, res.direction_holds, i, p=p, x=x, y=y, margin=res.lhs - res.rhs)
+    return result
+
+
+def _tangent_gap(z: list[float], fz: float, v: list[float], fv: float, p: float) -> float:
+    """s (f(v) - grad f(z) . v) for f = power_sum(., p), s = sign(p - 1), and
+    grad f(z)_i = (z_i / f(z))^(p - 1); entries of z are positive."""
+    tangent = math.fsum((a / fz) ** (p - 1.0) * b for a, b in zip(z, v))
+    return math.copysign(1.0, p - 1.0) * (fv - tangent)
 
 
 def _check_minkowski_equality(rng: random.Random, trials: int) -> CheckResult:
-    """Positively linearly dependent pairs classify as equality cases, and only those."""
-    failures = 0
-    ps = (0.2, 0.5, 0.9, 1.5, 2.0, 4.0)
-    for _ in range(trials):
+    """Positively linearly dependent pairs classify as equality cases, and
+    other pairs only as far as their distance from dependence allows.
+
+    For f = power_sum(., p) and s = sign(p - 1), the gap G = s (f(x) +
+    f(y) - f(x + y)) of a pair is >= 0.  f is homogeneous of degree 1 and
+    convex for p > 1, concave for p < 1, so G is bracketed by tangent-plane
+    remainders B(z, v) = s (f(v) - grad f(z) . v) (``_tangent_gap``):
+    B(x + y, x), B(x + y, y) <= G <= B(x, y).  grad f(z) . z = f(z), so
+    B(z, v) vanishes on the ray through z and is second order in v's
+    distance from it.  A perturbed pair y + noise that classifies as
+    equality must have both lower remainders within 1e-9 max(1, f(x + y))
+    and its computed gap within B(x, y), up to 1e-12 relative rounding.
+    """
+    result = CheckResult("minkowski-equality", 0, 0)
+    for i, p in _draw_p(trials):
         n = rng.randint(1, 6)
         x = [rng.expovariate(1.0) for _ in range(n)]
-        lam = rng.uniform(0.0, 5.0)
+        lam = rng.choice((0.0, rng.uniform(0.0, 1e2)))
         y = [lam * v for v in x]
-        p = rng.choice(ps)
-        if not minkowski.equality_condition(x, y):
-            failures += 1
-        if not minkowski.check_minkowski(x, y, p).equality:
-            failures += 1
-        y_perturbed = [v + rng.expovariate(1.0) for v in y]
-        res = minkowski.check_minkowski(x, y_perturbed, p)
-        if res.equality and not minkowski.equality_condition(x, y_perturbed):
-            failures += 1
-    return CheckResult("minkowski-equality", trials, failures)
+        _record(result, minkowski.equality_condition(x, y), i, p=p, x=x, y=y)
+        res = minkowski.check_minkowski(x, y, p)
+        _record(result, res.equality, i, p=p, x=x, y=y, margin=res.lhs - res.rhs)
+        y = [v + rng.expovariate(1.0) for v in y]
+        res = minkowski.check_minkowski(x, y, p)
+        ok = True
+        if res.equality:
+            fx, fy, fxy = minkowski.power_sum(x, p), minkowski.power_sum(y, p), res.rhs
+            xy = [a + b for a, b in zip(x, y)]
+            slack = 1e-12 * (res.lhs + res.rhs)
+            tol = 1e-9 * max(1.0, res.rhs)
+            lower = max(_tangent_gap(xy, fxy, x, fx, p), _tangent_gap(xy, fxy, y, fy, p))
+            gap = math.copysign(1.0, p - 1.0) * (res.lhs - res.rhs)
+            ok = lower <= tol + slack and gap <= _tangent_gap(x, fx, y, fy, p) + slack
+        _record(result, ok, i, p=p, x=x, y=y, margin=res.lhs - res.rhs)
+    return result
 
 
 def _check_noise_splitting(rng: random.Random, trials: int) -> CheckResult:
@@ -225,9 +334,8 @@ def _check_noise_splitting(rng: random.Random, trials: int) -> CheckResult:
     [dN_1^b (1+t)]^(1/b) + [N_2^b + (P+N_2)^b t]^(1/b) against
     [N_1^b + (P+N_1)^b t]^(1/b): <= for b < 1, >= for b > 1.
     """
-    cases = max(1, trials // 5)
-    failures = 0
-    for _ in range(cases):
+    result = CheckResult("noise-splitting-inequality", 0, 0)
+    for i in range(max(1, trials // 5)):
         p_pow = math.exp(rng.uniform(_LOG_LO, _LOG_HI))
         n2 = math.exp(rng.uniform(_LOG_LO, _LOG_HI))
         dn1 = math.exp(rng.uniform(_LOG_LO, _LOG_HI))
@@ -236,50 +344,47 @@ def _check_noise_splitting(rng: random.Random, trials: int) -> CheckResult:
             w = t ** (1.0 / b) if t > 0.0 else 0.0
             x = (dn1, dn1 * w)
             y = (n2, (p_pow + n2) * w)
-            if not minkowski.check_minkowski(x, y, b).direction_holds:
-                failures += 1
-    return CheckResult("noise-splitting-inequality", cases, failures)
+            res = minkowski.check_minkowski(x, y, b)
+            _record(result, res.direction_holds, i, p=b, x=x, y=y, margin=res.lhs - res.rhs)
+    return result
 
 
 def _check_scaling_invariance(rng: random.Random, trials: int) -> CheckResult:
     """Scaling (P, N) by c > 0 scales both sides by c; verdicts are invariant."""
-    cases = max(1, trials // 5)
-    failures = 0
-    for _ in range(cases):
+    result = CheckResult("scaling-invariance", 0, 0)
+    for i in range(max(1, trials // 5)):
         sc = random_scenario(rng)
         d = random_distortions(rng, sc)
-        tau = random_schedule(rng, sc.num_receivers)
+        tau = random_schedule(rng, sc.num_receivers).taus
         base = bound.check_inequality(sc, d, tau)
         for c in (0.1, 10.0):
             scaled = bound.check_inequality(sc.scaled(c), d, tau)
-            if scaled.satisfied != base.satisfied:
-                failures += 1
-            if abs(scaled.lhs - c * base.lhs) > 1e-9 * max(1.0, c * abs(base.lhs)):
-                failures += 1
-    return CheckResult("scaling-invariance", cases, failures)
+            witness = dict(scenario=sc, d=d, tau=tau, c=c, margin=scaled.lhs - c * base.lhs)
+            _record(result, scaled.satisfied == base.satisfied, i, **witness)
+            ok = abs(scaled.lhs - c * base.lhs) <= 1e-9 * max(1.0, c * abs(base.lhs))
+            _record(result, ok, i, **witness)
+    return result
 
 
 def _check_downward_closure(rng: random.Random, trials: int) -> CheckResult:
     """Raising any distortion never removes membership."""
-    pairs = max(1, trials // 20)
-    failures = 0
-    for _ in range(pairs):
+    result = CheckResult("downward-closure", 0, 0)
+    for i in range(max(1, trials // 20)):
         sc = random_scenario(rng, k_range=(1, 3))
         ns = sc.source_var
         d = tuple(rng.uniform(0.05, 1.0) * ns for _ in range(sc.num_receivers))
         if not membership.in_outer_region(sc, d).member:
             continue
         d_up = tuple(min(v * (1.0 + rng.uniform(0.0, 0.5)), ns) for v in d)
-        if not membership.in_outer_region(sc, d_up).member:
-            failures += 1
-    return CheckResult("downward-closure", pairs, failures)
+        verdict = membership.in_outer_region(sc, d_up)
+        _record(result, verdict.member, i, scenario=sc, d=d_up, margin=verdict.margin)
+    return result
 
 
 def _check_capacity_roundtrip(rng: random.Random, trials: int) -> CheckResult:
     """Boundary rate points invert to feasible splits; inflated ones do not."""
-    cases = max(1, trials // 5)
-    failures = 0
-    for _ in range(cases):
+    result = CheckResult("capacity-roundtrip", 0, 0)
+    for i in range(max(1, trials // 5)):
         sc = random_scenario(rng, k_range=(1, 4))
         ch = capacity.GaussianBC(sc.power, sc.noises)
         k = ch.num_receivers
@@ -288,21 +393,20 @@ def _check_capacity_roundtrip(rng: random.Random, trials: int) -> CheckResult:
         split = tuple(s / total for s in shares)
         b = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
         point = capacity.boundary_rates(ch, split, b)
-        if not capacity.rate_membership(ch, point, b):
-            failures += 1
+        witness = dict(scenario=sc, split=split, b=b, rates=point.rates)
+        _record(result, capacity.rate_membership(ch, point, b), i, **witness)
         if sum(point.rates) > 1e-6:
             inflated = capacity.RatePoint(tuple(r * 1.01 + 1e-9 for r in point.rates))
-            if capacity.rate_membership(ch, inflated, b):
-                failures += 1
-    return CheckResult("capacity-roundtrip", cases, failures)
+            _record(result, not capacity.rate_membership(ch, inflated, b), i, **witness)
+    return result
 
 
 def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
-    """Region membership agrees with virtual-channel capacity containment."""
-    cases = max(1, trials // 50)
-    failures = 0
+    """Region membership agrees with virtual-channel capacity containment
+    (512 boundary samples), except within 1e-6 of the region frontier."""
+    result = CheckResult("capacity-equivalence", 0, 0)
     skipped = 0
-    for _ in range(cases):
+    for i in range(max(1, trials // 50)):
         b = rng.choice((0.5, 1.0, 2.0))
         sc = random_scenario(rng, k_range=(2, 3), bandwidth=b)
         ns = sc.source_var
@@ -318,19 +422,17 @@ def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
             continue
         virt = capacity.virtual_channel(ns, d)
         phys = capacity.GaussianBC(sc.power, sc.noises)
-        cont = capacity.containment(virt, phys, 1.0, b, samples=256)
-        if verdict.member != cont.contained:
-            failures += 1
-    return CheckResult(
-        "capacity-equivalence", cases, failures, detail=f"{skipped} near-boundary skips"
-    )
+        cont = capacity.containment(virt, phys, 1.0, b, samples=512)
+        _record(result, verdict.member == cont.contained, i, scenario=sc, d=d,
+                member=verdict.member, margin=verdict.margin)
+    result.detail = f"{skipped} near-boundary skips"
+    return result
 
 
 def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
     """At fixed point-to-point capacities the two-user region shrinks as b grows."""
-    cases = max(1, trials // 100)
-    failures = 0
-    for _ in range(cases):
+    result = CheckResult("region-shrinkage", 0, 0)
+    for i in range(max(1, trials // 100)):
         c1 = rng.uniform(0.2, 3.0)
         c2 = c1 + rng.uniform(0.2, 3.0)
         b_lo = rng.uniform(0.3, 1.5)
@@ -339,11 +441,12 @@ def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
         hi = capacity.scenario_from_capacities(c1, c2, b_hi)
         ch_lo = capacity.GaussianBC(lo.power, lo.noises)
         ch_hi = capacity.GaussianBC(hi.power, hi.noises)
-        if not capacity.containment(ch_hi, ch_lo, b_hi, b_lo, samples=128).contained:
-            failures += 1
-        if capacity.containment(ch_lo, ch_hi, b_lo, b_hi, samples=128).contained:
-            failures += 1
-    return CheckResult("region-shrinkage", cases, failures)
+        witness = dict(capacities=(c1, c2), b=(b_lo, b_hi))
+        nested = capacity.containment(ch_hi, ch_lo, b_hi, b_lo, samples=128).contained
+        _record(result, nested, i, **witness)
+        strict = not capacity.containment(ch_lo, ch_hi, b_lo, b_hi, samples=128).contained
+        _record(result, strict, i, **witness)
+    return result
 
 
 _CHECKS: tuple[tuple[str, Callable[[random.Random, int], CheckResult]], ...] = (

@@ -11,7 +11,6 @@ from gbcbound.bound import (
     bound_rhs,
     check_inequality,
     eval_lhs,
-    finite_diff_partials,
     reduced_bound_value,
 )
 from gbcbound.core import (
@@ -20,12 +19,7 @@ from gbcbound.core import (
     trivial_distortions,
     validate_scenario,
 )
-from gbcbound.errors import (
-    InvalidDistortion,
-    InvalidTauSchedule,
-    NonFiniteTau,
-    StepOutOfDomain,
-)
+from gbcbound.errors import InvalidDistortion, InvalidTauSchedule
 from gbcbound.verify import random_distortions, random_finite_schedule, random_scenario
 
 
@@ -190,34 +184,16 @@ def test_scaling_invariance():
             assert scaled.rhs == pytest.approx(c * base.rhs, rel=1e-12)
 
 
-def test_partials_nonpositive_at_random_points():
-    rng = random.Random(5)
-    for _ in range(50):
-        sc = random_scenario(rng, k_range=(1, 4))
-        ns = sc.source_var
-        d = tuple(rng.uniform(0.05, 0.95) * ns for _ in range(sc.num_receivers))
-        tau = random_finite_schedule(rng, sc.num_receivers, hi=10.0)
-        val = eval_lhs(sc, d, tau)
-        parts = finite_diff_partials(sc, d, tau, h=1e-7 * ns)
-        for dk, g in zip(d, parts):
-            assert g <= 1e-6 * max(1.0, abs(val) / dk)
-
-
 def test_partials_zero_schedule():
+    """At tau = 0 the functional is N_1 (N_S / D_1)^(1/b): forward differences
+    match its derivative in D_1 and vanish in the other coordinates."""
     sc = validate_scenario(2.5, [5, 2, 0.7], 1.7)
-    parts = finite_diff_partials(sc, (0.9, 0.5, 0.2), (0, 0, 0), h=1e-7)
+    d, h = (0.9, 0.5, 0.2), 1e-7
+    val = eval_lhs(sc, d, (0, 0, 0))
+    parts = [(eval_lhs(sc, d[:k] + (d[k] + h,) + d[k + 1:], (0, 0, 0)) - val) / h for k in range(3)]
     assert parts[1] == 0.0 and parts[2] == 0.0
     analytic = -(sc.noises[0] / sc.bandwidth) * 0.9 ** (-(1 / sc.bandwidth) - 1)
     assert parts[0] == pytest.approx(analytic, rel=1e-4)
-
-
-def test_partials_step_out_of_domain():
-    with pytest.raises(StepOutOfDomain):
-        finite_diff_partials(S_MATCHED, (0.5, 0.25), (1, 0), h=0.3)
-    with pytest.raises(StepOutOfDomain):
-        finite_diff_partials(S_MATCHED, (0.999, 0.25), (1, 0), h=1e-2)
-    with pytest.raises(NonFiniteTau):
-        finite_diff_partials(S_MATCHED, (0.5, 0.25), (math.inf, 0), h=1e-7)
 
 
 @settings(max_examples=50, deadline=None)

@@ -204,7 +204,8 @@ def test_trace_requires_two_receivers(capsys, tmp_path):
 
 
 def test_verify_theorems_passes(capsys):
-    code, payload = run_cli(capsys, "verify-theorems", "--trials", "40", "--seed", "42")
+    """The README example passes every self-check."""
+    code, payload = run_cli(capsys, "verify-theorems", "--trials", "1000", "--seed", "42")
     assert code == 0
     validate_payload(payload, "verify.schema.json")
     assert payload["all_passed"] is True
@@ -214,6 +215,21 @@ def test_verify_theorems_passes(capsys):
         "minkowski-direction",
         "capacity-equivalence",
     }
+
+
+def test_verify_theorems_failure_payload(capsys, monkeypatch):
+    """A failing check exits 1 and reports its first witnesses in the schema."""
+    import gbcbound.bound as bound_mod
+
+    real = bound_mod.eval_lhs
+    monkeypatch.setattr(bound_mod, "eval_lhs", lambda sc, d, tau: real(sc, d, tau) * 1.001)
+    code, payload = run_cli(capsys, "verify-theorems", "--trials", "30", "--seed", "42")
+    assert code == 1
+    validate_payload(payload, "verify.schema.json")
+    failed = {c["name"]: c for c in payload["checks"] if not c["passed"]}
+    examples = failed["matched-equality"]["examples"]
+    assert 0 < len(examples) <= 3
+    assert {"draw", "scenario", "d", "tau", "margin"} <= set(examples[0])
 
 
 def test_verify_theorems_zero_trials_warns(capsys):

@@ -1,5 +1,6 @@
-import pytest
+import random
 
+from gbcbound import verify
 from gbcbound.verify import CHECK_NAMES, run_all_checks
 
 
@@ -14,8 +15,8 @@ def test_all_checks_pass_at_default_scale():
 def test_checks_deterministic_given_seed():
     a = run_all_checks(trials=50, seed=7)
     b = run_all_checks(trials=50, seed=7)
-    assert [(r.name, r.trials, r.failures) for r in a] == [
-        (r.name, r.trials, r.failures) for r in b
+    assert [(r.name, r.trials, r.failures, r.examples) for r in a] == [
+        (r.name, r.trials, r.failures, r.examples) for r in b
     ]
 
 
@@ -38,3 +39,33 @@ def test_forced_bug_is_caught(monkeypatch):
     monkeypatch.setattr(bound_mod, "eval_lhs", corrupted)
     results = {r.name: r for r in run_all_checks(trials=30, seed=42)}
     assert not results["matched-equality"].passed
+
+
+def test_forced_bug_without_strict_violation_is_caught(monkeypatch):
+    """A bound that never exceeds P + N_1 at tau = (1, 0, ...) fails expansion-strict."""
+    import gbcbound.bound as bound_mod
+
+    real = bound_mod.eval_lhs
+
+    def capped(scenario, distortions, tau):
+        return min(real(scenario, distortions, tau), bound_mod.bound_rhs(scenario))
+
+    monkeypatch.setattr(bound_mod, "eval_lhs", capped)
+    result = verify._check_expansion_strict(random.Random(1), 30)
+    assert result.failures == result.trials == 30
+    assert len(result.examples) == 3 and [e["draw"] for e in result.examples] == [0, 1, 2]
+
+
+def test_forced_bug_increasing_in_distortion_is_caught(monkeypatch):
+    """An lhs that increases in D_k fails distortion-monotonicity."""
+    import gbcbound.bound as bound_mod
+
+    real = bound_mod.eval_lhs
+
+    def increasing(scenario, distortions, tau):
+        return real(scenario, distortions, tau) + 1e-2 * sum(distortions) / scenario.source_var
+
+    monkeypatch.setattr(bound_mod, "eval_lhs", increasing)
+    result = verify._check_monotonicity(random.Random(1), 50)
+    assert not result.passed
+    assert result.examples[0]["margin"] > 0
