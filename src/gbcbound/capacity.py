@@ -135,11 +135,19 @@ def rate_membership(
 ) -> bool:
     """Is a rate point inside the (b-scaled) capacity region?
 
-    Greedy layer-by-layer inversion of the superposition boundary:
+    Membership iff the least residual power of the greedy inversion
+    (``_residual_power``) stays >= -beta_tol * P.
+    """
+    return _residual_power(ch, point, bandwidth) >= -beta_tol * ch.power
+
+
+def _residual_power(ch: GaussianBC, point: RatePoint, bandwidth: float) -> float:
+    """Least residual power over the greedy layer-by-layer inversion.
+
     beta_k = (beta_{k-1} + N_k) * 2^(-2 R_k / b) - N_k is the residual
     power after serving receiver k with the least possible consumption,
-    which is exact for degraded regions.  Membership iff every residual
-    stays >= -beta_tol * P.
+    which is exact for degraded regions; a negative minimum is the power
+    the channel lacks to serve ``point``.
     """
     if not bandwidth > 0.0:
         raise NonPositiveParameter(f"bandwidth must be > 0, got {bandwidth}")
@@ -147,14 +155,12 @@ def rate_membership(
         raise DimensionMismatch(
             f"rate point has {len(point)} entries for {ch.num_receivers} receivers"
         )
-    floor = -beta_tol * ch.power
-    beta = ch.power
+    beta = least = ch.power
     for k in range(ch.num_receivers):
         nk = ch.noises[k]
         beta = (beta + nk) * 2.0 ** (-2.0 * point.rates[k] / bandwidth) - nk
-        if beta < floor:
-            return False
-    return True
+        least = min(least, beta)
+    return least
 
 
 def virtual_channel(source_var: float, distortions: Sequence[float]) -> GaussianBC:

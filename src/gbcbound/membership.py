@@ -26,9 +26,14 @@ the witness in compactified coordinates t = tau / (1 + tau), which map
 [0, +inf] onto [0, 1].
 
 ``trace_boundary`` finds the smallest member D_K for a fixed prefix by
-root-finding on the supremum, which is convex and nonincreasing in D_K:
-each step is the closed-form root of the witness's own curve in D_K,
-safeguarded by bisection.  Everything here is reentrant.
+root-finding on the supremum, which is convex and nonincreasing in D_K.
+Each probe aims just below the boundary that lo's witness predicts: the
+closed-form root of the witness's own curve in D_K, corrected by the
+curvature that an earlier probe shows.  A row takes about 5 supremum
+calls at b > 1 and 2 at b <= 1.  D_K = N_S is probed only when no member
+has been found and the witnesses say that it fails, so an infeasible
+prefix costs 2 or 3 calls where it cost 1, and a feasible row never pays
+for that check.  Everything here is reentrant.
 """
 
 from __future__ import annotations
@@ -313,28 +318,95 @@ def in_outer_region(
     return MembershipVerdict(member=member, sup=sup, margin=margin, rhs=rhs, tolerance=rel_tol)
 
 
-def _last_root(chain: _Chain, taus: Sequence[float], target: float) -> float:
-    """D_K at which lhs(``taus``) falls to ``target``, the other D_k fixed.
+class _Witness:
+    """lhs at one schedule as a function of D_K, the rest of D fixed.
 
-    ``chain`` holds the prefix and D_K = lo, where the step starts.  Only
-    the last term depends on D_K: it is C (1 + tau_{K-1} / D_K)^(1/b), or
-    C' D_K^(-1/b) when tau_{K-1} = +inf or K = 1.  Matching it to
-    ``target`` minus the other terms gives log1p(tau_{K-1} / D_K) =
-    log1p(tau_{K-1} / lo) + u, with u = b log of the factor by which the
-    last term must fall.  NaN where no D_K > 0 reaches the target (the
-    curve is flat in D_K at tau_{K-1} = 0, or its limit stays above the
-    target) or the last term overflowed.
+    Only the last term depends on D_K: it is C (1 + tau_{K-1} / D_K)^(1/b),
+    or C' D_K^(-1/b) when tau_{K-1} = +inf or K = 1, so the curve is convex
+    and nonincreasing.  ``chain`` holds the prefix and any D_K, the
+    reference; one ``split_last`` there gives the first K - 1 terms (which
+    do not depend on D_K) and the last term, and the curve elsewhere
+    rescales that last term in closed form.
     """
-    head, last = chain.split_last(taus)
-    lo = float(chain.d[-1])
-    if not (head < target and 0.0 < last < math.inf):
-        return math.nan
-    u = chain.b * math.log((target - head) / last)
-    tau = taus[-2] if len(taus) > 1 else math.inf
-    if tau == math.inf:
-        return lo * math.exp(-u)
-    v = math.log1p(tau / lo) + u
-    return tau / math.expm1(v) if v > 0.0 else math.nan
+
+    def __init__(self, chain: _Chain, taus: Sequence[float]) -> None:
+        self.head, self.last = chain.split_last(taus)
+        self.ref = float(chain.d[-1])
+        self.b = chain.b
+        self.tau = taus[-2] if len(taus) > 1 else math.inf
+
+    def _log_rise(self, x: float) -> float:
+        """b log of the factor by which the last term at D_K = x exceeds it at the reference."""
+        if self.tau == math.inf:
+            return math.log(self.ref / x)
+        return math.log1p(self.tau / x) - math.log1p(self.tau / self.ref)
+
+    def value(self, x: float) -> float:
+        return self.head + self.last * math.exp(self._log_rise(x) / self.b)
+
+    def slope(self, x: float) -> float:
+        last = self.value(x) - self.head
+        if self.tau == math.inf:
+            return -last / (self.b * x)
+        return -last * self.tau / (self.b * x * (x + self.tau))
+
+    def root(self, target: float) -> float:
+        """D_K at which the curve falls to ``target``.
+
+        Matching the last term to ``target`` minus the others gives
+        log1p(tau_{K-1} / D_K) = log1p(tau_{K-1} / ref) + u, with u = b log
+        of the factor by which the last term must fall.  NaN where no D_K > 0
+        reaches the target (the curve is flat at tau_{K-1} = 0, or its limit
+        stays above the target) or the last term overflowed.
+        """
+        if not (self.head < target and 0.0 < self.last < math.inf):
+            return math.nan
+        u = self.b * math.log((target - self.head) / self.last)
+        if self.tau == math.inf:
+            return self.ref * math.exp(-u)
+        v = math.log1p(self.tau / self.ref) + u
+        return self.tau / math.expm1(v) if v > 0.0 else math.nan
+
+    def reach(self, target: float, lo: float, anchor: tuple[float, float], limit: float) -> float:
+        """Predicted boundary: where the curve plus gamma / 2 (D_K - lo)^2 first
+        falls to ``target``.
+
+        The curve is lo's witness; the supremum exceeds it by a gap that
+        grows from about 0 at lo, and gamma fits a quadratic gap to the
+        supremum's lower value at ``anchor`` = (D_K, sup_value).  Newton
+        steps from the curve's own root climb the convex model from below.
+        A model whose minimum stays above the target (a double root, where
+        the curve only grazes it) predicts its minimizer.  Without a usable
+        gamma, or past ``limit``, the prediction is the curve's root.
+        """
+        root = self.root(target)
+        x_a, value_a = anchor
+        gamma = 2.0 * (value_a - self.value(x_a)) / (x_a - lo) ** 2
+        if not 0.0 < gamma < math.inf:
+            return root
+        x, last = root, None
+        while True:
+            excess = self.value(x) + 0.5 * gamma * (x - lo) ** 2 - target
+            slope = self.slope(x) + gamma * (x - lo)
+            if excess <= 0.0:
+                return x
+            if slope >= 0.0:
+                return x if last is None else last[0] - last[1] * (x - last[0]) / (slope - last[1])
+            step = excess / -slope
+            last, x = (x, slope), x + step
+            if x >= limit:
+                return root
+            if step <= 0.25 * TRACE_WIDTH:
+                return x
+
+
+def _flattened(taus: Sequence[float]) -> tuple[float, ...]:
+    """The schedule with its last run of equal free entries lowered to 0.
+
+    With tau_{K-1} = 0 the last term no longer depends on D_K, and neither
+    does the functional.
+    """
+    return tuple(0.0 if tau == taus[-2] else tau for tau in taus)
 
 
 def trace_boundary(
@@ -351,20 +423,31 @@ def trace_boundary(
     D_K,min - TRACE_WIDTH is not.
 
     The search keeps a bracket (lo, hi] with lo a non-member and hi a
-    member.  D_K enters only the last term of the chain, as a positive
-    constant times (1 + tau_{K-1} / D_K)^(1/b), or times D_K^(-1/b) when
-    tau_{K-1} = +inf or K = 1: convex and nonincreasing in D_K, and so is
-    the supremum over schedules.  Any schedule's curve lies below the
-    supremum's, so its root (``_last_root``) is at or below the boundary.
-    Each step goes to the root of lo's witness, a Newton-like step that
-    never overshoots, kept at least TRACE_WIDTH / 2 inside the bracket;
-    once the steps are that small, the probe just above lo closes the
-    bracket.  A root off the bracket by more than TRACE_WIDTH (rounding
-    can put a converged root just outside), or two steps in a row that
-    fail to halve the bracket, give a bisection step instead.  lo starts at D_K* / 2, which the step schedule
+    member.  D_K enters only the last term of the chain, so the supremum
+    is convex and nonincreasing in D_K (``_Witness``), and lo's witness
+    curve lies below it: that curve's root is at or below the boundary.
+    Each probe aims just below the predicted boundary (``_Witness.reach``:
+    the root, corrected by the curvature that hi, or the probe before lo,
+    shows), and never below the root, so most probes are non-members that
+    climb toward the boundary faster than Newton's method.  Once the
+    prediction lies within TRACE_WIDTH / 2 of lo, the probe at
+    lo + TRACE_WIDTH / 2 closes the bracket from above; once hi lies
+    within TRACE_WIDTH of the root, the probe at the root closes it from
+    below.  A root off the bracket by more than TRACE_WIDTH (rounding can
+    put a converged root just outside), or three probes in a row that fail
+    to halve a bracket whose hi is a member, give a bisection step
+    instead.  lo starts at D_K* / 2, which the step schedule
     (+inf, ..., +inf, 0) already excludes, so that schedule is the first
-    witness; hi starts at N_S.  Raises InfeasibleEverywhere when even
-    D_K = N_S fails (some fixed distortion is below its own floor).
+    witness.
+
+    hi starts at N_S, which is probed only when needed: a member probe
+    below N_S shows that N_S is a member too.  N_S is probed when lo's
+    witness cannot reach the target below it (its root is NaN or beyond
+    N_S), or when the witness with its last run lowered to 0
+    (``_flattened``), whose value does not depend on D_K, already violates
+    the bound.  Raises InfeasibleEverywhere when that probe fails (some
+    fixed distortion is below its own floor); this takes 2 supremum calls
+    on most such prefixes, and at most 3 seen.  A b <= 1 row takes 2.
     """
     k_total = scenario.num_receivers
     fixed_vals = tuple(float(x) for x in fixed)
@@ -373,27 +456,44 @@ def trace_boundary(
             f"expected {k_total - 1} fixed distortions, got {len(fixed_vals)}"
         )
     lo, hi = 0.5 * trivial_distortion(scenario, k_total), scenario.source_var
-    if not in_outer_region(scenario, fixed_vals + (hi,), rel_tol=rel_tol).member:
-        raise InfeasibleEverywhere(
-            f"no feasible D_{k_total} in ({lo}, {hi}] for fixed prefix {fixed_vals}"
-        )
     target = bound_rhs(scenario) * (1.0 + rel_tol)
-    taus = (math.inf,) * (k_total - 1) + (0.0,)
-    stalled = 0  # steps in a row that failed to halve the bracket
-    while hi - lo > TRACE_WIDTH:
+    chain = _Chain(scenario, DistortionTuple(fixed_vals + (hi,)))
+    witness = _Witness(chain, (math.inf,) * (k_total - 1) + (0.0,))
+    member_hi = flat = False
+    lo_value = anchor = None  # sup_value at lo once probed; (D_K, sup_value) for reach
+    stalled = 0  # probes in a row that failed to halve a bracket with a member hi
+    while not (member_hi and hi - lo <= TRACE_WIDTH):
         width = hi - lo
-        root = _last_root(_Chain(scenario, DistortionTuple(fixed_vals + (lo,))), taus, target)
-        bisect = stalled == 2 or not lo - TRACE_WIDTH < root < hi + TRACE_WIDTH
-        if bisect:
+        root = witness.root(target)
+        bisect = stalled == 3 or not lo - TRACE_WIDTH < root < hi + TRACE_WIDTH
+        if flat or bisect and not member_hi:
+            x = hi  # N_S, not yet probed
+        elif bisect:
             x = 0.5 * (lo + hi)
-        else:
+        elif member_hi and hi - root <= TRACE_WIDTH:
             x = max(lo + 0.5 * TRACE_WIDTH, min(root, hi - 0.5 * TRACE_WIDTH))
+        else:
+            aim = witness.reach(target, lo, anchor, hi) if anchor else root
+            if aim - lo <= 0.5 * TRACE_WIDTH:
+                x = lo + 0.5 * TRACE_WIDTH
+            else:
+                x = max(lo + 0.25 * TRACE_WIDTH, aim - 0.5 * TRACE_WIDTH, root + 0.25 * TRACE_WIDTH)
+            x = min(x, hi - 0.5 * TRACE_WIDTH) if member_hi else min(x, hi)
         verdict = in_outer_region(scenario, fixed_vals + (x,), rel_tol=rel_tol)
         if verdict.member:
-            hi = x
+            hi, member_hi, anchor = x, True, (x, verdict.sup.sup_value)
+        elif x == hi and not member_hi:
+            raise InfeasibleEverywhere(
+                f"no feasible D_{k_total} up to N_S = {hi} for fixed prefix {fixed_vals}"
+            )
         else:
-            lo, taus = x, verdict.sup.argmax_tau.taus
-        stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
+            taus = verdict.sup.argmax_tau.taus
+            if not member_hi and lo_value is not None:
+                anchor = (lo, lo_value)
+            lo, lo_value, witness = x, verdict.sup.sup_value, _Witness(chain, taus)
+            flat = not member_hi and k_total > 1 and chain.lhs(_flattened(taus)) > target
+        if member_hi:
+            stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
     return hi
 
 

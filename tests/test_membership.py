@@ -264,7 +264,8 @@ def test_sup_convex_nonincreasing_in_last_distortion():
                 assert sa + slack >= sm and sm + slack >= sb, (sc, prefix, a, b)
 
 
-def _sup_calls_per_row(monkeypatch, sc, prefixes):
+def _sup_calls(monkeypatch, sc, prefix):
+    """Supremum calls of one trace_boundary row, and whether it raised InfeasibleEverywhere."""
     import gbcbound.membership as m
 
     real = m.sup_bound_lhs
@@ -275,24 +276,88 @@ def _sup_calls_per_row(monkeypatch, sc, prefixes):
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(m, "sup_bound_lhs", counted)
-    for prefix in prefixes:
-        trace_boundary(sc, prefix)
-    return calls / len(prefixes)
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "sup_bound_lhs", counted)
+        try:
+            trace_boundary(sc, prefix)
+        except InfeasibleEverywhere:
+            return calls, True
+    return calls, False
+
+
+def _sup_calls_per_row(monkeypatch, sc, prefixes):
+    return sum(_sup_calls(monkeypatch, sc, prefix)[0] for prefix in prefixes) / len(prefixes)
 
 
 def test_trace_sup_calls_per_row(monkeypatch):
-    """Root-finding takes about 8 supremum calls per row where bisection took 36:
-    the README's trace grid, and K = 3 rows on matched_k3's channel at b = 2."""
+    """Root-finding with a curvature-corrected aim takes about 5 supremum
+    calls per row where bisection took 36: the README's trace grid, and
+    K = 3 rows on matched_k3's channel at b = 2."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
-    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 12
+    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 7
     ch = load_scenario(SCENARIOS / "matched_k3.json")
     sc = validate_scenario(ch.power, ch.noises, 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
     d2 = f2 * (sc.source_var / f2) ** 0.15
     rows = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 25), d2) for i in range(25)]
-    assert _sup_calls_per_row(monkeypatch, sc, rows) <= 12
+    assert _sup_calls_per_row(monkeypatch, sc, rows) <= 7
+
+
+def test_trace_double_root_row_calls(monkeypatch):
+    """At D_1 = D_1* (the README grid's first row) the supremum only grazes
+    the threshold near the boundary, a double root of sup - (P + N_1)."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    assert readme.bandwidth == 2.0 and trivial_distortion(readme, 1) == 0.25
+    calls, raised = _sup_calls(monkeypatch, readme, (0.25,))
+    assert not raised and calls <= 12
+
+
+def test_trace_rows_at_or_below_matched_bandwidth_take_two_calls(monkeypatch):
+    """At b <= 1 the step schedule's root is the boundary: one probe above it, one below."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    for b in (0.5, 1.0):
+        sc = validate_scenario(readme.power, readme.noises, b)
+        f1 = trivial_distortion(sc, 1)
+        for u in (0.0, 0.1, 0.3):
+            assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (2, False)
+
+
+def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):
+    for sc in (S_MATCHED, S_EXPAND, S_COMPRESS):
+        calls, raised = _sup_calls(monkeypatch, sc, (0.9 * trivial_distortion(sc, 1),))
+        assert raised and calls <= 3
+    k3 = validate_scenario(2.0, (4.0, 2.0, 1.0), 2.0)
+    prefix = (trivial_distortion(k3, 1), 0.95 * trivial_distortion(k3, 2))
+    calls, raised = _sup_calls(monkeypatch, k3, prefix)
+    assert raised and calls <= 3
+
+
+def _bisected_boundary(sc, prefix):
+    """D_K,min by plain bisection of the verdict between D_K* / 2 and N_S."""
+    lo, hi = 0.5 * trivial_distortion(sc, sc.num_receivers), sc.source_var
+    while hi - lo > TRACE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if in_outer_region(sc, prefix + (mid,)).member:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_trace_matches_plain_bisection():
+    rng = random.Random(47)
+    regimes = _regimes(rng)
+    rows = 0
+    for k in (2, 3, 5):
+        for draw_b in regimes + regimes[2:]:
+            sc = random_scenario(rng, k_range=(k, k), bandwidth=draw_b())
+            prefix = _near_floor(rng, sc, k - 1)
+            while not in_outer_region(sc, prefix + (sc.source_var,)).member:
+                prefix = _near_floor(rng, sc, k - 1)
+            assert abs(trace_boundary(sc, prefix) - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, (sc, prefix)
+            rows += 1
+    assert rows == 12
 
 
 def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
