@@ -16,7 +16,8 @@ induces a *virtual* broadcast channel with power N_S and noises
 N_S * D_k / (N_S - D_k); the distortion tuple can be achievable only if
 the virtual region fits inside the physical one scaled by the bandwidth
 factor.  That containment is checked here by dense sampling of the
-dominant face.
+dominant face; that one two-user region pokes out of another is found by
+a search for the power the other lacks (``poke_out``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import BroadcastScenario, DistortionTuple, check_channel, validate_scenario
+from .core import BroadcastScenario, DistortionTuple, check_channel
 from .errors import (
     DimensionMismatch,
     DistortionAtSourceVariance,
@@ -44,6 +45,7 @@ __all__ = [
     "rate_membership",
     "virtual_channel",
     "containment",
+    "poke_out",
     "scenario_from_capacities",
     "split_grid",
     "point_to_point_capacity",
@@ -249,6 +251,51 @@ def containment(
     return ContainmentResult(contained=True, samples_checked=checked)
 
 
+def poke_out(
+    inner: GaussianBC,
+    outer: GaussianBC,
+    bandwidth_inner: float,
+    bandwidth_outer: float,
+    samples: int,
+) -> tuple[float, tuple[float, float]]:
+    """Largest power the two-user ``outer`` region lacks to hold a boundary
+    point of ``inner``, and the split where it lacks it.
+
+    The lack at a split is minus the residual power left by
+    ``rate_membership``'s inversion of the inner boundary point, shrunk by
+    ``RATE_TOL_BITS`` per receiver as in ``containment``; the point lies
+    outside when the lack exceeds ``BETA_REL_TOL * outer.power``.  The
+    search scans the splits (1 - s, s) that ``containment`` samples, so it
+    finds every poke-out ``containment(inner, outer, ..., samples)`` finds,
+    then maximizes the lack by golden-section search on the share s of
+    receiver 2 between the neighbours of the best split, so a poke-out
+    narrower than the grid (near s = 0, say) is still found.
+    """
+    def lack(s: float) -> float:
+        point = boundary_rates(inner, (1.0 - s, s), bandwidth_inner)
+        probe = RatePoint(tuple(max(r - RATE_TOL_BITS, 0.0) for r in point.rates))
+        return -_residual_power(outer, probe, bandwidth_outer)
+
+    shares = [split[1] for split in split_grid(2, samples)]
+    lacks = [lack(s) for s in shares]
+    best = max(range(len(shares)), key=lacks.__getitem__)
+    a, b = shares[max(best - 1, 0)], shares[min(best + 1, len(shares) - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    lack_c, lack_d = lack(c), lack(d)
+    while b - a > 1e-12:
+        if lack_c > lack_d:
+            b, d, lack_d = d, c, lack_c
+            c = b - ratio * (b - a)
+            lack_c = lack(c)
+        else:
+            a, c, lack_c = c, d, lack_d
+            d = a + ratio * (b - a)
+            lack_d = lack(d)
+    most, share = max((lacks[best], shares[best]), (lack_c, c), (lack_d, d))
+    return most, (1.0 - share, share)
+
+
 def scenario_from_capacities(c1: float, c2: float, bandwidth: float) -> BroadcastScenario:
     """Two-user scenario pinned to given point-to-point capacities.
 
@@ -262,4 +309,4 @@ def scenario_from_capacities(c1: float, c2: float, bandwidth: float) -> Broadcas
         raise NonPositiveParameter(f"bandwidth must be > 0, got {bandwidth}")
     power = 1.0
     noises = tuple(power / (2.0 ** (2.0 * c / bandwidth) - 1.0) for c in (c1, c2))
-    return validate_scenario(power, noises, bandwidth)
+    return BroadcastScenario(power, noises, bandwidth)

@@ -24,9 +24,11 @@ from pathlib import Path
 from . import __version__
 from .bound import check_inequality
 from .capacity import (
+    BETA_REL_TOL,
     GaussianBC,
     boundary_rates,
     containment,
+    poke_out,
     scenario_from_capacities,
     split_grid,
 )
@@ -188,7 +190,7 @@ def cmd_membership(args) -> int:
 def cmd_trace(args) -> int:
     scenario = _load_scenario_arg(args)
     if scenario.num_receivers != 2:
-        raise InputError("trace's default mode expects a two-receiver scenario")
+        raise InputError(f"trace needs K = 2 receivers, got K = {scenario.num_receivers}")
     lo, hi, count = _parse_grid(args.d1_grid)
     ns = scenario.source_var
     if not (0.0 < lo and hi <= ns):
@@ -264,7 +266,6 @@ def cmd_figure1(args) -> int:
     for b in bandwidths:
         scenario = scenario_from_capacities(args.c1, args.c2, b)
         ch = GaussianBC(scenario.power, scenario.noises)
-        channels[b] = ch
         csv_path = outdir / f"region_b{_fmt(b)}.csv"
         with csv_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -292,14 +293,16 @@ def cmd_figure1(args) -> int:
     for b_lo, b_hi in zip(ordered, ordered[1:]):
         ch_lo, ch_hi = channels[b_lo][0], channels[b_hi][0]
         inside = containment(ch_hi, ch_lo, b_hi, b_lo, samples=args.samples)
-        reverse = containment(ch_lo, ch_hi, b_lo, b_hi, samples=args.samples)
+        lack, split = poke_out(ch_lo, ch_hi, b_lo, b_hi, samples=args.samples)
+        strict = lack > BETA_REL_TOL * ch_hi.power
+        witness = list(boundary_rates(ch_lo, split, b_lo).rates) if strict else None
         nesting.append(
             {
                 "b_inner": b_hi,
                 "b_outer": b_lo,
                 "contained": inside.contained,
-                "strict": not reverse.contained,
-                "strict_witness": list(reverse.witness.rates) if reverse.witness else None,
+                "strict": strict,
+                "strict_witness": witness,
             }
         )
     summary = {

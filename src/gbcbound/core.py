@@ -37,7 +37,6 @@ __all__ = [
     "BroadcastScenario",
     "TauSchedule",
     "DistortionTuple",
-    "validate_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
@@ -227,21 +226,6 @@ def check_distortions(
     return d
 
 
-def validate_scenario(
-    power: float,
-    noises: Sequence[float],
-    bandwidth: float,
-    source_var: float = 1.0,
-) -> BroadcastScenario:
-    """Build a validated scenario from raw values.
-
-    Raises NonDecreasingNoises or NonPositiveParameter on bad input.
-    """
-    return BroadcastScenario(
-        power=power, noises=tuple(noises), bandwidth=bandwidth, source_var=source_var
-    )
-
-
 def scenario_from_dict(raw: Mapping) -> BroadcastScenario:
     """Scenario from a flat key-value mapping (the scenario file format)."""
     try:
@@ -253,7 +237,7 @@ def scenario_from_dict(raw: Mapping) -> BroadcastScenario:
     source_var = raw.get("source_var", 1.0)
     if not isinstance(noises, (list, tuple)):
         raise NonDecreasingNoises("'noises' must be an array")
-    return validate_scenario(power, noises, bandwidth, source_var)
+    return BroadcastScenario(power, noises, bandwidth, source_var)
 
 
 def scenario_to_dict(scenario: BroadcastScenario) -> dict:

@@ -26,7 +26,6 @@ from .core import (
     scenario_to_dict,
     step_schedule,
     trivial_distortions,
-    validate_scenario,
 )
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES", "random_scenario"]
@@ -102,7 +101,7 @@ def random_scenario(
             break
     power = math.exp(rng.uniform(_LOG_LO, _LOG_HI))
     b = bandwidth if bandwidth is not None else math.exp(rng.uniform(math.log(0.1), math.log(8.0)))
-    return validate_scenario(power, noises, b)
+    return BroadcastScenario(power, noises, b)
 
 
 def random_finite_schedule(rng: random.Random, k: int, hi: float = 50.0) -> TauSchedule:
@@ -407,8 +406,8 @@ def _check_capacity_roundtrip(rng: random.Random, trials: int) -> CheckResult:
 
 
 def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
-    """Region membership agrees with virtual-channel capacity containment
-    (512 boundary samples), except within 1e-6 of the region frontier."""
+    """Region membership agrees with ``capacity.containment`` of the virtual
+    channel (512 boundary samples), except within 1e-6 of the region frontier."""
     result = CheckResult("capacity-equivalence", 0, 0)
     skipped = 0
     for i in range(max(1, trials // 50)):
@@ -434,47 +433,12 @@ def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
     return result
 
 
-def _poke_out(inner: capacity.GaussianBC, outer: capacity.GaussianBC,
-              b_inner: float, b_outer: float) -> tuple[float, float]:
-    """Largest power the two-user ``outer`` region lacks to hold a boundary
-    point of ``inner``, and the split share s of receiver 2 where it lacks it.
-
-    The lack at s is minus the residual power left by ``rate_membership``'s
-    inversion of the inner boundary point at split (1 - s, s), shrunk by
-    RATE_TOL_BITS per receiver as in ``containment``; the point lies outside
-    when the lack exceeds BETA_REL_TOL P.  The lack is maximized by
-    golden-section search on the bracket around the best of 128 uniform
-    splits, so a poke-out narrower than the grid (near s = 0, say) is still
-    found.
-    """
-    def lack(s: float) -> float:
-        point = capacity.boundary_rates(inner, (1.0 - s, s), b_inner)
-        probe = capacity.RatePoint(tuple(max(r - capacity.RATE_TOL_BITS, 0.0) for r in point.rates))
-        return -capacity._residual_power(outer, probe, b_outer)
-
-    lacks = [lack(i / 127) for i in range(128)]
-    best = max(range(128), key=lacks.__getitem__)
-    a, b = max(best - 1, 0) / 127, min(best + 1, 127) / 127
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    lack_c, lack_d = lack(c), lack(d)
-    while b - a > 1e-12:
-        if lack_c > lack_d:
-            b, d, lack_d = d, c, lack_c
-            c = b - ratio * (b - a)
-            lack_c = lack(c)
-        else:
-            a, c, lack_c = c, d, lack_d
-            d = a + ratio * (b - a)
-            lack_d = lack(d)
-    return max((lacks[best], best / 127), (lack_c, c), (lack_d, d))
-
-
 def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
     """At fixed point-to-point capacities the two-user region shrinks as b grows.
 
     The b_hi region lies inside the b_lo region on 128 sampled splits, and
-    the b_lo region pokes out of the b_hi one where ``_poke_out`` finds it.
+    the b_lo region pokes out of the b_hi one where ``capacity.poke_out``
+    finds it, searching from the same 128 splits.
     """
     result = CheckResult("region-shrinkage", 0, 0)
     for i in range(max(1, trials // 100)):
@@ -489,9 +453,9 @@ def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
         witness = dict(capacities=(c1, c2), b=(b_lo, b_hi))
         nested = capacity.containment(ch_hi, ch_lo, b_hi, b_lo, samples=128).contained
         _record(result, nested, i, **witness)
-        lack, share = _poke_out(ch_lo, ch_hi, b_lo, b_hi)
+        lack, split = capacity.poke_out(ch_lo, ch_hi, b_lo, b_hi, samples=128)
         strict = lack > capacity.BETA_REL_TOL * ch_hi.power
-        _record(result, strict, i, **witness, split=(1.0 - share, share), lack=lack)
+        _record(result, strict, i, **witness, split=split, lack=lack)
     return result
 
 

@@ -14,10 +14,10 @@ from gbcbound.bound import (
     reduced_bound_value,
 )
 from gbcbound.core import (
+    BroadcastScenario,
     check_distortions,
     step_schedule,
     trivial_distortions,
-    validate_scenario,
 )
 from gbcbound.errors import InvalidDistortion, InvalidTauSchedule
 from gbcbound.verify import random_distortions, random_finite_schedule, random_scenario
@@ -40,9 +40,9 @@ def lhs_product_oracle(scenario, distortions, taus):
     return total
 
 
-S_MATCHED = validate_scenario(3, [3, 1], 1)
-S_EXPAND = validate_scenario(3, [3, 1], 2)
-S_COMPRESS = validate_scenario(3, [3, 1], 0.5)
+S_MATCHED = BroadcastScenario(3, [3, 1], 1)
+S_EXPAND = BroadcastScenario(3, [3, 1], 2)
+S_COMPRESS = BroadcastScenario(3, [3, 1], 0.5)
 
 
 def test_eval_hand_value():
@@ -108,7 +108,7 @@ def test_extended_limit_of_finite_evaluations():
 
 
 def test_extended_three_user_step():
-    sc = validate_scenario(3, [4, 2, 1], 1.3)
+    sc = BroadcastScenario(3, [4, 2, 1], 1.3)
     d = (0.7, 0.4, 0.2)
     got = eval_lhs(sc, d, step_schedule(3, 2))
     want = (4 - 2) + 2 * (1 / 0.4) ** (1 / 1.3)
@@ -121,14 +121,14 @@ def test_reduced_bound_examples():
     assert reduced_bound_value(S_EXPAND, (0.25, 0.0625), 1) == pytest.approx(
         3 * (1 / 0.25) ** 0.5, rel=1e-12
     )
-    sc1 = validate_scenario(1, [1], 1)
+    sc1 = BroadcastScenario(1, [1], 1)
     assert reduced_bound_value(sc1, (0.5,), 1) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_reduced_bound_past_float_range_is_inf():
     """At b = 0.0009 the closed form is past the float range: +inf, as the
     evaluator gives at the same step schedule, not an OverflowError."""
-    sc = validate_scenario(3, [3, 1], 0.0009)
+    sc = BroadcastScenario(3, [3, 1], 0.0009)
     d = (0.99995, 0.49)
     assert reduced_bound_value(sc, d, 2) == math.inf
     assert eval_lhs(sc, d, step_schedule(2, 2)) == math.inf
@@ -187,7 +187,7 @@ def test_scaling_invariance():
 def test_partials_zero_schedule():
     """At tau = 0 the functional is N_1 (N_S / D_1)^(1/b): forward differences
     match its derivative in D_1 and vanish in the other coordinates."""
-    sc = validate_scenario(2.5, [5, 2, 0.7], 1.7)
+    sc = BroadcastScenario(2.5, [5, 2, 0.7], 1.7)
     d, h = (0.9, 0.5, 0.2), 1e-7
     val = eval_lhs(sc, d, (0, 0, 0))
     parts = [(eval_lhs(sc, d[:k] + (d[k] + h,) + d[k + 1:], (0, 0, 0)) - val) / h for k in range(3)]
@@ -204,7 +204,7 @@ def test_partials_zero_schedule():
     st.floats(min_value=0.2, max_value=5.0),
 )
 def test_lhs_positive_and_oracle_consistent(d1, d2, tau1, b):
-    sc = validate_scenario(3, [3, 1], b)
+    sc = BroadcastScenario(3, [3, 1], b)
     val = eval_lhs(sc, (d1, d2), (tau1, 0.0))
     assert val > 0
     assert val == pytest.approx(lhs_product_oracle(sc, (d1, d2), (tau1, 0.0)), rel=1e-9)
@@ -225,7 +225,7 @@ def test_log_factors_match_high_precision_reference(d1, d2, tau):
     """log h_1 = log((D_2 + tau) / (D_1 + tau)) and log g_k = log((N_S + tau) / (D_k + tau))
     within a few ulps of a 50-digit reference, at D_2 / D_1 = 1, 1e-12 and
     1e12 and tau = 0, 1e12 and +inf; exact where the reference is 0."""
-    sc = validate_scenario(1, [1, 0.5], 0.5)
+    sc = BroadcastScenario(1, [1, 0.5], 0.5)
     log_g, log_h = _Chain(sc, check_distortions(sc, (d1, d2))).log_factors(np.array([tau, 0.0]))
     pairs = [(log_h[0], _log_ratio(d2, d1, tau)), (log_h[1], 0.0),
              (log_g[0], _log_ratio(1.0, d1, tau)), (log_g[1], _log_ratio(1.0, d2, 0.0))]

@@ -4,17 +4,19 @@ import random
 import pytest
 
 from gbcbound.capacity import (
+    BETA_REL_TOL,
     GaussianBC,
     RatePoint,
     boundary_rates,
     containment,
     point_to_point_capacity,
+    poke_out,
     rate_membership,
     scenario_from_capacities,
     split_grid,
     virtual_channel,
 )
-from gbcbound.core import trivial_distortions, validate_scenario
+from gbcbound.core import BroadcastScenario, trivial_distortions
 from gbcbound.errors import (
     DimensionMismatch,
     DistortionAtSourceVariance,
@@ -116,7 +118,7 @@ def test_virtual_channel_errors():
 def test_virtual_channel_preserves_point_to_point_capacity():
     """At the trivial point the virtual user capacities match the b-scaled physical ones."""
     for b in (0.5, 1.0, 2.0):
-        sc = validate_scenario(3, [3, 1], b)
+        sc = BroadcastScenario(3, [3, 1], b)
         virt = virtual_channel(1.0, trivial_distortions(sc).values)
         for k in (1, 2):
             got = point_to_point_capacity(virt, k, 1.0)
@@ -129,14 +131,14 @@ def test_containment_reflexive():
 
 
 def test_containment_matched_bandwidth_equality():
-    sc = validate_scenario(3, [3, 1], 1)
+    sc = BroadcastScenario(3, [3, 1], 1)
     virt = virtual_channel(1.0, trivial_distortions(sc).values)
     assert containment(virt, CH, 1.0, 1.0).contained
     assert containment(CH, virt, 1.0, 1.0).contained
 
 
 def test_containment_expansion_strict():
-    sc = validate_scenario(3, [3, 1], 2)
+    sc = BroadcastScenario(3, [3, 1], 2)
     virt = virtual_channel(1.0, trivial_distortions(sc).values)
     res = containment(virt, CH, 1.0, 2.0)
     assert not res.contained
@@ -185,8 +187,9 @@ def test_region_shrinks_as_bandwidth_grows():
     }
     for b_lo, b_hi in pairs:
         assert containment(chans[b_hi], chans[b_lo], b_hi, b_lo, samples=256).contained
-        reverse = containment(chans[b_lo], chans[b_hi], b_lo, b_hi, samples=256)
-        assert not reverse.contained and reverse.witness is not None
+        lack, split = poke_out(chans[b_lo], chans[b_hi], b_lo, b_hi, samples=256)
+        assert lack > BETA_REL_TOL * chans[b_hi].power
+        assert not rate_membership(chans[b_hi], boundary_rates(chans[b_lo], split, b_lo), b_hi)
 
 
 def test_split_grid_properties():

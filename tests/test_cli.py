@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import gbcbound
+from gbcbound.bound import bound_rhs
 from gbcbound.cli import main
+from gbcbound.core import load_scenario, trivial_distortion
+from gbcbound.membership import DEFAULT_REL_TOL, TRACE_WIDTH
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -169,6 +173,26 @@ def test_trace_writes_csv_and_manifest(capsys, expansion, tmp_path):
     manifest = json.loads((out / "trace_manifest.json").read_text())
     validate_payload(manifest, "manifest.schema.json")
     assert manifest["outputs"] == ["trace.csv"]
+    # b <= 1: the boundary is the point-to-point floor D_2*, which the
+    # verdict's relative tolerance moves down to ``lowest``; the gap over
+    # D_2* is that shift, up to the trace width
+    for name in ("compression_k2", "matched_k2"):
+        path = SCENARIOS / f"{name}.json"
+        sc = load_scenario(path)
+        grid = f"{trivial_distortion(sc, 1)!r}:1:3"
+        code, _ = run_cli(
+            capsys, "trace", "--scenario", str(path), "--d1-grid", grid, "--out", str(out / name),
+        )
+        assert code == 0
+        with (out / name / "trace.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        n2 = sc.noises[1]
+        floor = n2 / (sc.power + n2 + DEFAULT_REL_TOL * bound_rhs(sc))
+        lowest = sc.source_var * floor ** sc.bandwidth
+        shift = lowest - trivial_distortion(sc, 2)
+        assert len(rows) == 3
+        for row in rows:
+            assert shift - 1e-15 <= float(row["gap"]) <= shift + TRACE_WIDTH
 
 
 def test_trace_byte_reproducible(capsys, expansion, tmp_path):
@@ -240,6 +264,15 @@ def test_verify_theorems_zero_trials_warns(capsys):
 
 
 def test_figure1_outputs(capsys, tmp_path):
+    # the b = 0.344 region pokes out of the b = 0.471 one only between the 128
+    # sampled splits, at a share of receiver 2 near 2e-8
+    code, payload = run_cli(
+        capsys,
+        "figure1", "--c1", "2.92", "--c2", "5.37", "--b", "0.344,0.471", "--samples", "128",
+        "--out", str(tmp_path / "narrow"),
+    )
+    assert code == 0
+    assert payload["all_nested"] is True
     out = tmp_path / "fig"
     code, payload = run_cli(
         capsys,

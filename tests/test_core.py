@@ -14,7 +14,6 @@ from gbcbound.core import (
     step_schedule,
     trivial_distortion,
     trivial_distortions,
-    validate_scenario,
 )
 from gbcbound.errors import (
     IndexOutOfRange,
@@ -49,7 +48,7 @@ def scenarios(max_k=5):
 
 
 def test_validate_scenario_accepts_valid():
-    sc = validate_scenario(3, [3, 1], 1)
+    sc = BroadcastScenario(3, [3, 1], 1)
     assert sc.power == 3.0
     assert sc.noises == (3.0, 1.0)
     assert sc.bandwidth == 1.0
@@ -59,9 +58,9 @@ def test_validate_scenario_accepts_valid():
 
 def test_validate_scenario_rejects_unordered_noises():
     with pytest.raises(NonDecreasingNoises):
-        validate_scenario(3, [1, 3], 1)
+        BroadcastScenario(3, [1, 3], 1)
     with pytest.raises(NonDecreasingNoises):
-        validate_scenario(3, [2, 2], 1)
+        BroadcastScenario(3, [2, 2], 1)
 
 
 @pytest.mark.parametrize(
@@ -78,11 +77,11 @@ def test_validate_scenario_rejects_unordered_noises():
 )
 def test_validate_scenario_rejects_nonpositive(kwargs):
     with pytest.raises(NonPositiveParameter):
-        validate_scenario(**kwargs)
+        BroadcastScenario(**kwargs)
 
 
 def test_delta_noises():
-    sc = validate_scenario(2, [5, 2, 0.5], 1)
+    sc = BroadcastScenario(2, [5, 2, 0.5], 1)
     assert sc.delta_noises() == (3.0, 1.5, 0.5)
     assert sc.delta_noise(3) == 0.5
     assert all(d > 0 for d in sc.delta_noises())
@@ -91,19 +90,19 @@ def test_delta_noises():
 
 
 def test_trivial_distortion_examples():
-    assert trivial_distortion(validate_scenario(3, [3, 1], 1), 1) == pytest.approx(0.5, rel=1e-15)
-    assert trivial_distortion(validate_scenario(3, [3, 1], 2), 2) == pytest.approx(0.0625, rel=1e-15)
+    assert trivial_distortion(BroadcastScenario(3, [3, 1], 1), 1) == pytest.approx(0.5, rel=1e-15)
+    assert trivial_distortion(BroadcastScenario(3, [3, 1], 2), 2) == pytest.approx(0.0625, rel=1e-15)
     # fractional bandwidth: oracle is the square root itself
-    assert trivial_distortion(validate_scenario(3, [3, 1], 0.5), 1) == pytest.approx(
+    assert trivial_distortion(BroadcastScenario(3, [3, 1], 0.5), 1) == pytest.approx(
         math.sqrt(0.5), rel=1e-15
     )
-    assert trivial_distortion(validate_scenario(3, [3, 1], 0.5), 1) == pytest.approx(
+    assert trivial_distortion(BroadcastScenario(3, [3, 1], 0.5), 1) == pytest.approx(
         0.7071067811865476, rel=1e-15
     )
 
 
 def test_trivial_distortion_index_errors():
-    sc = validate_scenario(3, [3, 1], 1)
+    sc = BroadcastScenario(3, [3, 1], 1)
     for k in (0, 3, -1):
         with pytest.raises(IndexOutOfRange):
             trivial_distortion(sc, k)
@@ -182,7 +181,7 @@ def test_distortion_tuple_validation():
 
 
 def test_scenario_scaled():
-    sc = validate_scenario(3, [3, 1], 2, 1.5)
+    sc = BroadcastScenario(3, [3, 1], 2, 1.5)
     up = sc.scaled(10)
     assert up.power == 30.0
     assert up.noises == (30.0, 10.0)
@@ -192,7 +191,7 @@ def test_scenario_scaled():
 
 
 def test_scenario_file_roundtrip(tmp_path):
-    sc = validate_scenario(3, [3, 1], 0.5, 2.0)
+    sc = BroadcastScenario(3, [3, 1], 0.5, 2.0)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(sc)))
     assert load_scenario(path) == sc

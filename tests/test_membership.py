@@ -8,11 +8,11 @@ import pytest
 
 from gbcbound.bound import _Chain, bound_rhs, check_inequality, eval_lhs
 from gbcbound.core import (
+    BroadcastScenario,
     check_distortions,
     load_scenario,
     trivial_distortion,
     trivial_distortions,
-    validate_scenario,
 )
 from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
@@ -27,9 +27,9 @@ from gbcbound.membership import (
 )
 from gbcbound.verify import random_distortions, random_scenario, random_schedule
 
-S_MATCHED = validate_scenario(3, [3, 1], 1)
-S_EXPAND = validate_scenario(3, [3, 1], 2)
-S_COMPRESS = validate_scenario(3, [3, 1], 0.5)
+S_MATCHED = BroadcastScenario(3, [3, 1], 1)
+S_EXPAND = BroadcastScenario(3, [3, 1], 2)
+S_COMPRESS = BroadcastScenario(3, [3, 1], 0.5)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -55,7 +55,7 @@ def test_sup_flat_landscape_at_matched_bandwidth():
 
 
 def test_sup_single_receiver_forced_schedule():
-    sc = validate_scenario(1, [1], 2)
+    sc = BroadcastScenario(1, [1], 2)
     res = sup_bound_lhs(sc, (0.5,))
     assert res.sup_value == pytest.approx(1 * (1 / 0.5) ** 0.5, rel=1e-12)
     assert res.argmax_tau.taus == (0.0,)
@@ -139,7 +139,7 @@ def test_small_bandwidth_overflow_is_non_member():
     """At b = 0.0009 the step schedule (+inf, 0) gives +inf, past the float
     range, while the recursion's links at small tau underflow to 0: a 0 * inf
     product must never be read as the maximum."""
-    sc = validate_scenario(3, [3, 1], 0.0009)
+    sc = BroadcastScenario(3, [3, 1], 0.0009)
     d = (0.99995, 0.5 * trivial_distortion(sc, 2))
     verdict = in_outer_region(sc, d)
     assert not verdict.member
@@ -151,7 +151,7 @@ def test_small_bandwidth_overflow_is_non_member():
 
 def test_reproducer_is_non_member():
     """A maximizer at tau ~ 5e-3, far below where a coarse grid looks, must be found."""
-    sc = validate_scenario(
+    sc = BroadcastScenario(
         10.408299403129902,
         [1.5319987010856546, 0.42284007000578716, 0.14230776211069576,
          0.09410284722975634, 0.022458921322477083],
@@ -176,7 +176,7 @@ def test_membership_examples():
 
 
 def test_membership_single_receiver():
-    sc = validate_scenario(1, [1], 2)
+    sc = BroadcastScenario(1, [1], 2)
     dstar = trivial_distortion(sc, 1)
     assert in_outer_region(sc, (dstar,)).member
     assert in_outer_region(sc, (min(dstar * 1.5, 1.0),)).member
@@ -297,7 +297,7 @@ def test_trace_sup_calls_per_row(monkeypatch):
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
     assert _sup_calls_per_row(monkeypatch, readme, rows) <= 7
     ch = load_scenario(SCENARIOS / "matched_k3.json")
-    sc = validate_scenario(ch.power, ch.noises, 2.0)
+    sc = BroadcastScenario(ch.power, ch.noises, 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
     d2 = f2 * (sc.source_var / f2) ** 0.15
     rows = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 25), d2) for i in range(25)]
@@ -317,7 +317,7 @@ def test_trace_rows_at_or_below_matched_bandwidth_take_two_calls(monkeypatch):
     """At b <= 1 the step schedule's root is the boundary: one probe above it, one below."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     for b in (0.5, 1.0):
-        sc = validate_scenario(readme.power, readme.noises, b)
+        sc = BroadcastScenario(readme.power, readme.noises, b)
         f1 = trivial_distortion(sc, 1)
         for u in (0.0, 0.1, 0.3):
             assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (2, False)
@@ -327,7 +327,7 @@ def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):
     for sc in (S_MATCHED, S_EXPAND, S_COMPRESS):
         calls, raised = _sup_calls(monkeypatch, sc, (0.9 * trivial_distortion(sc, 1),))
         assert raised and calls <= 3
-    k3 = validate_scenario(2.0, (4.0, 2.0, 1.0), 2.0)
+    k3 = BroadcastScenario(2.0, (4.0, 2.0, 1.0), 2.0)
     prefix = (trivial_distortion(k3, 1), 0.95 * trivial_distortion(k3, 2))
     calls, raised = _sup_calls(monkeypatch, k3, prefix)
     assert raised and calls <= 3
@@ -381,11 +381,6 @@ def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
         assert verdict.margin == verdict.rhs - verdict.sup.sup_value
 
 
-def test_trace_infeasible_everywhere():
-    with pytest.raises(InfeasibleEverywhere):
-        trace_boundary(S_MATCHED, (0.9 * trivial_distortion(S_MATCHED, 1),))
-
-
 def test_trace_rejects_wrong_prefix_length():
     with pytest.raises(InvalidDistortion):
         trace_boundary(S_MATCHED, (0.5, 0.2))
@@ -395,9 +390,9 @@ def test_classification_rules():
     assert classify_vs_trivial(S_COMPRESS) is TrivialComparison.DEGENERATE
     assert classify_vs_trivial(S_MATCHED) is TrivialComparison.EQUAL
     assert classify_vs_trivial(S_EXPAND) is TrivialComparison.STRICTLY_TIGHTER
-    assert classify_vs_trivial(validate_scenario(2, [4, 2, 1], 1)) is TrivialComparison.EQUAL
-    assert classify_vs_trivial(validate_scenario(1, [1], 2)) is TrivialComparison.EQUAL
-    assert classify_vs_trivial(validate_scenario(1, [1], 0.3)) is TrivialComparison.EQUAL
+    assert classify_vs_trivial(BroadcastScenario(2, [4, 2, 1], 1)) is TrivialComparison.EQUAL
+    assert classify_vs_trivial(BroadcastScenario(1, [1], 2)) is TrivialComparison.EQUAL
+    assert classify_vs_trivial(BroadcastScenario(1, [1], 0.3)) is TrivialComparison.EQUAL
 
 
 def test_classification_detects_forced_bug(monkeypatch):

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from gbcbound.core import validate_scenario
+from gbcbound.core import BroadcastScenario
 from gbcbound.errors import BandwidthNotOne, NonPositiveParameter
 from gbcbound.simulate import GENERATOR_NAME, SimConfig, run_analog
 
-S_MATCHED = validate_scenario(3, [3, 1], 1)
+S_MATCHED = BroadcastScenario(3, [3, 1], 1)
 
 
 def test_empirical_matches_point_to_point_optima():
@@ -22,7 +22,7 @@ def test_empirical_power_meets_constraint():
 
 
 def test_distortions_nonincreasing_in_receiver_index():
-    sc = validate_scenario(2, [8, 4, 2, 1], 1)
+    sc = BroadcastScenario(2, [8, 4, 2, 1], 1)
     report = run_analog(SimConfig(sc, samples=100_000, seed=3))
     for (e1, s1), (e2, s2) in zip(
         zip(report.empirical, report.std_err), zip(report.empirical[1:], report.std_err[1:])
@@ -31,7 +31,7 @@ def test_distortions_nonincreasing_in_receiver_index():
 
 
 def test_vanishing_power_gives_source_variance():
-    sc = validate_scenario(1e-6, [1.0], 1, 2.0)
+    sc = BroadcastScenario(1e-6, [1.0], 1, 2.0)
     report = run_analog(SimConfig(sc, samples=50_000, seed=5))
     assert report.empirical[0] == pytest.approx(2.0, rel=0.05)
 
@@ -71,9 +71,9 @@ def test_generator_recorded_for_reproducibility():
 
 def test_rejects_bandwidth_mismatch():
     with pytest.raises(BandwidthNotOne):
-        SimConfig(validate_scenario(3, [3, 1], 2), samples=10, seed=0)
+        SimConfig(BroadcastScenario(3, [3, 1], 2), samples=10, seed=0)
     with pytest.raises(BandwidthNotOne):
-        SimConfig(validate_scenario(3, [3, 1], 0.5), samples=10, seed=0)
+        SimConfig(BroadcastScenario(3, [3, 1], 0.5), samples=10, seed=0)
 
 
 def test_rejects_bad_sample_count_and_seed():

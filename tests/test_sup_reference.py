@@ -12,7 +12,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-from gbcbound.core import validate_scenario, trivial_distortion
+from gbcbound.core import BroadcastScenario, trivial_distortion
 from gbcbound.membership import in_outer_region, sup_bound_lhs
 from gbcbound.verify import random_distortions, random_scenario
 
@@ -91,7 +91,7 @@ def test_sup_upper_above_reference_at_probes():
 
 def test_sup_upper_past_float_range_is_inf():
     """At b = 0.0009 the step schedule (+inf, 0) is past the float range."""
-    sc = validate_scenario(3, [3, 1], 0.0009)
+    sc = BroadcastScenario(3, [3, 1], 0.0009)
     d = (0.99995, 0.5 * trivial_distortion(sc, 2))
     assert sup_bound_lhs(sc, d).sup_upper == math.inf
     assert in_outer_region(sc, d).sup.sup_upper == math.inf
@@ -101,6 +101,6 @@ def test_sup_upper_is_inf_where_a_link_underflows():
     """The rounding factor holds only for results in the normal range.  At
     b = 0.01 and D = (N_S, e^-7.09 N_S), c_1(0) = e^-709 is subnormal while
     the supremum itself is finite, so the bound gives up to +inf."""
-    sc = validate_scenario(3, [3, 1], 0.01)
+    sc = BroadcastScenario(3, [3, 1], 0.01)
     res = sup_bound_lhs(sc, (1.0, math.exp(-7.09)))
     assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
