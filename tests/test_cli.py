@@ -173,9 +173,13 @@ def test_trace_writes_csv_and_manifest(capsys, expansion, tmp_path):
     manifest = json.loads((out / "trace_manifest.json").read_text())
     validate_payload(manifest, "manifest.schema.json")
     assert manifest["outputs"] == ["trace.csv"]
-    # b <= 1: the boundary is the point-to-point floor D_2*, which the
-    # verdict's relative tolerance moves down to ``lowest``; the gap over
-    # D_2* is that shift, up to the trace width
+
+
+def test_trace_gap_at_unit_or_lower_bandwidth(capsys, tmp_path):
+    """b <= 1: the boundary is the point-to-point floor D_2*, which the
+    verdict's relative tolerance moves down to ``lowest``; the gap over
+    D_2* is that shift, up to the trace width."""
+    out = tmp_path / "out"
     for name in ("compression_k2", "matched_k2"):
         path = SCENARIOS / f"{name}.json"
         sc = load_scenario(path)

@@ -381,6 +381,11 @@ def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
         assert verdict.margin == verdict.rhs - verdict.sup.sup_value
 
 
+def test_trace_infeasible_everywhere():
+    with pytest.raises(InfeasibleEverywhere):
+        trace_boundary(S_MATCHED, (0.9 * trivial_distortion(S_MATCHED, 1),))
+
+
 def test_trace_rejects_wrong_prefix_length():
     with pytest.raises(InvalidDistortion):
         trace_boundary(S_MATCHED, (0.5, 0.2))
