@@ -91,13 +91,16 @@ class _Chain:
     def __init__(self, scenario: BroadcastScenario, d: DistortionTuple) -> None:
         self.ns = scenario.source_var
         self.b = scenario.bandwidth
+        # Formed from the Python floats: a numpy call on a length-K array
+        # costs more than the arithmetic, which rounds the same either way.
+        values = d.values
+        pairs = list(zip(values, values[1:] + values[-1:]))
         self.dn = np.array(scenario.delta_noises())
-        self.d = np.array(d.values)
-        d_next = np.append(self.d[1:], self.d[-1])
-        self.gap = self.ns - self.d
-        self.delta = np.abs(d_next - self.d)
-        self.base = np.minimum(self.d, d_next)
-        self.sign = np.where(d_next < self.d, -1.0, 1.0)
+        self.d = np.array(values)
+        self.gap = np.array([self.ns - x for x in values])
+        self.delta = np.array([abs(y - x) for x, y in pairs])
+        self.base = np.array([min(x, y) for x, y in pairs])
+        self.sign = np.array([-1.0 if y < x else 1.0 for x, y in pairs])
 
     def log_factors(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """log g_k(tau_k) and log h_k(tau_k) at one schedule (shape (K,)).

@@ -29,11 +29,13 @@ the witness in compactified coordinates t = tau / (1 + tau), which map
 root-finding on the supremum, which is convex and nonincreasing in D_K.
 Each probe aims just below the boundary that lo's witness predicts: the
 closed-form root of the witness's own curve in D_K, corrected by the
-curvature that an earlier probe shows.  A row takes about 5 supremum
-calls at b > 1 and 2 at b <= 1.  D_K = N_S is probed only when no member
-has been found and the witnesses say that it fails, so an infeasible
-prefix costs 2 or 3 calls where it cost 1, and a feasible row never pays
-for that check.  Everything here is reentrant.
+curvature that an earlier probe shows.  A probe that would close the
+bracket costs no supremum call when lo's witness already violates the
+bound there.  A row takes about 4.7 supremum calls at b > 1 and 1 at
+b <= 1.  D_K = N_S is probed only when no member has been found and the
+witnesses say that it fails, so an infeasible prefix costs 1 or 2 calls,
+and a feasible row never pays for that check.  Everything here is
+reentrant.
 """
 
 from __future__ import annotations
@@ -330,6 +332,7 @@ class _Witness:
     """
 
     def __init__(self, chain: _Chain, taus: Sequence[float]) -> None:
+        self.taus = tuple(taus)
         self.head, self.last = chain.split_last(taus)
         self.ref = float(chain.d[-1])
         self.b = chain.b
@@ -343,6 +346,14 @@ class _Witness:
 
     def value(self, x: float) -> float:
         return self.head + self.last * math.exp(self._log_rise(x) / self.b)
+
+    def violates(self, scenario: BroadcastScenario, d: DistortionTuple, target: float) -> bool:
+        """Does the schedule put lhs above ``target`` at D, whose last entry
+        is the probe?  The curve screens in closed form; the evaluator at D
+        decides, so a True certifies D a non-member as ``in_outer_region``
+        would.
+        """
+        return self.value(d.values[-1]) > target and _Chain(scenario, d).lhs(self.taus) > target
 
     def slope(self, x: float) -> float:
         last = self.value(x) - self.head
@@ -438,7 +449,13 @@ def trace_boundary(
     to halve a bracket whose hi is a member, give a bisection step
     instead.  lo starts at D_K* / 2, which the step schedule
     (+inf, ..., +inf, 0) already excludes, so that schedule is the first
-    witness.
+    witness.  A probe that would close the bracket (hi a member and
+    hi - x <= TRACE_WIDTH, or the D_K = N_S probe below) is first tested
+    against lo's witness (``_Witness.violates``); if that schedule already
+    violates the bound at x, x is a certified non-member and takes no
+    supremum call.  Only a closing probe is skipped, so the result is the
+    one the supremum calls would give, unless a supremum would call x a
+    member where a known schedule violates the bound.
 
     hi starts at N_S, which is probed only when needed: a member probe
     below N_S shows that N_S is a member too.  N_S is probed when lo's
@@ -446,8 +463,10 @@ def trace_boundary(
     N_S), or when the witness with its last run lowered to 0
     (``_flattened``), whose value does not depend on D_K, already violates
     the bound.  Raises InfeasibleEverywhere when that probe fails (some
-    fixed distortion is below its own floor); this takes 2 supremum calls
-    on most such prefixes, and at most 3 seen.  A b <= 1 row takes 2.
+    fixed distortion is below its own floor); this takes 1 or 2 supremum
+    calls, 1 on the b <= 1 prefixes seen.  A b <= 1 row takes 1: a member
+    probe just above the step schedule's root, then a closing probe just
+    below it that the step schedule excludes.
     """
     k_total = scenario.num_receivers
     fixed_vals = tuple(float(x) for x in fixed)
@@ -479,13 +498,19 @@ def trace_boundary(
             else:
                 x = max(lo + 0.25 * TRACE_WIDTH, aim - 0.5 * TRACE_WIDTH, root + 0.25 * TRACE_WIDTH)
             x = min(x, hi - 0.5 * TRACE_WIDTH) if member_hi else min(x, hi)
-        verdict = in_outer_region(scenario, fixed_vals + (x,), rel_tol=rel_tol)
-        if verdict.member:
+        closes = hi - x <= TRACE_WIDTH if member_hi else x == hi
+        if closes and witness.violates(scenario, DistortionTuple(fixed_vals + (x,)), target):
+            verdict = None  # lo's witness already excludes x
+        else:
+            verdict = in_outer_region(scenario, fixed_vals + (x,), rel_tol=rel_tol)
+        if verdict and verdict.member:
             hi, member_hi, anchor = x, True, (x, verdict.sup.sup_value)
         elif x == hi and not member_hi:
             raise InfeasibleEverywhere(
                 f"no feasible D_{k_total} up to N_S = {hi} for fixed prefix {fixed_vals}"
             )
+        elif verdict is None:
+            lo = x  # hi - x <= TRACE_WIDTH: the bracket is closed
         else:
             taus = verdict.sup.argmax_tau.taus
             if not member_hi and lo_value is not None:

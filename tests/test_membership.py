@@ -265,19 +265,31 @@ def test_sup_convex_nonincreasing_in_last_distortion():
 
 
 def _sup_calls(monkeypatch, sc, prefix):
-    """Supremum calls of one trace_boundary row, and whether it raised InfeasibleEverywhere."""
+    """Supremum calls of one trace_boundary row, and whether it raised InfeasibleEverywhere.
+
+    Every pass of the row's loop builds a chain, for a supremum call or to
+    test lo's witness at the probe, so a row that loops without end fails
+    here once it has built 100.
+    """
     import gbcbound.membership as m
 
-    real = m.sup_bound_lhs
-    calls = 0
+    real, real_chain = m.sup_bound_lhs, m._Chain
+    calls = chains = 0
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
+    def bounded_chain(*args, **kwargs):
+        nonlocal chains
+        chains += 1
+        assert chains <= 100, f"trace_boundary loops on {sc}, prefix {prefix}"
+        return real_chain(*args, **kwargs)
+
     with monkeypatch.context() as patch:
         patch.setattr(m, "sup_bound_lhs", counted)
+        patch.setattr(m, "_Chain", bounded_chain)
         try:
             trace_boundary(sc, prefix)
         except InfeasibleEverywhere:
@@ -290,18 +302,19 @@ def _sup_calls_per_row(monkeypatch, sc, prefixes):
 
 
 def test_trace_sup_calls_per_row(monkeypatch):
-    """Root-finding with a curvature-corrected aim takes about 5 supremum
-    calls per row where bisection took 36: the README's trace grid, and
-    K = 3 rows on matched_k3's channel at b = 2."""
+    """Root-finding with a curvature-corrected aim, and a closing probe
+    that lo's witness already excludes, take about 4.7 supremum calls per
+    row where bisection took 36: the README's trace grid (4.68), and
+    K = 3 rows on matched_k3's channel at b = 2 (4.56)."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
-    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 7
+    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 5
     ch = load_scenario(SCENARIOS / "matched_k3.json")
     sc = BroadcastScenario(ch.power, ch.noises, 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
     d2 = f2 * (sc.source_var / f2) ** 0.15
     rows = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 25), d2) for i in range(25)]
-    assert _sup_calls_per_row(monkeypatch, sc, rows) <= 7
+    assert _sup_calls_per_row(monkeypatch, sc, rows) <= 5
 
 
 def test_trace_double_root_row_calls(monkeypatch):
@@ -310,27 +323,30 @@ def test_trace_double_root_row_calls(monkeypatch):
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     assert readme.bandwidth == 2.0 and trivial_distortion(readme, 1) == 0.25
     calls, raised = _sup_calls(monkeypatch, readme, (0.25,))
-    assert not raised and calls <= 12
+    assert not raised and calls <= 10
 
 
-def test_trace_rows_at_or_below_matched_bandwidth_take_two_calls(monkeypatch):
-    """At b <= 1 the step schedule's root is the boundary: one probe above it, one below."""
+def test_trace_rows_at_or_below_matched_bandwidth_take_one_call(monkeypatch):
+    """At b <= 1 the step schedule's root is the boundary: one probe above
+    it, and the step schedule itself excludes the closing probe below it."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     for b in (0.5, 1.0):
         sc = BroadcastScenario(readme.power, readme.noises, b)
         f1 = trivial_distortion(sc, 1)
         for u in (0.0, 0.1, 0.3):
-            assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (2, False)
+            assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (1, False)
 
 
 def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):
+    """The D_K = N_S probe costs no supremum call when lo's witness already
+    violates the bound there: at b <= 1 the first probe's witness does."""
     for sc in (S_MATCHED, S_EXPAND, S_COMPRESS):
         calls, raised = _sup_calls(monkeypatch, sc, (0.9 * trivial_distortion(sc, 1),))
-        assert raised and calls <= 3
+        assert raised and (calls <= 2 if sc.bandwidth > 1.0 else calls == 1)
     k3 = BroadcastScenario(2.0, (4.0, 2.0, 1.0), 2.0)
     prefix = (trivial_distortion(k3, 1), 0.95 * trivial_distortion(k3, 2))
     calls, raised = _sup_calls(monkeypatch, k3, prefix)
-    assert raised and calls <= 3
+    assert raised and calls <= 2
 
 
 def _bisected_boundary(sc, prefix):
