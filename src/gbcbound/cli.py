@@ -38,11 +38,7 @@ from .core import (
     scenario_to_dict,
     trivial_distortion,
 )
-from .errors import (
-    InfeasibleEverywhere,
-    InputError,
-    VerificationFailure,
-)
+from .errors import InfeasibleEverywhere, InputError
 from .membership import in_outer_region, trace_boundary
 from .simulate import SimConfig, run_analog
 from .verify import run_all_checks
@@ -418,9 +414,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INPUT
-    except VerificationFailure as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

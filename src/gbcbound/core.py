@@ -166,15 +166,6 @@ class TauSchedule:
     def __iter__(self):
         return iter(self.taus)
 
-    @property
-    def num_infinite(self) -> int:
-        """Number of +inf entries (always a prefix by monotonicity)."""
-        return sum(1 for t in self.taus if math.isinf(t))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.num_infinite == 0
-
 
 @dataclass(frozen=True)
 class DistortionTuple:

@@ -1,12 +1,8 @@
 """Exception hierarchy for the gbcbound library.
 
-Two branches matter to callers:
-
-* ``InputError`` - the caller handed us something invalid (bad scenario,
-  malformed schedule, out-of-range index ...).  The CLI maps these to
-  exit code 2.
-* ``VerificationFailure`` - a numerical self-check contradicted the
-  analytic rule it was guarding.  The CLI maps these to exit code 1.
+The branch that matters to callers is ``InputError``: the caller handed
+us something invalid (bad scenario, malformed schedule, out-of-range
+index ...).  The CLI maps these to exit code 2.
 """
 
 
@@ -80,11 +76,3 @@ class BandwidthNotOne(InputError):
 
 class InfeasibleEverywhere(GbcBoundError):
     """Boundary trace found no feasible distortion in the search range."""
-
-
-class VerificationFailure(GbcBoundError):
-    """A self-check failed; CLI exit code 1."""
-
-
-class ClassificationMismatch(VerificationFailure):
-    """Empirical probes disagree with the analytic bound classification."""

@@ -42,30 +42,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .bound import Distortions, _Chain, bound_rhs, eval_lhs
+from .bound import Distortions, _Chain, bound_rhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
     TauSchedule,
     check_distortions,
     trivial_distortion,
-    trivial_distortions,
 )
-from .errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
+from .errors import InfeasibleEverywhere, InvalidDistortion
 
 __all__ = [
     "SupResult",
     "MembershipVerdict",
-    "TrivialComparison",
     "sup_bound_lhs",
     "in_outer_region",
     "trace_boundary",
-    "classify_vs_trivial",
 ]
 
 DEFAULT_REL_TOL = 1e-9
@@ -106,14 +102,6 @@ class MembershipVerdict:
     margin: float  # (P + N_1) - sup_value
     rhs: float
     tolerance: float = DEFAULT_REL_TOL
-
-
-class TrivialComparison(Enum):
-    """How the schedule-indexed bound compares with the trivial (point-to-point) one."""
-
-    DEGENERATE = "degenerate"
-    EQUAL = "equal"
-    STRICTLY_TIGHTER = "strictly_tighter"
 
 
 def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
@@ -520,63 +508,3 @@ def trace_boundary(
         if member_hi:
             stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
     return hi
-
-
-def classify_vs_trivial(
-    scenario: BroadcastScenario,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> TrivialComparison:
-    """Compare the schedule-indexed bound with the trivial one, empirically.
-
-    The analytic rule (degenerate below matched bandwidth, equal at it,
-    strictly tighter above it with K >= 2; a single receiver is always
-    equal) is re-derived from membership probes at and around the
-    point-to-point optimum, plus the sign of the deviation at a generic
-    interior schedule.  Any disagreement raises ClassificationMismatch:
-    the theorems double as a permanent self-test of the numerics.
-    """
-    k_total = scenario.num_receivers
-    b = scenario.bandwidth
-    if k_total == 1 or b == 1.0:
-        analytic = TrivialComparison.EQUAL
-    elif b < 1.0:
-        analytic = TrivialComparison.DEGENERATE
-    else:
-        analytic = TrivialComparison.STRICTLY_TIGHTER
-    dstar = trivial_distortions(scenario)
-    rhs = bound_rhs(scenario)
-    problems: list[str] = []
-
-    member_at_star = in_outer_region(scenario, dstar, rel_tol=rel_tol).member
-    expect_member = analytic is not TrivialComparison.STRICTLY_TIGHTER
-    if member_at_star != expect_member:
-        problems.append(
-            f"trivial point membership {member_at_star}, expected {expect_member}"
-        )
-
-    deflated = tuple(0.98 * v for v in dstar)
-    if in_outer_region(scenario, deflated, rel_tol=rel_tol).member:
-        problems.append("point below every per-receiver floor classified as member")
-
-    if expect_member:
-        ns = scenario.source_var
-        inflated = tuple(min(1.02 * v, ns) for v in dstar)
-        if not in_outer_region(scenario, inflated, rel_tol=rel_tol).member:
-            problems.append("inflated trivial point classified as non-member")
-
-    if k_total >= 2:
-        generic = (1.0,) + (0.0,) * (k_total - 1)
-        dev = (eval_lhs(scenario, dstar, generic) - rhs) / rhs
-        if analytic is TrivialComparison.EQUAL and abs(dev) > rel_tol:
-            problems.append(f"matched-bandwidth deviation {dev:+.3e} at generic schedule")
-        if analytic is TrivialComparison.DEGENERATE and not dev < -rel_tol:
-            problems.append(f"compression deviation {dev:+.3e} not strictly negative")
-        if analytic is TrivialComparison.STRICTLY_TIGHTER and not dev > rel_tol:
-            problems.append(f"expansion deviation {dev:+.3e} not strictly positive")
-
-    if problems:
-        raise ClassificationMismatch(
-            f"numerics disagree with analytic classification {analytic.value}: "
-            + "; ".join(problems)
-        )
-    return analytic

@@ -11,6 +11,7 @@ suite calls the same check functions on its own seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -203,6 +204,63 @@ def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:
         margin = bound.eval_lhs(sc, dstar, tau) - rhs
         ok = margin > _rounding_bound(sc, dstar, tau, rhs, margin)
         _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+    return result
+
+
+_REGIMES = ((0.05, 0.95), (1.0, 1.0), (1.05, 8.0))
+
+
+def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
+    """The bound against the trivial (point-to-point) one, by membership verdicts.
+
+    On max(1, trials / 200) two-user scenarios at b < 1, a 20 x 20 grid
+    from D_k* / 2 to N_S is a member exactly when D >= D*, away from a
+    1e-7 band around D*.  Then trials / 5 draws cycle through b < 1, b = 1
+    and b > 1 at K = 1-5: D* is a member exactly when b <= 1 or K = 1,
+    0.98 D* never is, and min(1.02 D*, N_S) is whenever D* is.  At b < 1
+    and K >= 2 the schedule (1, 0, ..., 0) stays below P + N_1 at D* by
+    more than the rounding error of lhs - rhs.  At b > 1 its violation can
+    lie within the verdict's 1e-9 tolerance; such a draw skips its D*
+    verdict.
+    """
+    result = CheckResult("regime-vs-trivial", 0, 0)
+    boxes = max(1, trials // 200)
+    for i in range(boxes):
+        sc = random_scenario(rng, k_range=(2, 2), bandwidth=rng.uniform(0.05, 0.95))
+        ns = sc.source_var
+        dstar = trivial_distortions(sc).values
+        axes = [[lo * (ns / lo) ** (j / 19.0) for j in range(20)] for lo in (0.5 * v for v in dstar)]
+        for d in itertools.product(*axes):
+            if any(abs(x - v) < 1e-7 for x, v in zip(d, dstar)):
+                continue
+            expected = all(x >= v for x, v in zip(d, dstar))
+            verdict = membership.in_outer_region(sc, d)
+            _record(result, verdict.member == expected, i, scenario=sc, d=d, expected=expected,
+                    margin=verdict.margin)
+    skipped = 0
+    for i in range(boxes, boxes + max(1, trials // 5)):
+        sc = random_scenario(rng, bandwidth=rng.uniform(*_REGIMES[(i - boxes) % 3]))
+        k, b, ns = sc.num_receivers, sc.bandwidth, sc.source_var
+        dstar = trivial_distortions(sc).values
+        expected = b <= 1.0 or k == 1
+        probes = [(dstar, expected), (tuple(0.98 * v for v in dstar), False)]
+        if expected:
+            probes.append((tuple(min(1.02 * v, ns) for v in dstar), True))
+        if k >= 2 and b != 1.0:
+            rhs = bound.bound_rhs(sc)
+            tau = (1.0,) + (0.0,) * (k - 1)
+            margin = bound.eval_lhs(sc, dstar, tau) - rhs
+            if b < 1.0:
+                ok = -margin > _rounding_bound(sc, dstar, tau, rhs, margin)
+                _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+            elif margin <= 1e-9 * rhs:
+                skipped += 1
+                probes.pop(0)
+        for d, member in probes:
+            verdict = membership.in_outer_region(sc, d)
+            _record(result, verdict.member == member, i, scenario=sc, d=d, expected=member,
+                    margin=verdict.margin)
+    result.detail = f"{skipped} D* verdicts skipped: violation within tolerance"
     return result
 
 
@@ -463,6 +521,7 @@ _CHECKS: tuple[tuple[str, Callable[[random.Random, int], CheckResult]], ...] = (
     ("matched-equality", _check_matched_equality),
     ("compression-within-bound", _check_compression_bound),
     ("expansion-strict-violation", _check_expansion_strict),
+    ("regime-vs-trivial", _check_regime_vs_trivial),
     ("step-schedule-reduction", _check_step_reduction),
     ("distortion-monotonicity", _check_monotonicity),
     ("minkowski-direction", _check_minkowski_direction),

@@ -24,8 +24,6 @@ from gbcbound.errors import (
     InvalidSplit,
     NonStrictOrdering,
 )
-from gbcbound.membership import in_outer_region
-from gbcbound.verify import random_scenario
 
 CH = GaussianBC(3, (3, 1))
 
@@ -205,26 +203,3 @@ def test_split_grid_properties():
             assert unit in grid
     with pytest.raises(InvalidSplit):
         split_grid(2, 0)
-
-
-def test_membership_agrees_with_capacity_containment():
-    """Region membership == virtual-channel containment on random interior tuples."""
-    rng = random.Random(42)
-    agreements = 0
-    for _ in range(30):
-        b = rng.choice((0.5, 1.0, 2.0))
-        sc = random_scenario(rng, k_range=(2, 3), bandwidth=b)
-        ns = sc.source_var
-        while True:
-            draws = sorted((rng.uniform(0.05, 0.95) for _ in range(sc.num_receivers)), reverse=True)
-            if all(a - c >= 0.02 for a, c in zip(draws, draws[1:])):
-                break
-        d = tuple(v * ns for v in draws)
-        verdict = in_outer_region(sc, d)
-        if abs(verdict.sup.sup_value - verdict.rhs) <= 1e-6 * verdict.rhs:
-            continue  # too close to the frontier for sampled containment
-        virt = virtual_channel(ns, d)
-        phys = GaussianBC(sc.power, sc.noises)
-        assert containment(virt, phys, 1.0, b, samples=256).contained == verdict.member
-        agreements += 1
-    assert agreements >= 15

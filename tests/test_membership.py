@@ -14,13 +14,11 @@ from gbcbound.core import (
     trivial_distortion,
     trivial_distortions,
 )
-from gbcbound.errors import ClassificationMismatch, InfeasibleEverywhere, InvalidDistortion
+from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
     TRACE_WIDTH,
     SupResult,
-    TrivialComparison,
     _chain_dp,
-    classify_vs_trivial,
     in_outer_region,
     sup_bound_lhs,
     trace_boundary,
@@ -405,58 +403,3 @@ def test_trace_infeasible_everywhere():
 def test_trace_rejects_wrong_prefix_length():
     with pytest.raises(InvalidDistortion):
         trace_boundary(S_MATCHED, (0.5, 0.2))
-
-
-def test_classification_rules():
-    assert classify_vs_trivial(S_COMPRESS) is TrivialComparison.DEGENERATE
-    assert classify_vs_trivial(S_MATCHED) is TrivialComparison.EQUAL
-    assert classify_vs_trivial(S_EXPAND) is TrivialComparison.STRICTLY_TIGHTER
-    assert classify_vs_trivial(BroadcastScenario(2, [4, 2, 1], 1)) is TrivialComparison.EQUAL
-    assert classify_vs_trivial(BroadcastScenario(1, [1], 2)) is TrivialComparison.EQUAL
-    assert classify_vs_trivial(BroadcastScenario(1, [1], 0.3)) is TrivialComparison.EQUAL
-
-
-def test_classification_detects_forced_bug(monkeypatch):
-    """Self-test: a corrupted membership oracle must trip the mismatch error."""
-    import gbcbound.membership as m
-
-    real = m.in_outer_region
-
-    def corrupted(scenario, distortions, rel_tol=1e-9):
-        verdict = real(scenario, distortions, rel_tol=rel_tol)
-        return type(verdict)(
-            member=not verdict.member,
-            sup=verdict.sup,
-            margin=verdict.margin,
-            rhs=verdict.rhs,
-            tolerance=verdict.tolerance,
-        )
-
-    monkeypatch.setattr(m, "in_outer_region", corrupted)
-    with pytest.raises(ClassificationMismatch):
-        m.classify_vs_trivial(S_MATCHED)
-
-
-def test_membership_downward_closed():
-    rng = random.Random(77)
-    checked = 0
-    for _ in range(40):
-        sc = random_scenario(rng, k_range=(1, 3))
-        ns = sc.source_var
-        d = tuple(rng.uniform(0.05, 1.0) * ns for _ in range(sc.num_receivers))
-        if not in_outer_region(sc, d).member:
-            continue
-        d_up = tuple(min(v * (1 + rng.uniform(0, 0.5)), ns) for v in d)
-        assert in_outer_region(sc, d_up).member
-        checked += 1
-    assert checked >= 5
-
-
-def test_trivial_point_membership_by_regime():
-    rng = random.Random(13)
-    for _ in range(60):
-        k_hi = rng.randint(2, 4)
-        b = rng.choice((rng.uniform(0.05, 0.95), 1.0, rng.uniform(1.05, 8.0)))
-        sc = random_scenario(rng, k_range=(k_hi, k_hi), bandwidth=b)
-        member = in_outer_region(sc, trivial_distortions(sc)).member
-        assert member == (b <= 1.0)

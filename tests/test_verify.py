@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from gbcbound import verify
@@ -69,3 +70,19 @@ def test_forced_bug_increasing_in_distortion_is_caught(monkeypatch):
     result = verify._check_monotonicity(random.Random(1), 50)
     assert not result.passed
     assert result.examples[0]["margin"] > 0
+
+
+def test_forced_bug_flipped_membership_is_caught(monkeypatch):
+    """A membership oracle that flips every verdict fails regime-vs-trivial."""
+    import gbcbound.membership as membership_mod
+
+    real = membership_mod.in_outer_region
+
+    def flipped(scenario, distortions, rel_tol=1e-9):
+        verdict = real(scenario, distortions, rel_tol=rel_tol)
+        return dataclasses.replace(verdict, member=not verdict.member)
+
+    monkeypatch.setattr(membership_mod, "in_outer_region", flipped)
+    result = verify._check_regime_vs_trivial(random.Random(1), 30)
+    assert not result.passed
+    assert len(result.examples) == 3 and all("expected" in e for e in result.examples)
