@@ -169,6 +169,7 @@ def cmd_membership(args) -> int:
         {
             "command": "membership",
             "member": verdict.member,
+            "certified": verdict.certified,
             "margin": verdict.margin,
             "rhs": verdict.rhs,
             "tolerance": verdict.tolerance,

@@ -14,10 +14,13 @@ their rows.  The grid holds exact 0 and +inf, so the step schedules (the
 ones that recover the per-receiver point-to-point constraints) are always
 candidates.  On the first grid the same links also give a rigorous upper
 bound on the supremum, a cell-by-cell enclosure (``_enclosure``), so the
-supremum comes as a bracket [sup_value, sup_upper].  The recursion then
-refines its witness: each zoom pass reruns it on a small grid of
-geometric windows around the witness's entries, so runs of equal entries
-move together; a pass that returns the incumbent witness costs no
+supremum comes as a bracket [sup_value, sup_upper].  When that leaves a
+verdict open only through the last cell, [MARGIN N_S, +inf], the cell
+alone is re-bounded on a fine geometric tail (``_tail_bound``); this
+certifies the boundary members at b <= 1.  The recursion then refines
+its witness: each zoom pass reruns it on a small grid of geometric
+windows around the witness's entries, so runs of equal entries move
+together; a pass that returns the incumbent witness costs no
 evaluation.  A membership verdict stops refining as soon as the bracket
 lies on one side of the threshold.  Past the float range (small b) a
 stage holds +inf, and NaN where a link underflowed to 0; the readback
@@ -70,7 +73,12 @@ ZOOM_POINTS = 257
 ZOOM_STEP = 1e-8
 MARGIN = 1e3
 TRACE_WIDTH = 1e-10
+TAIL_RATIO = 1.1
+TAIL_POINTS = 219
 _UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
+_RAMP = np.arange(GRID_POINTS - 2, dtype=float)
+_TAIL = TAIL_RATIO ** np.arange(TAIL_POINTS - 1)  # 1, r, ..., r^217 < 1e9
+_UNBOUNDED = (math.inf, math.inf, None)
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,12 @@ class SupResult:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """``member`` is the tolerant verdict sup <= (P + N_1)(1 + tolerance);
+    ``certified`` says whether the bracket decided it (``in_outer_region``).
+    """
+
     member: bool
+    certified: bool
     sup: SupResult
     margin: float  # (P + N_1) - sup_value
     rhs: float
@@ -105,15 +118,28 @@ class MembershipVerdict:
 
 
 def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
-    """Exact 0, geometric points from min D_k / MARGIN to MARGIN N_S, exact +inf."""
+    """Exact 0, geometric points from min D_k / MARGIN to MARGIN N_S, exact +inf.
+
+    The logs are spaced as numpy's ``linspace`` spaces them, from a cached
+    ramp, which skips that function's own overhead.
+    """
     lo, hi = math.log(min(d.values) / MARGIN), math.log(MARGIN * scenario.source_var)
-    return np.concatenate(([0.0], np.exp(np.linspace(lo, hi, GRID_POINTS - 2)), [math.inf]))
+    grid = np.empty(GRID_POINTS)
+    inner = grid[1:-1]
+    np.multiply(_RAMP, (hi - lo) / (GRID_POINTS - 3), out=inner)
+    inner += lo
+    inner[-1] = hi
+    np.exp(inner, out=inner)
+    grid[0], grid[-1] = 0.0, math.inf
+    return grid
 
 
-def _chain_dp(chain: _Chain, grid: np.ndarray, bounded: bool = False) -> tuple[list[float], float]:
+def _chain_dp(
+    chain: _Chain, grid: np.ndarray, bounded: bool = False
+) -> tuple[list[float], tuple[float, float, np.ndarray | None]]:
     """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
     grid[-1] = +inf), and an upper bound on the supremum over all
-    schedules: ``_enclosure`` if ``bounded``, else +inf.
+    schedules: ``_enclosure`` if ``bounded``, else (+inf, +inf, None).
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
     with M_K = a_K(0): each stage is a running maximum over the grid, run
@@ -124,13 +150,12 @@ def _chain_dp(chain: _Chain, grid: np.ndarray, bounded: bool = False) -> tuple[l
     enclosure reads the links before the recursion overwrites them; any
     underflow while they are formed or read makes it +inf.
     """
-    underflows = []
-    with np.errstate(over="ignore", invalid="ignore", under="call",
-                     call=lambda *_: underflows.append(True)):
+    underflows: list[bool] = []
+    with _watch(underflows):
         a, c, running = chain.links(grid)
-        upper = _enclosure(chain, a, c, running) if bounded else math.inf
-    if underflows or not upper < math.inf:
-        upper = math.inf
+        enclosure = _enclosure(chain, a, c, running) if bounded else _UNBOUNDED
+    if underflows or not enclosure[0] < math.inf:
+        enclosure = _UNBOUNDED
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(c) - 1, -1, -1):
             value = np.multiply(c[k], running, out=c[k])
@@ -141,12 +166,39 @@ def _chain_dp(chain: _Chain, grid: np.ndarray, bounded: bool = False) -> tuple[l
     for value in c:
         top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
-    return taus + [0.0], upper
+    return taus + [0.0], enclosure
 
 
-def _enclosure(chain: _Chain, a: np.ndarray, c: np.ndarray, last: float) -> float:
+def _tail_bound(chain: _Chain, x: float, seeds: np.ndarray) -> float:
+    """``_enclosure`` of the first grid with the points x r^j (r = TAIL_RATIO,
+    j = 1 .. TAIL_POINTS - 2) inserted into its last cell [x, +inf].
+
+    ``seeds`` are the first grid's running maxima at x, from which each
+    stage's recursion restarts on the tail, so only the tail's links are
+    formed.  +inf on any underflow, as in ``_chain_dp``.
+    """
+    underflows: list[bool] = []
+    with _watch(underflows):
+        a, c, last = chain.links(np.append(x * _TAIL, math.inf))
+        upper = _enclosure(chain, a, c, last, seeds)[0]
+    return upper if not underflows and upper < math.inf else math.inf
+
+
+def _watch(underflows: list[bool]) -> np.errstate:
+    """Ignore overflow and NaN; record every underflow in ``underflows``."""
+    return np.errstate(over="ignore", invalid="ignore", under="call",
+                       call=lambda *_: underflows.append(True))
+
+
+def _enclosure(
+    chain: _Chain, a: np.ndarray, c: np.ndarray, last: float, seeds: np.ndarray | None = None
+) -> tuple[float, float, np.ndarray]:
     """Rigorous upper bound on the supremum over *all* schedules, from the
     links a, c on a grid x_0 = 0 < ... < x_{M-1} = +inf and a_K(0) = ``last``.
+
+    Returns the bound U_1(+inf) and the bound over every cell but the
+    last, U_1(x_{M-2}), both rounded outward, and each stage's U_k(x_{M-2})
+    as it stands, so that ``_tail_bound`` can re-bound the last cell alone.
 
     a_k is nonincreasing in tau (N_S >= D_k), c_k is monotone, and the true
     M_{k+1} is nondecreasing, so every tau in the cell [x_i, x_{i+1}]
@@ -158,6 +210,16 @@ def _enclosure(chain: _Chain, a: np.ndarray, c: np.ndarray, last: float) -> floa
     U_1(+inf), the largest cell bound of the first stage, bounds the
     supremum.  The maxima propagate NaN: a 0 * inf cell is never skipped,
     and the caller maps NaN to +inf.
+
+    With ``seeds``, the links are those of a tail x_{M-2} < ... < +inf
+    that refines the last cell of a first grid, ``seeds`` holds that grid's
+    U_k(x_{M-2}), and each running maximum starts from its seed.  The
+    result is then the bound on the first grid with the tail's points
+    inserted, operation for operation: the cells below x_{M-2} and their
+    U_k are the same in both.  The last cell's bound takes a_k at
+    x_{M-2} = MARGIN N_S, which lies about 1e-4 relatively above a_k(+inf);
+    that is often all that keeps a boundary member at b <= 1 from being
+    certified, and a geometric tail shrinks it below the tolerance.
 
     Outward rounding (eps = 2^-52; basic operations round to within
     eps / 2, and exp and log1p are taken to be within 2 ulps, 2 eps).  In
@@ -177,19 +239,29 @@ def _enclosure(chain: _Chain, a: np.ndarray, c: np.ndarray, last: float) -> floa
     result in the normal range: the caller makes the bound +inf on any
     underflow.
     """
+    free = len(c)
     bound = np.full(c.shape[1] - 1, last)  # U_{k+1}(x_1), ..., U_{k+1}(x_{M-1})
     cell = np.empty_like(bound)
-    for k in range(len(c) - 1, -1, -1):
+    below = np.empty(free)  # U_k(x_{M-2})
+    for k in range(free - 1, -1, -1):
         np.maximum(c[k, :-1], c[k, 1:], out=cell)
         np.multiply(cell, bound, out=cell)
         np.add(cell, a[k, :-1], out=cell)
-        if k:
+        if k:  # the first stage needs only two maxima, not a running one
             np.maximum.accumulate(cell, out=bound)
-    top = cell.max() if len(c) else last
+            if seeds is not None:
+                np.maximum(bound, seeds[k], out=bound)
+            below[k] = bound[-2]
     log_g, log_h = chain.log_factors(np.zeros(len(chain.d)))
     y = max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b
     delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
-    return float(top * (1.0 + 2.0 * delta))
+    scale = 1.0 + 2.0 * delta
+    if not free:
+        return float(last * scale), math.inf, below
+    top, below[0] = cell.max(), cell[:-1].max()
+    if seeds is not None:
+        top, below[0] = np.maximum(top, seeds[0]), np.maximum(below[0], seeds[0])
+    return float(top * scale), float(below[0] * scale), below
 
 
 def _pick(value: np.ndarray) -> int:
@@ -256,15 +328,23 @@ def sup_bound_lhs(
     how the supremum compares with it: after the first pass when
     ``sup_value > target`` or ``sup_upper <= target``, and after any zoom
     pass that lifts ``sup_value`` above it.  ``sup_value`` is then the
-    lower end at that point, not the fully refined value.
+    lower end at that point, not the fully refined value.  When the first
+    pass leaves the comparison open but only its last cell, [MARGIN N_S,
+    +inf], bounds above the target, that cell alone is re-bounded on a
+    geometric tail of TAIL_POINTS points (``_tail_bound``, counted in
+    ``iterations``) before any zoom pass; at b <= 1 this certifies the
+    boundary members, whose witness is the step schedule (+inf, 0, ...).
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
     free = len(d.values) - 1
     grid = _tau_grid(scenario, d)
-    taus, upper = _chain_dp(chain, grid, bounded=True)
+    taus, (upper, head, seeds) = _chain_dp(chain, grid, bounded=True)
     value = chain.lhs(taus)
     evals = free * len(grid) + 1
+    if target is not None and value <= target < upper and head <= target:
+        upper = min(upper, _tail_bound(chain, grid[-2], seeds))
+        evals += free * TAIL_POINTS
     step = math.log(grid[2] / grid[1])
     decided = target is not None and (value > target or upper <= target)
     while free and step > ZOOM_STEP and not decided:
@@ -298,14 +378,16 @@ def in_outer_region(
     ``sup_upper`` <= threshold (member) or ``sup_value`` > threshold
     (non-member, violated at ``argmax_tau``), and the search stops there.
     Otherwise it is the tolerant verdict on the fully refined
-    ``sup_value``.
+    ``sup_value``, and ``certified`` is False.
     """
     rhs = bound_rhs(scenario)
     threshold = rhs * (1.0 + rel_tol)
     sup = sup_bound_lhs(scenario, distortions, target=threshold)
     margin = rhs - sup.sup_value
     member = sup.sup_value <= threshold
-    return MembershipVerdict(member=member, sup=sup, margin=margin, rhs=rhs, tolerance=rel_tol)
+    certified = sup.sup_upper <= threshold or sup.sup_value > threshold
+    return MembershipVerdict(member=member, certified=certified, sup=sup, margin=margin, rhs=rhs,
+                             tolerance=rel_tol)
 
 
 class _Witness:

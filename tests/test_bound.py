@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gbcbound.bound import (
     _Chain,
-    bound_rhs,
     check_inequality,
     eval_lhs,
     reduced_bound_value,

@@ -123,7 +123,7 @@ def test_membership_payload(capsys, expansion):
     )
     assert code == 0
     validate_payload(payload, "membership.schema.json")
-    assert payload["member"] is False
+    assert payload["member"] is False and payload["certified"] is True
     assert payload["margin"] < 0
     assert len(payload["argmax_tau"]) == 2
     assert len(payload["argmax_t"]) == 1
@@ -175,10 +175,27 @@ def test_trace_writes_csv_and_manifest(capsys, expansion, tmp_path):
     assert manifest["outputs"] == ["trace.csv"]
 
 
+B_LE_1_TRACE_CSV = {
+    "compression_k2": (
+        'D1,D2_min,D2_trivial,gap\r\n'
+        '0.7071067811865476,0.49999999964999997,0.5,-3.5000002895912985e-10\r\n'
+        '0.8535533905932737,0.49999999964999997,0.5,-3.5000002895912985e-10\r\n'
+        '1.0,0.49999999964999997,0.5,-3.5000002895912985e-10\r\n'
+    ),
+    "matched_k2": (
+        'D1,D2_min,D2_trivial,gap\r\n'
+        '0.5,0.24999999964999997,0.25,-3.5000002895912985e-10\r\n'
+        '0.75,0.24999999964999997,0.25,-3.5000002895912985e-10\r\n'
+        '1.0,0.24999999964999997,0.25,-3.5000002895912985e-10\r\n'
+    ),
+}
+
+
 def test_trace_gap_at_unit_or_lower_bandwidth(capsys, tmp_path):
     """b <= 1: the boundary is the point-to-point floor D_2*, which the
     verdict's relative tolerance moves down to ``lowest``; the gap over
-    D_2* is that shift, up to the trace width."""
+    D_2* is that shift, up to the trace width.  The bytes are pinned as
+    for the README trace."""
     out = tmp_path / "out"
     for name in ("compression_k2", "matched_k2"):
         path = SCENARIOS / f"{name}.json"
@@ -188,6 +205,7 @@ def test_trace_gap_at_unit_or_lower_bandwidth(capsys, tmp_path):
             capsys, "trace", "--scenario", str(path), "--d1-grid", grid, "--out", str(out / name),
         )
         assert code == 0
+        assert (out / name / "trace.csv").read_bytes() == B_LE_1_TRACE_CSV[name].encode()
         with (out / name / "trace.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         n2 = sc.noises[1]

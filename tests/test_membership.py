@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbcbound.bound import _Chain, bound_rhs, check_inequality, eval_lhs
+from gbcbound.bound import DEFAULT_REL_TOL, _Chain, bound_rhs, check_inequality, eval_lhs
 from gbcbound.core import (
     BroadcastScenario,
     check_distortions,
@@ -16,6 +16,8 @@ from gbcbound.core import (
 )
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
+    GRID_POINTS,
+    TAIL_POINTS,
     TRACE_WIDTH,
     SupResult,
     _chain_dp,
@@ -333,6 +335,61 @@ def test_trace_rows_at_or_below_matched_bandwidth_take_one_call(monkeypatch):
         f1 = trivial_distortion(sc, 1)
         for u in (0.0, 0.1, 0.3):
             assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (1, False)
+
+
+def _member_probes(monkeypatch, sc, prefixes):
+    """The member verdicts of the trace_boundary rows' in_outer_region calls."""
+    import gbcbound.membership as m
+
+    real, verdicts = m.in_outer_region, []
+
+    def recorded(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "in_outer_region", recorded)
+        for prefix in prefixes:
+            trace_boundary(sc, prefix)
+    return [v for v in verdicts if v.member]
+
+
+def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
+    """At b <= 1 only the first grid's last cell, [MARGIN N_S, +inf], keeps
+    sup_upper above the threshold at a boundary member.  Re-bounding that
+    cell on the tail certifies the member after the first pass and the
+    tail, except on the row at D_1 = D_1*, where interior cells of the
+    first grid already bound above the threshold; at D_1 = N_S the first
+    pass alone may decide."""
+    grids = []
+    for name in ("compression_k2", "matched_k2"):
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+        f1 = trivial_distortion(sc, 1)
+        grids.append((sc, [(f1 + (1.0 - f1) * i / 9,) for i in range(10)]))
+    sc = load_scenario(SCENARIOS / "matched_k3.json")
+    f1, d2 = trivial_distortion(sc, 1), 1.5 * trivial_distortion(sc, 2)
+    grids.append((sc, [(f1 + (1.0 - f1) * i / 9, d2) for i in range(10)]))
+    for sc, prefixes in grids:
+        probes = _member_probes(monkeypatch, sc, prefixes)
+        certified = [v for v in probes if v.certified]
+        assert len(probes) == 10 and len(certified) >= 9, sc
+        threshold = bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)
+        for v in probes:
+            assert v.certified == (v.sup.sup_upper <= threshold)
+        first = (sc.num_receivers - 1) * GRID_POINTS + 1
+        tail = (sc.num_receivers - 1) * TAIL_POINTS
+        passes = [v.sup.iterations for v in certified]
+        assert set(passes) <= {first, first + tail} and passes.count(first + tail) >= 8, sc
+
+
+def test_readme_trace_member_probes_keep_their_passes(monkeypatch):
+    """At b = 2 the excess over the threshold lies in interior cells, so the
+    tail is never tried: the README trace's member probes stay undecided
+    and run every zoom pass, as before the tail existed."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    probes = _member_probes(monkeypatch, readme, [(0.25 + 0.12 * i / 24,) for i in range(25)])
+    assert not any(v.certified for v in probes)
+    assert [v.sup.iterations for v in probes] == [2832] * 2 + [2833] * 34
 
 
 def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):

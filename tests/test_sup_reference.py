@@ -12,8 +12,18 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-from gbcbound.core import BroadcastScenario, trivial_distortion
-from gbcbound.membership import in_outer_region, sup_bound_lhs
+import numpy as np
+
+from gbcbound.bound import _Chain
+from gbcbound.core import BroadcastScenario, check_distortions, trivial_distortion
+from gbcbound.membership import (
+    _TAIL,
+    _chain_dp,
+    _tau_grid,
+    in_outer_region,
+    sup_bound_lhs,
+    trace_boundary,
+)
 from gbcbound.verify import random_distortions, random_scenario
 
 GRID = [0.0] + [10.0 ** e for e in range(-3, 4)] + [math.inf]
@@ -87,6 +97,31 @@ def test_sup_upper_above_reference_at_probes():
     for _ in range(8):
         sc = random_scenario(rng, k_range=(1, 1), bandwidth=_bandwidth(rng))
         _assert_bounds(sc, random_distortions(rng, sc), [])
+
+
+def test_tail_sup_upper_above_reference_at_boundary():
+    """b <= 1 boundary members, K = 2, 3, 5: ``in_outer_region`` re-bounds
+    the first grid's last cell on the tail.  Its sup_upper lies above the
+    exact value at schedules whose tau_1 is a tail point or +inf, is below
+    the first grid's bound (``sup_bound_lhs`` without a target), and equals
+    the enclosure of the first grid with the tail's points inserted."""
+    rng = random.Random(71)
+    for k in (2, 2, 3, 5):
+        sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.choice((rng.uniform(0.2, 0.9), 1.0)))
+        prefix = tuple(trivial_distortion(sc, j) * (sc.source_var / trivial_distortion(sc, j)) ** 0.3
+                       for j in range(1, k))
+        d = check_distortions(sc, prefix + (trace_boundary(sc, prefix),))
+        verdict = in_outer_region(sc, d)
+        grid = _tau_grid(sc, d)
+        tail = list(grid[-2] * _TAIL) + [math.inf]
+        merged = _chain_dp(_Chain(sc, d), np.concatenate((grid[:-1], tail[1:])), bounded=True)[1]
+        assert verdict.member and verdict.certified
+        assert verdict.sup.sup_upper < sup_bound_lhs(sc, d).sup_upper
+        assert verdict.sup.sup_upper == merged[0]
+        upper = Decimal(verdict.sup.sup_upper)
+        for tau in tail:
+            for taus in ((tau,) + (0.0,) * (k - 1), (tau,) * (k - 1) + (0.0,)):
+                assert upper >= lhs_reference(sc, d.values, taus), (sc, d, taus)
 
 
 def test_sup_upper_past_float_range_is_inf():
