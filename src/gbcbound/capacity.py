@@ -16,8 +16,9 @@ induces a *virtual* broadcast channel with power N_S and noises
 N_S * D_k / (N_S - D_k); the distortion tuple can be achievable only if
 the virtual region fits inside the physical one scaled by the bandwidth
 factor.  That containment is checked here by dense sampling of the
-dominant face; that one two-user region pokes out of another is found by
-a search for the power the other lacks (``poke_out``).
+dominant face.  Whether one two-user region nests strictly inside another
+(``nesting``) adds a search for the power the narrower one lacks to hold
+a boundary point of the wider one.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ __all__ = [
     "GaussianBC",
     "RatePoint",
     "ContainmentResult",
+    "NestingResult",
     "boundary_rates",
     "rate_membership",
     "virtual_channel",
     "containment",
-    "poke_out",
+    "nesting",
     "scenario_from_capacities",
     "split_grid",
     "point_to_point_capacity",
@@ -94,8 +96,19 @@ class RatePoint:
 class ContainmentResult:
     contained: bool
     witness: RatePoint | None = None
-    witness_split: tuple[float, ...] | None = None
     samples_checked: int = 0
+
+
+@dataclass(frozen=True)
+class NestingResult:
+    """``nesting``'s verdict; ``narrow`` lacks ``lack`` to hold ``witness``,
+    ``wide``'s boundary point at ``split``."""
+
+    contained: bool
+    strict: bool
+    lack: float
+    split: tuple[float, float]
+    witness: RatePoint
 
 
 def point_to_point_capacity(ch: GaussianBC, k: int, bandwidth: float) -> float:
@@ -132,15 +145,13 @@ def boundary_rates(ch: GaussianBC, split: Sequence[float], bandwidth: float) -> 
     return RatePoint(tuple(rates))
 
 
-def rate_membership(
-    ch: GaussianBC, point: RatePoint, bandwidth: float, beta_tol: float = BETA_REL_TOL
-) -> bool:
+def rate_membership(ch: GaussianBC, point: RatePoint, bandwidth: float) -> bool:
     """Is a rate point inside the (b-scaled) capacity region?
 
     Membership iff the least residual power of the greedy inversion
-    (``_residual_power``) stays >= -beta_tol * P.
+    (``_residual_power``) stays >= -BETA_REL_TOL * P.
     """
-    return _residual_power(ch, point, bandwidth) >= -beta_tol * ch.power
+    return _residual_power(ch, point, bandwidth) >= -BETA_REL_TOL * ch.power
 
 
 def _residual_power(ch: GaussianBC, point: RatePoint, bandwidth: float) -> float:
@@ -220,62 +231,58 @@ def split_grid(num_receivers: int, samples: int) -> list[tuple[float, ...]]:
     return grid
 
 
+def _lack(
+    inner: GaussianBC, outer: GaussianBC, split: Sequence[float], b_inner: float, b_outer: float
+) -> float:
+    """Power ``outer`` lacks to hold ``inner``'s boundary point at ``split``,
+    shrunk by ``RATE_TOL_BITS`` per receiver so that verdicts are robust to
+    round-off: minus the residual power of ``rate_membership``'s inversion."""
+    point = boundary_rates(inner, split, b_inner)
+    probe = RatePoint(tuple(max(r - RATE_TOL_BITS, 0.0) for r in point.rates))
+    return -_residual_power(outer, probe, b_outer)
+
+
 def containment(
     inner: GaussianBC,
     outer: GaussianBC,
     bandwidth_inner: float,
     bandwidth_outer: float,
     samples: int = 512,
-    rate_tol: float = RATE_TOL_BITS,
 ) -> ContainmentResult:
     """Is the inner region (sampled on its dominant face) inside the outer one?
 
-    Each sampled boundary point is shrunk by ``rate_tol`` bits per
-    receiver before the membership probe, so verdicts are robust to
-    round-off at the stated tolerance.  Returns the first violating
-    boundary point as a witness.
+    A sampled boundary point is inside when the outer channel lacks at most
+    ``BETA_REL_TOL * outer.power`` to hold it (``_lack``).  Returns the
+    first violating boundary point as a witness.
     """
     if inner.num_receivers != outer.num_receivers:
-        raise DimensionMismatch(
-            f"{inner.num_receivers} vs {outer.num_receivers} receivers"
-        )
+        raise DimensionMismatch(f"{inner.num_receivers} vs {outer.num_receivers} receivers")
+    tol = BETA_REL_TOL * outer.power
     checked = 0
     for split in split_grid(inner.num_receivers, samples):
-        point = boundary_rates(inner, split, bandwidth_inner)
-        probe = RatePoint(tuple(max(r - rate_tol, 0.0) for r in point.rates))
         checked += 1
-        if not rate_membership(outer, probe, bandwidth_outer):
-            return ContainmentResult(
-                contained=False, witness=point, witness_split=split, samples_checked=checked
-            )
+        if not _lack(inner, outer, split, bandwidth_inner, bandwidth_outer) <= tol:
+            witness = boundary_rates(inner, split, bandwidth_inner)
+            return ContainmentResult(contained=False, witness=witness, samples_checked=checked)
     return ContainmentResult(contained=True, samples_checked=checked)
 
 
-def poke_out(
-    inner: GaussianBC,
-    outer: GaussianBC,
-    bandwidth_inner: float,
-    bandwidth_outer: float,
-    samples: int,
-) -> tuple[float, tuple[float, float]]:
-    """Largest power the two-user ``outer`` region lacks to hold a boundary
-    point of ``inner``, and the split where it lacks it.
+def nesting(
+    wide: GaussianBC, narrow: GaussianBC, b_wide: float, b_narrow: float, samples: int
+) -> NestingResult:
+    """Does the two-user region ``narrow`` nest strictly inside ``wide``?
 
-    The lack at a split is minus the residual power left by
-    ``rate_membership``'s inversion of the inner boundary point, shrunk by
-    ``RATE_TOL_BITS`` per receiver as in ``containment``; the point lies
-    outside when the lack exceeds ``BETA_REL_TOL * outer.power``.  The
-    search scans the splits (1 - s, s) that ``containment`` samples, so it
-    finds every poke-out ``containment(inner, outer, ..., samples)`` finds,
-    then maximizes the lack by golden-section search on the share s of
-    receiver 2 between the neighbours of the best split, so a poke-out
-    narrower than the grid (near s = 0, say) is still found.
+    ``contained`` is ``containment(narrow, wide, ...)``.  ``strict`` is
+    searched, not sampled: the most power ``narrow`` lacks to hold a boundary
+    point of ``wide`` must exceed ``BETA_REL_TOL * narrow.power``.  The lack
+    is scanned on the ``samples`` splits (1 - s, s) and then maximized by
+    golden-section search on s between the best split's neighbours, so a
+    poke-out narrower than the grid (near s = 0, say) is still found.
     """
     def lack(s: float) -> float:
-        point = boundary_rates(inner, (1.0 - s, s), bandwidth_inner)
-        probe = RatePoint(tuple(max(r - RATE_TOL_BITS, 0.0) for r in point.rates))
-        return -_residual_power(outer, probe, bandwidth_outer)
+        return _lack(wide, narrow, (1.0 - s, s), b_wide, b_narrow)
 
+    contained = containment(narrow, wide, b_narrow, b_wide, samples).contained
     shares = [split[1] for split in split_grid(2, samples)]
     lacks = [lack(s) for s in shares]
     best = max(range(len(shares)), key=lacks.__getitem__)
@@ -293,7 +300,9 @@ def poke_out(
             d = a + ratio * (b - a)
             lack_d = lack(d)
     most, share = max((lacks[best], shares[best]), (lack_c, c), (lack_d, d))
-    return most, (1.0 - share, share)
+    split = (1.0 - share, share)
+    strict = most > BETA_REL_TOL * narrow.power
+    return NestingResult(contained, strict, most, split, boundary_rates(wide, split, b_wide))
 
 
 def scenario_from_capacities(c1: float, c2: float, bandwidth: float) -> BroadcastScenario:

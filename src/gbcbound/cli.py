@@ -16,22 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bound import check_inequality
-from .capacity import (
-    BETA_REL_TOL,
-    GaussianBC,
-    boundary_rates,
-    containment,
-    poke_out,
-    scenario_from_capacities,
-    split_grid,
-)
+from .bound import DEFAULT_REL_TOL, check_inequality
+from .capacity import GaussianBC, boundary_rates, nesting, scenario_from_capacities, split_grid
 from .core import (
     BroadcastScenario,
     load_scenario,
@@ -113,6 +106,10 @@ def _load_scenario_arg(args) -> BroadcastScenario:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n")
+
+
 def _write_manifest(
     outdir: Path, command: str, scenario, parameters: dict, outputs: list[str]
 ) -> Path:
@@ -124,7 +121,7 @@ def _write_manifest(
         "tool_version": __version__,
     }
     path = outdir / f"{command}_manifest.json"
-    path.write_text(json.dumps(_json_safe(manifest), sort_keys=True, indent=2) + "\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -232,17 +229,7 @@ def cmd_verify_theorems(args) -> int:
         "command": "verify-theorems",
         "trials": args.trials,
         "seed": args.seed,
-        "checks": [
-            {
-                "name": r.name,
-                "trials": r.trials,
-                "failures": r.failures,
-                "passed": r.passed,
-                "detail": r.detail,
-                "examples": r.examples,
-            }
-            for r in results
-        ],
+        "checks": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
         "all_passed": all(r.passed for r in results),
     }
     if args.trials <= 0:
@@ -259,7 +246,7 @@ def cmd_figure1(args) -> int:
         raise InputError("bandwidth values must be finite and > 0")
     outdir = _ensure_outdir(args)
     outputs = []
-    channels = {}
+    channels, corners = {}, {}
     for b in bandwidths:
         scenario = scenario_from_capacities(args.c1, args.c2, b)
         ch = GaussianBC(scenario.power, scenario.noises)
@@ -282,41 +269,30 @@ def cmd_figure1(args) -> int:
                     row.append(_fmt(literal))
                 writer.writerow(row)
         outputs.append(csv_path.name)
-        corner1 = boundary_rates(ch, (1.0, 0.0), b).rates[0]
-        corner2 = boundary_rates(ch, (0.0, 1.0), b).rates[1]
-        channels[b] = (ch, corner1, corner2)
+        channels[b] = ch
+        corners[_fmt(b)] = {
+            "R1_corner": boundary_rates(ch, (1.0, 0.0), b).rates[0],
+            "R2_corner": boundary_rates(ch, (0.0, 1.0), b).rates[1],
+        }
     ordered = sorted(bandwidths)
-    nesting = []
+    pairs = []
     for b_lo, b_hi in zip(ordered, ordered[1:]):
-        ch_lo, ch_hi = channels[b_lo][0], channels[b_hi][0]
-        inside = containment(ch_hi, ch_lo, b_hi, b_lo, samples=args.samples)
-        lack, split = poke_out(ch_lo, ch_hi, b_lo, b_hi, samples=args.samples)
-        strict = lack > BETA_REL_TOL * ch_hi.power
-        witness = list(boundary_rates(ch_lo, split, b_lo).rates) if strict else None
-        nesting.append(
-            {
-                "b_inner": b_hi,
-                "b_outer": b_lo,
-                "contained": inside.contained,
-                "strict": strict,
-                "strict_witness": witness,
-            }
-        )
+        nest = nesting(channels[b_lo], channels[b_hi], b_lo, b_hi, args.samples)
+        witness = list(nest.witness.rates) if nest.strict else None
+        pairs.append({"b_inner": b_hi, "b_outer": b_lo, "contained": nest.contained,
+                      "strict": nest.strict, "strict_witness": witness})
     summary = {
         "command": "figure1",
         "c1": args.c1,
         "c2": args.c2,
         "bandwidths": list(bandwidths),
-        "corners": {
-            _fmt(b): {"R1_corner": channels[b][1], "R2_corner": channels[b][2]}
-            for b in bandwidths
-        },
-        "nesting": nesting,
-        "all_nested": all(n["contained"] and n["strict"] for n in nesting),
+        "corners": corners,
+        "nesting": pairs,
+        "all_nested": all(n["contained"] and n["strict"] for n in pairs),
         "outputs": outputs,
     }
     summary_path = outdir / "figure1_summary.json"
-    summary_path.write_text(json.dumps(_json_safe(summary), sort_keys=True, indent=2) + "\n")
+    _write_json(summary_path, summary)
     outputs.append(summary_path.name)
     manifest = _write_manifest(
         outdir,
@@ -349,7 +325,7 @@ def cmd_simulate(args) -> int:
     if args.out is not None:
         outdir = _ensure_outdir(args)
         report_path = outdir / "simulate_report.json"
-        report_path.write_text(json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n")
+        _write_json(report_path, payload)
         manifest = _write_manifest(
             outdir,
             "simulate",
@@ -371,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="JSON scenario file (power, noises, bandwidth, source_var)")
-    common.add_argument("--tolerance", type=float, default=1e-9, help="relative comparison tolerance")
+    common.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL, help="relative comparison tolerance")
     common.add_argument("--seed", type=int, default=42, help="random seed")
     common.add_argument("--out", help="output directory for files and manifests")
     sub = parser.add_subparsers(dest="command", required=True)

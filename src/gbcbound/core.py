@@ -218,7 +218,7 @@ def check_distortions(
 
 
 def scenario_from_dict(raw: Mapping) -> BroadcastScenario:
-    """Scenario from a flat key-value mapping (the scenario file format)."""
+    """Scenario from a flat key-value mapping (the scenario file format) of numbers."""
     try:
         power = raw["power"]
         noises = raw["noises"]
@@ -228,6 +228,9 @@ def scenario_from_dict(raw: Mapping) -> BroadcastScenario:
     source_var = raw.get("source_var", 1.0)
     if not isinstance(noises, (list, tuple)):
         raise NonDecreasingNoises("'noises' must be an array")
+    for v in (power, *noises, bandwidth, source_var):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise NonPositiveParameter(f"scenario values must be numbers, got {v!r}")
     return BroadcastScenario(power, noises, bandwidth, source_var)
 
 

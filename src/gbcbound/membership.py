@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bound import Distortions, _Chain, bound_rhs
+from .bound import DEFAULT_REL_TOL, Distortions, _Chain, bound_rhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
@@ -67,7 +67,6 @@ __all__ = [
     "trace_boundary",
 ]
 
-DEFAULT_REL_TOL = 1e-9
 GRID_POINTS = 2049
 ZOOM_POINTS = 257
 ZOOM_STEP = 1e-8

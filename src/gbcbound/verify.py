@@ -491,29 +491,38 @@ def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
     return result
 
 
+def _capacity_channel(c1: float, c2: float, b: float) -> capacity.GaussianBC:
+    sc = capacity.scenario_from_capacities(c1, c2, b)
+    return capacity.GaussianBC(sc.power, sc.noises)
+
+
 def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
     """At fixed point-to-point capacities the two-user region shrinks as b grows.
 
-    The b_hi region lies inside the b_lo region on 128 sampled splits, and
-    the b_lo region pokes out of the b_hi one where ``capacity.poke_out``
-    finds it, searching from the same 128 splits.
+    Draw 0 is the family C = (1, 5) at b = 0.5, 1 and 2: each region keeps
+    the corners R_1 = 1 and R_2 = 5 to 1e-9, and each pair nests strictly by
+    ``capacity.nesting`` on 512 splits.  Draws 1 to max(1, trials / 100)
+    are random capacities and bandwidths b_lo < b_hi, nesting strictly on
+    128 splits.
     """
     result = CheckResult("region-shrinkage", 0, 0)
-    for i in range(max(1, trials // 100)):
+    for b in (0.5, 1.0, 2.0):
+        ch = _capacity_channel(1.0, 5.0, b)
+        for k, c in enumerate((1.0, 5.0)):
+            rate = capacity.boundary_rates(ch, (1.0 - k, float(k)), b).rates[k]
+            _record(result, abs(rate - c) <= 1e-9, 0, b=b, rate=rate)
+    cases = [(0, 1.0, 5.0, b_lo, b_hi, 512) for b_lo, b_hi in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0))]
+    for i in range(1, 1 + max(1, trials // 100)):
         c1 = rng.uniform(0.2, 3.0)
         c2 = c1 + rng.uniform(0.2, 3.0)
         b_lo = rng.uniform(0.3, 1.5)
-        b_hi = b_lo * rng.uniform(1.3, 3.0)
-        lo = capacity.scenario_from_capacities(c1, c2, b_lo)
-        hi = capacity.scenario_from_capacities(c1, c2, b_hi)
-        ch_lo = capacity.GaussianBC(lo.power, lo.noises)
-        ch_hi = capacity.GaussianBC(hi.power, hi.noises)
+        cases.append((i, c1, c2, b_lo, b_lo * rng.uniform(1.3, 3.0), 128))
+    for i, c1, c2, b_lo, b_hi, samples in cases:
+        wide, narrow = (_capacity_channel(c1, c2, b) for b in (b_lo, b_hi))
+        nest = capacity.nesting(wide, narrow, b_lo, b_hi, samples)
         witness = dict(capacities=(c1, c2), b=(b_lo, b_hi))
-        nested = capacity.containment(ch_hi, ch_lo, b_hi, b_lo, samples=128).contained
-        _record(result, nested, i, **witness)
-        lack, split = capacity.poke_out(ch_lo, ch_hi, b_lo, b_hi, samples=128)
-        strict = lack > capacity.BETA_REL_TOL * ch_hi.power
-        _record(result, strict, i, **witness, split=split, lack=lack)
+        _record(result, nest.contained, i, **witness)
+        _record(result, nest.strict, i, **witness, split=nest.split, lack=nest.lack)
     return result
 
 

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from gbcbound.capacity import (
-    BETA_REL_TOL,
     GaussianBC,
     RatePoint,
     boundary_rates,
     containment,
+    nesting,
     point_to_point_capacity,
-    poke_out,
     rate_membership,
     scenario_from_capacities,
     split_grid,
@@ -178,16 +177,15 @@ def test_corners_preserved_across_bandwidths():
 
 
 def test_region_shrinks_as_bandwidth_grows():
-    pairs = [(0.5, 1.0), (1.0, 2.0), (0.5, 2.0)]
     chans = {
         b: GaussianBC(*[getattr(scenario_from_capacities(1, 5, b), f) for f in ("power", "noises")])
         for b in (0.5, 1.0, 2.0)
     }
-    for b_lo, b_hi in pairs:
-        assert containment(chans[b_hi], chans[b_lo], b_hi, b_lo, samples=256).contained
-        lack, split = poke_out(chans[b_lo], chans[b_hi], b_lo, b_hi, samples=256)
-        assert lack > BETA_REL_TOL * chans[b_hi].power
-        assert not rate_membership(chans[b_hi], boundary_rates(chans[b_lo], split, b_lo), b_hi)
+    for b_lo, b_hi in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0)):
+        nest = nesting(chans[b_lo], chans[b_hi], b_lo, b_hi, samples=256)
+        assert nest.contained and nest.strict
+        assert nest.witness == boundary_rates(chans[b_lo], nest.split, b_lo)
+        assert not rate_membership(chans[b_hi], nest.witness, b_hi)
 
 
 def test_split_grid_properties():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,10 +11,10 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import gbcbound
-from gbcbound.bound import bound_rhs
+from gbcbound.bound import DEFAULT_REL_TOL, bound_rhs
 from gbcbound.cli import main
 from gbcbound.core import load_scenario, trivial_distortion
-from gbcbound.membership import DEFAULT_REL_TOL, TRACE_WIDTH
+from gbcbound.membership import TRACE_WIDTH
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -115,6 +116,15 @@ def test_missing_scenario_file(capsys):
     )
     assert code == 2
     assert "not found" in payload["message"]
+
+
+def test_scenario_value_not_a_number(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"power": "abc", "noises": [3, 1], "bandwidth": 1}))
+    code, payload = run_cli(capsys, "eval", "--scenario", str(path), "--distortions", "0.5,0.25",
+                            "--tau", "1,0")
+    assert code == 2
+    assert payload["error"] == "NonPositiveParameter"
 
 
 def test_membership_payload(capsys, expansion):
@@ -328,7 +338,21 @@ def test_verify_theorems_zero_trials_warns(capsys):
     assert "warning" in payload
 
 
+FIGURE1_SHA256 = {
+    "narrow/figure1_manifest.json": "9349da2f65e46de210b8d6b773b76ab6b381e6f0334271cfa2fb29c29fb5879e",
+    "narrow/figure1_summary.json": "2150794acc3c628c3633e7c94595e355608fffe3ed27eb114e1fd666db604e5c",
+    "narrow/region_b0.344.csv": "c2ef09e26a5e639c729bbdc3c72566cdc1cc25ec7b5f6540a67ad0ede48713f9",
+    "narrow/region_b0.471.csv": "cc578f8bc48f4409cd98650ac54f58b0416b83fa81cd74f3e4c10a4cb5c0c79f",
+    "fig/figure1_manifest.json": "25e66e5634beb9c1dcbed7370f7f5cbe040ce990ec2274f934a05272f0451ef0",
+    "fig/figure1_summary.json": "a4e23977530257489c76bb53513e730c8232c6f69be472c36b89902b05c12332",
+    "fig/region_b0.5.csv": "36ea837fcbbf91558496406421a174b5f385e35ab581626376fb509cbba07613",
+    "fig/region_b1.0.csv": "482845b1abeb8a1e9c865e545d41190fa717194cb52dd85a1e1e5cea0a0a8081",
+    "fig/region_b2.0.csv": "5fc86bdf03251c454ff996a601f4cbdba1729904577a437150cddd90cf252097",
+}
+
+
 def test_figure1_outputs(capsys, tmp_path):
+    """Every output file is pinned by its sha256 (``FIGURE1_SHA256``)."""
     # the b = 0.344 region pokes out of the b = 0.471 one only between the 128
     # sampled splits, at a share of receiver 2 near 2e-8
     code, payload = run_cli(
@@ -358,6 +382,9 @@ def test_figure1_outputs(capsys, tmp_path):
         assert len(lines) == 129
     manifest = json.loads((out / "figure1_manifest.json").read_text())
     validate_payload(manifest, "manifest.schema.json")
+    files = (p for p in tmp_path.rglob("*") if p.is_file())
+    sha256s = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert sha256s == FIGURE1_SHA256
 
 
 def test_figure1_caption_literal_column(capsys, tmp_path):

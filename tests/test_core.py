@@ -199,5 +199,9 @@ def test_scenario_file_roundtrip(tmp_path):
 def test_scenario_from_dict_missing_field():
     with pytest.raises(NonPositiveParameter):
         scenario_from_dict({"power": 1, "noises": [1]})
+    for bad in ({"power": "abc"}, {"noises": [3, None]}, {"power": True}, {"bandwidth": None},
+                {"source_var": "1"}, {"noises": [3, False]}):
+        with pytest.raises(NonPositiveParameter):
+            scenario_from_dict({"power": 1, "noises": [3, 1], "bandwidth": 1, **bad})
     with pytest.raises(NonDecreasingNoises):
         scenario_from_dict({"power": 1, "noises": 2, "bandwidth": 1})
