@@ -1,9 +1,10 @@
 """Gaussian broadcast capacity regions, containment, and the virtual channel.
 
-The degraded K-user Gaussian broadcast channel with power P and noises
-N_1 > ... > N_K has the superposition-coding region.  With a power split
-alpha (alpha_k >= 0, sum 1) and cumulative residual power
-beta_k = sum_{j>k} alpha_j * P (beta_0 = P), the dominant face is
+A capacity region is fixed by a ``BroadcastScenario``'s power P, noises
+N_1 > ... > N_K and bandwidth factor b; its source variance plays no part.
+With a power split alpha (alpha_k >= 0, sum 1) and cumulative residual
+power beta_k = sum_{j>k} alpha_j * P (beta_0 = P), the dominant face of
+the superposition-coding region is
 
     R_k = (b/2) * log2((beta_{k-1} + N_k) / (beta_k + N_k)),
 
@@ -12,13 +13,13 @@ are in bits (log base 2 throughout; the base cancels in every
 containment verdict).
 
 A source with variance N_S reconstructed at distortions D_1 > ... > D_K
-induces a *virtual* broadcast channel with power N_S and noises
-N_S * D_k / (N_S - D_k); the distortion tuple can be achievable only if
-the virtual region fits inside the physical one scaled by the bandwidth
-factor.  That containment is checked here by dense sampling of the
-dominant face.  Whether one two-user region nests strictly inside another
-(``nesting``) adds a search for the power the narrower one lacks to hold
-a boundary point of the wider one.
+induces a *virtual* broadcast channel with power N_S, noises
+N_S * D_k / (N_S - D_k) and b = 1; the distortion tuple can be achievable
+only if the virtual region fits inside the physical one.  That
+containment is checked here by dense sampling of the dominant face.
+Whether one two-user region nests strictly inside another (``nesting``)
+adds a search for the power the narrower one lacks to hold a boundary
+point of the wider one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .core import BroadcastScenario, DistortionTuple, check_channel
+from .core import BroadcastScenario, DistortionTuple
 from .errors import (
     DimensionMismatch,
     DistortionAtSourceVariance,
@@ -39,7 +40,6 @@ from .errors import (
 )
 
 __all__ = [
-    "GaussianBC",
     "RatePoint",
     "ContainmentResult",
     "NestingResult",
@@ -56,23 +56,6 @@ __all__ = [
 RATE_TOL_BITS = 1e-7
 BETA_REL_TOL = 1e-9
 SPLIT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GaussianBC:
-    """Degraded Gaussian broadcast channel: power and strictly decreasing noises."""
-
-    power: float
-    noises: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "power", float(self.power))
-        object.__setattr__(self, "noises", tuple(float(n) for n in self.noises))
-        check_channel(self.power, self.noises)
-
-    @property
-    def num_receivers(self) -> int:
-        return len(self.noises)
 
 
 @dataclass(frozen=True)
@@ -111,16 +94,16 @@ class NestingResult:
     witness: RatePoint
 
 
-def point_to_point_capacity(ch: GaussianBC, k: int, bandwidth: float) -> float:
+def point_to_point_capacity(sc: BroadcastScenario, k: int) -> float:
     """Single-user capacity (b/2) * log2(1 + P / N_k), 1-based k."""
-    nk = ch.noises[k - 1]
-    return 0.5 * bandwidth * math.log2(1.0 + ch.power / nk)
+    nk = sc.noises[k - 1]
+    return 0.5 * sc.bandwidth * math.log2(1.0 + sc.power / nk)
 
 
-def _validated_split(ch: GaussianBC, split: Sequence[float]) -> tuple[float, ...]:
+def _validated_split(sc: BroadcastScenario, split: Sequence[float]) -> tuple[float, ...]:
     vals = tuple(float(a) for a in split)
-    if len(vals) != ch.num_receivers:
-        raise InvalidSplit(f"split length {len(vals)} != {ch.num_receivers} receivers")
+    if len(vals) != sc.num_receivers:
+        raise InvalidSplit(f"split length {len(vals)} != {sc.num_receivers} receivers")
     for a in vals:
         if math.isnan(a) or a < 0.0:
             raise InvalidSplit(f"split shares must be >= 0, got {a}")
@@ -130,31 +113,29 @@ def _validated_split(ch: GaussianBC, split: Sequence[float]) -> tuple[float, ...
     return vals
 
 
-def boundary_rates(ch: GaussianBC, split: Sequence[float], bandwidth: float) -> RatePoint:
+def boundary_rates(sc: BroadcastScenario, split: Sequence[float]) -> RatePoint:
     """Dominant-face rate point for one power split."""
-    if not bandwidth > 0.0:
-        raise NonPositiveParameter(f"bandwidth must be > 0, got {bandwidth}")
-    alphas = _validated_split(ch, split)
-    beta = ch.power  # residual power before layer k
+    alphas = _validated_split(sc, split)
+    beta = sc.power  # residual power before layer k
     rates = []
-    for k in range(ch.num_receivers):
-        beta_next = ch.power * math.fsum(alphas[k + 1 :]) if k + 1 < len(alphas) else 0.0
-        nk = ch.noises[k]
-        rates.append(0.5 * bandwidth * math.log2((beta + nk) / (beta_next + nk)))
+    for k in range(sc.num_receivers):
+        beta_next = sc.power * math.fsum(alphas[k + 1 :]) if k + 1 < len(alphas) else 0.0
+        nk = sc.noises[k]
+        rates.append(0.5 * sc.bandwidth * math.log2((beta + nk) / (beta_next + nk)))
         beta = beta_next
     return RatePoint(tuple(rates))
 
 
-def rate_membership(ch: GaussianBC, point: RatePoint, bandwidth: float) -> bool:
-    """Is a rate point inside the (b-scaled) capacity region?
+def rate_membership(sc: BroadcastScenario, point: RatePoint) -> bool:
+    """Is a rate point inside the capacity region?
 
     Membership iff the least residual power of the greedy inversion
     (``_residual_power``) stays >= -BETA_REL_TOL * P.
     """
-    return _residual_power(ch, point, bandwidth) >= -BETA_REL_TOL * ch.power
+    return _residual_power(sc, point) >= -BETA_REL_TOL * sc.power
 
 
-def _residual_power(ch: GaussianBC, point: RatePoint, bandwidth: float) -> float:
+def _residual_power(sc: BroadcastScenario, point: RatePoint) -> float:
     """Least residual power over the greedy layer-by-layer inversion.
 
     beta_k = (beta_{k-1} + N_k) * 2^(-2 R_k / b) - N_k is the residual
@@ -162,26 +143,26 @@ def _residual_power(ch: GaussianBC, point: RatePoint, bandwidth: float) -> float
     which is exact for degraded regions; a negative minimum is the power
     the channel lacks to serve ``point``.
     """
-    if not bandwidth > 0.0:
-        raise NonPositiveParameter(f"bandwidth must be > 0, got {bandwidth}")
-    if len(point) != ch.num_receivers:
+    if len(point) != sc.num_receivers:
         raise DimensionMismatch(
-            f"rate point has {len(point)} entries for {ch.num_receivers} receivers"
+            f"rate point has {len(point)} entries for {sc.num_receivers} receivers"
         )
-    beta = least = ch.power
-    for k in range(ch.num_receivers):
-        nk = ch.noises[k]
-        beta = (beta + nk) * 2.0 ** (-2.0 * point.rates[k] / bandwidth) - nk
+    beta = least = sc.power
+    for k in range(sc.num_receivers):
+        nk = sc.noises[k]
+        beta = (beta + nk) * 2.0 ** (-2.0 * point.rates[k] / sc.bandwidth) - nk
         least = min(least, beta)
     return least
 
 
-def virtual_channel(source_var: float, distortions: Sequence[float]) -> GaussianBC:
+def virtual_channel(source_var: float, distortions: Sequence[float]) -> BroadcastScenario:
     """Broadcast channel induced by a source and its reconstructions.
 
-    Power N_S, noises N_S * D_k / (N_S - D_k).  Requires strictly
-    decreasing distortions in (0, N_S): D_k = N_S would mean an
-    infinite virtual noise and is rejected explicitly.
+    Power N_S, noises N_S * D_k / (N_S - D_k), and b = 1: its rates are
+    per source sample.  Its source variance is left at the default; this
+    module reads only power, noises and bandwidth.  Requires strictly
+    decreasing distortions in (0, N_S): D_k = N_S would mean an infinite
+    virtual noise and is rejected explicitly.
     """
     if not source_var > 0.0:
         raise NonPositiveParameter(f"source variance must be > 0, got {source_var}")
@@ -197,7 +178,7 @@ def virtual_channel(source_var: float, distortions: Sequence[float]) -> Gaussian
                 f"virtual channel needs strictly decreasing distortions, got {a} before {b}"
             )
     noises = tuple(source_var * v / (source_var - v) for v in d.values)
-    return GaussianBC(power=source_var, noises=noises)
+    return BroadcastScenario(source_var, noises, 1.0)
 
 
 def split_grid(num_receivers: int, samples: int) -> list[tuple[float, ...]]:
@@ -231,23 +212,17 @@ def split_grid(num_receivers: int, samples: int) -> list[tuple[float, ...]]:
     return grid
 
 
-def _lack(
-    inner: GaussianBC, outer: GaussianBC, split: Sequence[float], b_inner: float, b_outer: float
-) -> float:
+def _lack(inner: BroadcastScenario, outer: BroadcastScenario, split: Sequence[float]) -> float:
     """Power ``outer`` lacks to hold ``inner``'s boundary point at ``split``,
     shrunk by ``RATE_TOL_BITS`` per receiver so that verdicts are robust to
     round-off: minus the residual power of ``rate_membership``'s inversion."""
-    point = boundary_rates(inner, split, b_inner)
+    point = boundary_rates(inner, split)
     probe = RatePoint(tuple(max(r - RATE_TOL_BITS, 0.0) for r in point.rates))
-    return -_residual_power(outer, probe, b_outer)
+    return -_residual_power(outer, probe)
 
 
 def containment(
-    inner: GaussianBC,
-    outer: GaussianBC,
-    bandwidth_inner: float,
-    bandwidth_outer: float,
-    samples: int = 512,
+    inner: BroadcastScenario, outer: BroadcastScenario, samples: int = 512
 ) -> ContainmentResult:
     """Is the inner region (sampled on its dominant face) inside the outer one?
 
@@ -261,18 +236,16 @@ def containment(
     checked = 0
     for split in split_grid(inner.num_receivers, samples):
         checked += 1
-        if not _lack(inner, outer, split, bandwidth_inner, bandwidth_outer) <= tol:
-            witness = boundary_rates(inner, split, bandwidth_inner)
+        if not _lack(inner, outer, split) <= tol:
+            witness = boundary_rates(inner, split)
             return ContainmentResult(contained=False, witness=witness, samples_checked=checked)
     return ContainmentResult(contained=True, samples_checked=checked)
 
 
-def nesting(
-    wide: GaussianBC, narrow: GaussianBC, b_wide: float, b_narrow: float, samples: int
-) -> NestingResult:
+def nesting(wide: BroadcastScenario, narrow: BroadcastScenario, samples: int) -> NestingResult:
     """Does the two-user region ``narrow`` nest strictly inside ``wide``?
 
-    ``contained`` is ``containment(narrow, wide, ...)``.  ``strict`` is
+    ``contained`` is ``containment(narrow, wide, samples)``.  ``strict`` is
     searched, not sampled: the most power ``narrow`` lacks to hold a boundary
     point of ``wide`` must exceed ``BETA_REL_TOL * narrow.power``.  The lack
     is scanned on the ``samples`` splits (1 - s, s) and then maximized by
@@ -280,9 +253,9 @@ def nesting(
     poke-out narrower than the grid (near s = 0, say) is still found.
     """
     def lack(s: float) -> float:
-        return _lack(wide, narrow, (1.0 - s, s), b_wide, b_narrow)
+        return _lack(wide, narrow, (1.0 - s, s))
 
-    contained = containment(narrow, wide, b_narrow, b_wide, samples).contained
+    contained = containment(narrow, wide, samples).contained
     shares = [split[1] for split in split_grid(2, samples)]
     lacks = [lack(s) for s in shares]
     best = max(range(len(shares)), key=lacks.__getitem__)
@@ -302,7 +275,7 @@ def nesting(
     most, share = max((lacks[best], shares[best]), (lack_c, c), (lack_d, d))
     split = (1.0 - share, share)
     strict = most > BETA_REL_TOL * narrow.power
-    return NestingResult(contained, strict, most, split, boundary_rates(wide, split, b_wide))
+    return NestingResult(contained, strict, most, split, boundary_rates(wide, split))
 
 
 def scenario_from_capacities(c1: float, c2: float, bandwidth: float) -> BroadcastScenario:
@@ -310,12 +283,17 @@ def scenario_from_capacities(c1: float, c2: float, bandwidth: float) -> Broadcas
 
     Fixes P = 1 (every bound verdict is invariant under joint scaling of
     P and the noises) and solves (b/2) log2(1 + P/N_k) = C_k for the
-    noises: N_k = P / (2^(2 C_k / b) - 1).
+    noises: N_k = P / (2^(2 C_k / b) - 1).  Requires finite 0 < C_1 < C_2
+    and finite b > 0, with each 2 C_k / b in the float range.
     """
     if not (math.isfinite(c1) and math.isfinite(c2) and 0.0 < c1 < c2):
         raise InvalidCapacities(f"need 0 < C_1 < C_2, got ({c1}, {c2})")
-    if not bandwidth > 0.0:
-        raise NonPositiveParameter(f"bandwidth must be > 0, got {bandwidth}")
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise NonPositiveParameter(f"bandwidth must be finite and > 0, got {bandwidth}")
     power = 1.0
-    noises = tuple(power / (2.0 ** (2.0 * c / bandwidth) - 1.0) for c in (c1, c2))
+    try:
+        noises = tuple(power / (2.0 ** (2.0 * c / bandwidth) - 1.0) for c in (c1, c2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        msg = f"noise variances must be finite and > 0: 2 C_k / b out of range at b = {bandwidth}"
+        raise NonPositiveParameter(msg) from exc
     return BroadcastScenario(power, noises, bandwidth)

@@ -24,9 +24,10 @@ from pathlib import Path
 
 from . import __version__
 from .bound import DEFAULT_REL_TOL, check_inequality
-from .capacity import GaussianBC, boundary_rates, nesting, scenario_from_capacities, split_grid
+from .capacity import boundary_rates, nesting, scenario_from_capacities, split_grid
 from .core import (
     BroadcastScenario,
+    json_safe,
     load_scenario,
     scenario_to_dict,
     trivial_distortion,
@@ -43,21 +44,8 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 
-def _json_safe(value):
-    """Map +-inf to the strings "inf"/"-inf" so payloads stay strict JSON."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def _emit(payload: dict) -> None:
-    print(json.dumps(_json_safe(payload), sort_keys=True))
+    print(json.dumps(json_safe(payload), sort_keys=True))
 
 
 def _parse_float(token: str, what: str) -> float:
@@ -107,7 +95,7 @@ def _load_scenario_arg(args) -> BroadcastScenario:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(json_safe(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _write_manifest(
@@ -239,17 +227,14 @@ def cmd_verify_theorems(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    if not args.c1 < args.c2:
-        raise InputError(f"need C1 < C2, got {args.c1} >= {args.c2}")
     bandwidths = _parse_list(args.b, "b")
-    if any(b <= 0 or math.isinf(b) for b in bandwidths):
-        raise InputError("bandwidth values must be finite and > 0")
+    scenarios = {b: scenario_from_capacities(args.c1, args.c2, b) for b in bandwidths}
+    if len(scenarios) < len(bandwidths):
+        raise InputError(f"--b lists a bandwidth more than once: {args.b}")
     outdir = _ensure_outdir(args)
     outputs = []
-    channels, corners = {}, {}
-    for b in bandwidths:
-        scenario = scenario_from_capacities(args.c1, args.c2, b)
-        ch = GaussianBC(scenario.power, scenario.noises)
+    corners = {}
+    for b, sc in scenarios.items():
         csv_path = outdir / f"region_b{_fmt(b)}.csv"
         with csv_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -259,25 +244,24 @@ def cmd_figure1(args) -> int:
             writer.writerow(header)
             for split in split_grid(2, args.samples):
                 alpha = split[1]  # share of the better user, as in the region definition
-                point = boundary_rates(ch, split, b)
+                point = boundary_rates(sc, split)
                 row = [_fmt(alpha), _fmt(point.rates[0]), _fmt(point.rates[1])]
                 if args.caption_literal:
                     # literal form with the stronger user's bound printed over N_1
                     literal = 0.5 * b * math.log2(
-                        (alpha * ch.power + ch.noises[1]) / ch.noises[0]
+                        (alpha * sc.power + sc.noises[1]) / sc.noises[0]
                     )
                     row.append(_fmt(literal))
                 writer.writerow(row)
         outputs.append(csv_path.name)
-        channels[b] = ch
         corners[_fmt(b)] = {
-            "R1_corner": boundary_rates(ch, (1.0, 0.0), b).rates[0],
-            "R2_corner": boundary_rates(ch, (0.0, 1.0), b).rates[1],
+            "R1_corner": boundary_rates(sc, (1.0, 0.0)).rates[0],
+            "R2_corner": boundary_rates(sc, (0.0, 1.0)).rates[1],
         }
     ordered = sorted(bandwidths)
     pairs = []
     for b_lo, b_hi in zip(ordered, ordered[1:]):
-        nest = nesting(channels[b_lo], channels[b_hi], b_lo, b_hi, args.samples)
+        nest = nesting(scenarios[b_lo], scenarios[b_hi], args.samples)
         witness = list(nest.witness.rates) if nest.strict else None
         pairs.append({"b_inner": b_hi, "b_outer": b_lo, "contained": nest.contained,
                       "strict": nest.strict, "strict_witness": witness})
@@ -387,6 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(args.tolerance):
+            raise InputError(f"--tolerance must be finite, got {args.tolerance}")
         return args.func(args)
     except InputError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

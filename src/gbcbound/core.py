@@ -26,6 +26,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import (
     IndexOutOfRange,
+    InputError,
     InvalidDistortion,
     InvalidTauSchedule,
     NonDecreasingNoises,
@@ -39,6 +40,7 @@ __all__ = [
     "DistortionTuple",
     "scenario_from_dict",
     "scenario_to_dict",
+    "json_safe",
     "load_scenario",
     "trivial_distortion",
     "trivial_distortions",
@@ -54,23 +56,6 @@ def _require_ext_real(value: float, what: str) -> float:
     if x < 0.0:
         raise InvalidTauSchedule(f"{what} must be nonnegative, got {x}")
     return x
-
-
-def check_channel(power: float, noises: tuple[float, ...]) -> None:
-    """Validate a degraded Gaussian broadcast channel: P finite and > 0,
-    at least one noise variance, each finite and > 0, strictly decreasing."""
-    if not math.isfinite(power) or power <= 0.0:
-        raise NonPositiveParameter(f"power must be finite and > 0, got {power}")
-    if not noises:
-        raise NonPositiveParameter("at least one receiver is required")
-    for n in noises:
-        if not math.isfinite(n) or n <= 0.0:
-            raise NonPositiveParameter(f"noise variances must be finite and > 0, got {n}")
-    for a, b in zip(noises, noises[1:]):
-        if not a > b:
-            raise NonDecreasingNoises(
-                f"noise variances must be strictly decreasing, got {a} before {b}"
-            )
 
 
 @dataclass(frozen=True)
@@ -95,11 +80,20 @@ class BroadcastScenario:
         object.__setattr__(self, "noises", tuple(float(n) for n in self.noises))
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "source_var", float(self.source_var))
-        check_channel(self.power, self.noises)
-        for name in ("bandwidth", "source_var"):
+        for name in ("power", "bandwidth", "source_var"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise NonPositiveParameter(f"{name} must be finite and > 0, got {v}")
+        if not self.noises:
+            raise NonPositiveParameter("at least one receiver is required")
+        for n in self.noises:
+            if not math.isfinite(n) or n <= 0.0:
+                raise NonPositiveParameter(f"noise variances must be finite and > 0, got {n}")
+        for a, b in zip(self.noises, self.noises[1:]):
+            if not a > b:
+                raise NonDecreasingNoises(
+                    f"noise variances must be strictly decreasing, got {a} before {b}"
+                )
 
     @property
     def num_receivers(self) -> int:
@@ -218,19 +212,21 @@ def check_distortions(
 
 
 def scenario_from_dict(raw: Mapping) -> BroadcastScenario:
-    """Scenario from a flat key-value mapping (the scenario file format) of numbers."""
+    """Scenario from a flat key-value mapping (the scenario file format) of numbers.
+
+    Shape errors raise the base ``InputError``, range errors their own classes."""
     try:
         power = raw["power"]
         noises = raw["noises"]
         bandwidth = raw["bandwidth"]
     except KeyError as exc:
-        raise NonPositiveParameter(f"scenario file missing field {exc}") from exc
+        raise InputError(f"scenario file missing field {exc}") from exc
     source_var = raw.get("source_var", 1.0)
     if not isinstance(noises, (list, tuple)):
-        raise NonDecreasingNoises("'noises' must be an array")
+        raise InputError("'noises' must be an array")
     for v in (power, *noises, bandwidth, source_var):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise NonPositiveParameter(f"scenario values must be numbers, got {v!r}")
+            raise InputError(f"scenario values must be numbers, got {v!r}")
     return BroadcastScenario(power, noises, bandwidth, source_var)
 
 
@@ -243,12 +239,26 @@ def scenario_to_dict(scenario: BroadcastScenario) -> dict:
     }
 
 
+def json_safe(value):
+    """``value`` as strict JSON data: scenarios as ``scenario_to_dict``, tuples
+    as lists, and non-finite floats as the strings "inf", "-inf" and "nan"."""
+    if isinstance(value, BroadcastScenario):
+        value = scenario_to_dict(value)
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 def load_scenario(path) -> BroadcastScenario:
     """Load a scenario from a JSON file with fields power, noises, bandwidth, source_var."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
-        raise NonPositiveParameter("scenario file must contain a JSON object")
+        raise InputError("scenario file must contain a JSON object")
     return scenario_from_dict(raw)
 
 

@@ -55,7 +55,7 @@ class InvalidSplit(InputError):
 
 
 class DimensionMismatch(InputError):
-    """Channels with different user counts in a containment check."""
+    """Scenarios with different receiver counts in a containment check."""
 
 
 class InvalidCapacities(InputError):

@@ -24,7 +24,7 @@ from .core import (
     BroadcastScenario,
     TauSchedule,
     check_distortions,
-    scenario_to_dict,
+    json_safe,
     step_schedule,
     trivial_distortions,
 )
@@ -67,17 +67,7 @@ def _record(result: CheckResult, ok: bool, draw: int, **witness) -> None:
     if not ok:
         result.failures += 1
         if len(result.examples) < _EXAMPLES:
-            result.examples.append({"draw": draw, **{k: _plain(v) for k, v in witness.items()}})
-
-
-def _plain(value):
-    if isinstance(value, BroadcastScenario):
-        return scenario_to_dict(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    return value
+            result.examples.append(json_safe({"draw": draw, **witness}))
 
 
 def random_scenario(
@@ -448,18 +438,17 @@ def _check_capacity_roundtrip(rng: random.Random, trials: int) -> CheckResult:
     result = CheckResult("capacity-roundtrip", 0, 0)
     for i in range(max(1, trials // 5)):
         sc = random_scenario(rng, k_range=(1, 4))
-        ch = capacity.GaussianBC(sc.power, sc.noises)
-        k = ch.num_receivers
-        shares = [rng.random() for _ in range(k)]
+        shares = [rng.random() for _ in range(sc.num_receivers)]
         total = sum(shares) or 1.0
         split = tuple(s / total for s in shares)
         b = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-        point = capacity.boundary_rates(ch, split, b)
-        witness = dict(scenario=sc, split=split, b=b, rates=point.rates)
-        _record(result, capacity.rate_membership(ch, point, b), i, **witness)
+        sc = BroadcastScenario(sc.power, sc.noises, b)
+        point = capacity.boundary_rates(sc, split)
+        witness = dict(scenario=sc, split=split, rates=point.rates)
+        _record(result, capacity.rate_membership(sc, point), i, **witness)
         if sum(point.rates) > 1e-6:
             inflated = capacity.RatePoint(tuple(r * 1.01 + 1e-9 for r in point.rates))
-            _record(result, not capacity.rate_membership(ch, inflated, b), i, **witness)
+            _record(result, not capacity.rate_membership(sc, inflated), i, **witness)
     return result
 
 
@@ -482,18 +471,11 @@ def _check_capacity_equivalence(rng: random.Random, trials: int) -> CheckResult:
         if abs(verdict.sup.sup_value - verdict.rhs) <= 1e-6 * verdict.rhs:
             skipped += 1
             continue
-        virt = capacity.virtual_channel(ns, d)
-        phys = capacity.GaussianBC(sc.power, sc.noises)
-        cont = capacity.containment(virt, phys, 1.0, b, samples=512)
+        cont = capacity.containment(capacity.virtual_channel(ns, d), sc, samples=512)
         _record(result, verdict.member == cont.contained, i, scenario=sc, d=d,
                 member=verdict.member, margin=verdict.margin)
     result.detail = f"{skipped} near-boundary skips"
     return result
-
-
-def _capacity_channel(c1: float, c2: float, b: float) -> capacity.GaussianBC:
-    sc = capacity.scenario_from_capacities(c1, c2, b)
-    return capacity.GaussianBC(sc.power, sc.noises)
 
 
 def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
@@ -507,9 +489,9 @@ def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
     """
     result = CheckResult("region-shrinkage", 0, 0)
     for b in (0.5, 1.0, 2.0):
-        ch = _capacity_channel(1.0, 5.0, b)
+        sc = capacity.scenario_from_capacities(1.0, 5.0, b)
         for k, c in enumerate((1.0, 5.0)):
-            rate = capacity.boundary_rates(ch, (1.0 - k, float(k)), b).rates[k]
+            rate = capacity.boundary_rates(sc, (1.0 - k, float(k))).rates[k]
             _record(result, abs(rate - c) <= 1e-9, 0, b=b, rate=rate)
     cases = [(0, 1.0, 5.0, b_lo, b_hi, 512) for b_lo, b_hi in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0))]
     for i in range(1, 1 + max(1, trials // 100)):
@@ -518,8 +500,8 @@ def _check_region_shrinkage(rng: random.Random, trials: int) -> CheckResult:
         b_lo = rng.uniform(0.3, 1.5)
         cases.append((i, c1, c2, b_lo, b_lo * rng.uniform(1.3, 3.0), 128))
     for i, c1, c2, b_lo, b_hi, samples in cases:
-        wide, narrow = (_capacity_channel(c1, c2, b) for b in (b_lo, b_hi))
-        nest = capacity.nesting(wide, narrow, b_lo, b_hi, samples)
+        wide, narrow = (capacity.scenario_from_capacities(c1, c2, b) for b in (b_lo, b_hi))
+        nest = capacity.nesting(wide, narrow, samples)
         witness = dict(capacities=(c1, c2), b=(b_lo, b_hi))
         _record(result, nest.contained, i, **witness)
         _record(result, nest.strict, i, **witness, split=nest.split, lack=nest.lack)

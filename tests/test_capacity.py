@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gbcbound.capacity import (
-    GaussianBC,
     RatePoint,
     boundary_rates,
     containment,
@@ -21,20 +20,21 @@ from gbcbound.errors import (
     DistortionAtSourceVariance,
     InvalidCapacities,
     InvalidSplit,
+    NonPositiveParameter,
     NonStrictOrdering,
 )
 
-CH = GaussianBC(3, (3, 1))
+CH = BroadcastScenario(3, (3, 1), 1)
 
 
 def test_boundary_rates_corners():
-    assert boundary_rates(CH, (1, 0), 1).rates == pytest.approx((0.5 * math.log2(2), 0.0))
-    assert boundary_rates(CH, (0, 1), 1).rates == pytest.approx((0.0, 0.5 * math.log2(4)))
+    assert boundary_rates(CH, (1, 0)).rates == pytest.approx((0.5 * math.log2(2), 0.0))
+    assert boundary_rates(CH, (0, 1)).rates == pytest.approx((0.0, 0.5 * math.log2(4)))
 
 
 def test_boundary_rates_interior_point():
     # independent oracle: the two logs evaluated directly
-    point = boundary_rates(CH, (2 / 3, 1 / 3), 1)
+    point = boundary_rates(CH, (2 / 3, 1 / 3))
     assert point.rates[0] == pytest.approx(0.5 * math.log2(6 / 4), rel=1e-12)
     assert point.rates[1] == pytest.approx(0.5 * math.log2(2 / 1), rel=1e-12)
     assert point.rates[0] == pytest.approx(0.29248125036057813, rel=1e-12)
@@ -42,18 +42,18 @@ def test_boundary_rates_interior_point():
 
 
 def test_boundary_rates_scale_with_bandwidth():
-    base = boundary_rates(CH, (0.4, 0.6), 1)
-    doubled = boundary_rates(CH, (0.4, 0.6), 2)
+    base = boundary_rates(CH, (0.4, 0.6))
+    doubled = boundary_rates(BroadcastScenario(3, (3, 1), 2), (0.4, 0.6))
     assert doubled.rates == pytest.approx(tuple(2 * r for r in base.rates), rel=1e-12)
 
 
 def test_boundary_rates_invalid_split():
     with pytest.raises(InvalidSplit):
-        boundary_rates(CH, (0.5, 0.6), 1)
+        boundary_rates(CH, (0.5, 0.6))
     with pytest.raises(InvalidSplit):
-        boundary_rates(CH, (-0.1, 1.1), 1)
+        boundary_rates(CH, (-0.1, 1.1))
     with pytest.raises(InvalidSplit):
-        boundary_rates(CH, (1.0,), 1)
+        boundary_rates(CH, (1.0,))
 
 
 def test_rate_membership_roundtrip():
@@ -63,37 +63,38 @@ def test_rate_membership_roundtrip():
         noises = sorted((math.exp(rng.uniform(-3, 3)) for _ in range(k)), reverse=True)
         if any(a / b < 1.05 for a, b in zip(noises, noises[1:])):
             continue
-        ch = GaussianBC(math.exp(rng.uniform(-2, 2)), tuple(noises))
+        power = math.exp(rng.uniform(-2, 2))
         shares = [rng.random() for _ in range(k)]
         split = tuple(s / sum(shares) for s in shares)
         b = math.exp(rng.uniform(math.log(0.3), math.log(4.0)))
-        point = boundary_rates(ch, split, b)
-        assert rate_membership(ch, point, b)
+        sc = BroadcastScenario(power, tuple(noises), b)
+        point = boundary_rates(sc, split)
+        assert rate_membership(sc, point)
 
 
 def test_rate_membership_rejects_inflated_boundary():
     """Oracle: boundary points are Pareto-maximal on a fine split sweep."""
-    point = boundary_rates(CH, (0.6, 0.4), 1.0)
+    point = boundary_rates(CH, (0.6, 0.4))
     inflated = RatePoint(tuple(1.01 * r for r in point.rates))
-    assert not rate_membership(CH, inflated, 1.0)
+    assert not rate_membership(CH, inflated)
     for split in split_grid(2, 4001):
-        r = boundary_rates(CH, split, 1.0).rates
+        r = boundary_rates(CH, split).rates
         assert not (r[0] >= inflated.rates[0] and r[1] >= inflated.rates[1])
 
 
 def test_rate_membership_zero_rates():
-    assert rate_membership(CH, RatePoint((0.0, 0.0)), 1.0)
-    assert rate_membership(CH, RatePoint((0.0, 0.0)), 0.3)
+    assert rate_membership(CH, RatePoint((0.0, 0.0)))
+    assert rate_membership(BroadcastScenario(3, (3, 1), 0.3), RatePoint((0.0, 0.0)))
 
 
 def test_rate_membership_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        rate_membership(CH, RatePoint((0.1,)), 1.0)
+        rate_membership(CH, RatePoint((0.1,)))
 
 
 def test_virtual_channel_examples():
     virt = virtual_channel(1.0, (0.5, 0.25))
-    assert virt.power == 1.0
+    assert virt.power == 1.0 and virt.bandwidth == 1.0
     assert virt.noises == pytest.approx((1.0, 1 / 3), rel=1e-12)
     virt2 = virtual_channel(2.0, (1.0, 0.5))
     assert virt2.power == 2.0
@@ -118,35 +119,35 @@ def test_virtual_channel_preserves_point_to_point_capacity():
         sc = BroadcastScenario(3, [3, 1], b)
         virt = virtual_channel(1.0, trivial_distortions(sc).values)
         for k in (1, 2):
-            got = point_to_point_capacity(virt, k, 1.0)
-            want = point_to_point_capacity(GaussianBC(3, (3, 1)), k, b)
+            got = point_to_point_capacity(virt, k)
+            want = point_to_point_capacity(sc, k)
             assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_containment_reflexive():
-    assert containment(CH, CH, 1.0, 1.0).contained
+    assert containment(CH, CH).contained
 
 
 def test_containment_matched_bandwidth_equality():
     sc = BroadcastScenario(3, [3, 1], 1)
     virt = virtual_channel(1.0, trivial_distortions(sc).values)
-    assert containment(virt, CH, 1.0, 1.0).contained
-    assert containment(CH, virt, 1.0, 1.0).contained
+    assert containment(virt, CH).contained
+    assert containment(CH, virt).contained
 
 
 def test_containment_expansion_strict():
     sc = BroadcastScenario(3, [3, 1], 2)
     virt = virtual_channel(1.0, trivial_distortions(sc).values)
-    res = containment(virt, CH, 1.0, 2.0)
+    res = containment(virt, sc)
     assert not res.contained
     assert res.witness is not None and len(res.witness.rates) == 2
     # and the b-scaled physical region sits inside the virtual one
-    assert containment(CH, virt, 2.0, 1.0).contained
+    assert containment(sc, virt).contained
 
 
 def test_containment_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        containment(CH, GaussianBC(1, (1,)), 1.0, 1.0)
+        containment(CH, BroadcastScenario(1, (1,), 1))
 
 
 def test_scenario_from_capacities_values():
@@ -166,26 +167,26 @@ def test_scenario_from_capacities_errors():
         scenario_from_capacities(0, 1, 1)
     with pytest.raises(InvalidCapacities):
         scenario_from_capacities(2, 2, 1)
+    # b = inf would divide by 2^0 - 1 = 0; b = 1e-3 overflows 2^(2 C_2 / b)
+    for b in (0, -1, math.inf, math.nan, 1e-3):
+        with pytest.raises(NonPositiveParameter):
+            scenario_from_capacities(1, 5, b)
 
 
 def test_corners_preserved_across_bandwidths():
     for b in (0.5, 1.0, 2.0, 3.7):
         sc = scenario_from_capacities(1, 5, b)
-        ch = GaussianBC(sc.power, sc.noises)
-        assert boundary_rates(ch, (1, 0), b).rates[0] == pytest.approx(1.0, abs=1e-9)
-        assert boundary_rates(ch, (0, 1), b).rates[1] == pytest.approx(5.0, abs=1e-9)
+        assert boundary_rates(sc, (1, 0)).rates[0] == pytest.approx(1.0, abs=1e-9)
+        assert boundary_rates(sc, (0, 1)).rates[1] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_region_shrinks_as_bandwidth_grows():
-    chans = {
-        b: GaussianBC(*[getattr(scenario_from_capacities(1, 5, b), f) for f in ("power", "noises")])
-        for b in (0.5, 1.0, 2.0)
-    }
+    scs = {b: scenario_from_capacities(1, 5, b) for b in (0.5, 1.0, 2.0)}
     for b_lo, b_hi in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0)):
-        nest = nesting(chans[b_lo], chans[b_hi], b_lo, b_hi, samples=256)
+        nest = nesting(scs[b_lo], scs[b_hi], samples=256)
         assert nest.contained and nest.strict
-        assert nest.witness == boundary_rates(chans[b_lo], nest.split, b_lo)
-        assert not rate_membership(chans[b_hi], nest.witness, b_hi)
+        assert nest.witness == boundary_rates(scs[b_lo], nest.split)
+        assert not rate_membership(scs[b_hi], nest.witness)
 
 
 def test_split_grid_properties():

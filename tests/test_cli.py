@@ -124,7 +124,7 @@ def test_scenario_value_not_a_number(capsys, tmp_path):
     code, payload = run_cli(capsys, "eval", "--scenario", str(path), "--distortions", "0.5,0.25",
                             "--tau", "1,0")
     assert code == 2
-    assert payload["error"] == "NonPositiveParameter"
+    assert payload["error"] == "InputError"
 
 
 def test_membership_payload(capsys, expansion):
@@ -403,10 +403,44 @@ def test_figure1_caption_literal_column(capsys, tmp_path):
 
 
 def test_figure1_rejects_bad_capacities(capsys, tmp_path):
-    code, _ = run_cli(
+    code, payload = run_cli(
         capsys, "figure1", "--c1", "5", "--c2", "1", "--b", "1", "--out", str(tmp_path / "z")
     )
     assert code == 2
+    assert payload["error"] == "InvalidCapacities"
+    assert not (tmp_path / "z").exists()
+
+
+@pytest.mark.parametrize(
+    "b, error",
+    [("0", "NonPositiveParameter"), ("inf", "NonPositiveParameter"),
+     ("0.001", "NonPositiveParameter"), ("1,1", "InputError")],
+)
+def test_figure1_rejects_bad_bandwidths(capsys, tmp_path, b, error):
+    out = tmp_path / "z"
+    code, payload = run_cli(capsys, "figure1", "--c1", "1", "--c2", "5", "--b", b, "--out", str(out))
+    assert code == 2
+    assert payload["error"] == error and payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--distortions", "0.5,0.25", "--tau", "1,0"),
+        ("membership", "--distortions", "0.5,0.25"),
+        ("trace", "--d1-grid", "0.5:0.9:2"),
+    ],
+)
+def test_tolerance_must_be_finite(capsys, matched, tmp_path, argv, tolerance):
+    out = tmp_path / "t"
+    code, payload = run_cli(
+        capsys, *argv, "--scenario", matched, "--tolerance", tolerance, "--out", str(out)
+    )
+    assert code == 2
+    assert payload["error"] == "InputError" and "tolerance" in payload["message"]
+    assert not out.exists()
 
 
 def test_simulate_payload(capsys, matched):

@@ -17,6 +17,7 @@ from gbcbound.core import (
 )
 from gbcbound.errors import (
     IndexOutOfRange,
+    InputError,
     InvalidDistortion,
     InvalidTauSchedule,
     NonDecreasingNoises,
@@ -197,11 +198,23 @@ def test_scenario_file_roundtrip(tmp_path):
 
 
 def test_scenario_from_dict_missing_field():
-    with pytest.raises(NonPositiveParameter):
+    """Shape errors raise the base InputError itself, not a range-error subclass."""
+    with pytest.raises(InputError) as exc:
         scenario_from_dict({"power": 1, "noises": [1]})
+    assert type(exc.value) is InputError
     for bad in ({"power": "abc"}, {"noises": [3, None]}, {"power": True}, {"bandwidth": None},
-                {"source_var": "1"}, {"noises": [3, False]}):
-        with pytest.raises(NonPositiveParameter):
+                {"source_var": "1"}, {"noises": [3, False]}, {"noises": 2}):
+        with pytest.raises(InputError) as exc:
             scenario_from_dict({"power": 1, "noises": [3, 1], "bandwidth": 1, **bad})
+        assert type(exc.value) is InputError
+    # out-of-range values keep their own classes
     with pytest.raises(NonDecreasingNoises):
-        scenario_from_dict({"power": 1, "noises": 2, "bandwidth": 1})
+        scenario_from_dict({"power": 1, "noises": [1, 3], "bandwidth": 1})
+
+
+def test_load_scenario_rejects_non_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(InputError) as exc:
+        load_scenario(path)
+    assert type(exc.value) is InputError
