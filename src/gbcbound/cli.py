@@ -6,6 +6,11 @@ run produces.  Payloads are deterministic given the arguments and seed
 (no timestamps, sorted keys, shortest round-trip float formatting), so
 reruns are byte-for-byte reproducible.
 
+A command checks every input, ``--tolerance`` included (finite and >= 0),
+and computes all of its output before it writes anything: an input error
+leaves no ``--out`` directory behind.  One writer, ``_write_outputs``,
+creates ``--out`` and writes the files and their manifest.
+
 +infinity is spelled ``inf`` everywhere: in schedule arguments and in
 JSON payloads (as the string "inf", keeping the output strict JSON).
 
@@ -29,7 +34,6 @@ from .core import (
     BroadcastScenario,
     json_safe,
     load_scenario,
-    scenario_to_dict,
     trivial_distortion,
 )
 from .errors import InfeasibleEverywhere, InputError
@@ -98,31 +102,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(json_safe(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(
-    outdir: Path, command: str, scenario, parameters: dict, outputs: list[str]
-) -> Path:
-    manifest = {
-        "command": command,
-        "scenario": scenario_to_dict(scenario) if scenario is not None else None,
-        "parameters": parameters,
-        "outputs": outputs,
-        "tool_version": __version__,
-    }
-    path = outdir / f"{command}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def _ensure_outdir(args) -> Path:
+def _out_arg(args) -> Path:
     if args.out is None:
         raise InputError("--out DIR is required for this command")
-    outdir = Path(args.out)
+    return Path(args.out)
+
+
+def _write_outputs(outdir: Path, command: str, scenario, parameters: dict, files: dict) -> list[str]:
+    """Create ``outdir`` and write ``files`` in order, then the manifest
+    ``<command>_manifest.json`` that lists them; return the paths written,
+    the manifest last.
+
+    ``files`` maps a file name to CSV rows (``.csv``) or a dict (``.json``).
+    ``csv`` writes a Python float as its ``repr``, so rows hold plain floats.
+    This is the only code that creates a directory or writes a file.
+    """
+    manifest = {"command": command, "scenario": scenario, "parameters": parameters,
+                "outputs": list(files), "tool_version": __version__}
+    files = {**files, f"{command}_manifest.json": manifest}
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            with (outdir / name).open("w", newline="") as handle:
+                csv.writer(handle).writerows(content)
+        else:
+            _write_json(outdir / name, content)
+    return [str(outdir / name) for name in files]
 
 
 def cmd_eval(args) -> int:
@@ -133,11 +138,7 @@ def cmd_eval(args) -> int:
     _emit(
         {
             "command": "eval",
-            "lhs": result.lhs,
-            "rhs": result.rhs,
-            "slack": result.slack,
-            "satisfied": result.satisfied,
-            "tolerance": result.tolerance,
+            **dataclasses.asdict(result),
             "distortions": list(distortions),
             "tau": list(taus),
             "extended": any(math.isinf(t) for t in taus),
@@ -177,9 +178,9 @@ def cmd_trace(args) -> int:
     ns = scenario.source_var
     if not (0.0 < lo and hi <= ns):
         raise InputError(f"D_1 grid ({lo}, {hi}) outside (0, N_S = {ns}]")
-    outdir = _ensure_outdir(args)
+    outdir = _out_arg(args)
     d2_trivial = trivial_distortion(scenario, 2)
-    rows = []
+    rows = [("D1", "D2_min", "D2_trivial", "gap")]
     for i in range(count):
         d1 = lo if count == 1 else lo + (hi - lo) * i / (count - 1)
         try:
@@ -188,24 +189,13 @@ def cmd_trace(args) -> int:
         except InfeasibleEverywhere:
             d2_min, gap = math.nan, math.nan
         rows.append((d1, d2_min, d2_trivial, gap))
-    csv_path = outdir / "trace.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["D1", "D2_min", "D2_trivial", "gap"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    manifest = _write_manifest(
-        outdir,
-        "trace",
-        scenario,
-        {"d1_grid": args.d1_grid, "tolerance": args.tolerance},
-        [csv_path.name],
-    )
+    parameters = {"d1_grid": args.d1_grid, "tolerance": args.tolerance}
+    outputs = _write_outputs(outdir, "trace", scenario, parameters, {"trace.csv": rows})
     _emit(
         {
             "command": "trace",
-            "rows": len(rows),
-            "outputs": [str(csv_path), str(manifest)],
+            "rows": count,
+            "outputs": outputs,
         }
     )
     return EXIT_OK
@@ -231,30 +221,25 @@ def cmd_figure1(args) -> int:
     scenarios = {b: scenario_from_capacities(args.c1, args.c2, b) for b in bandwidths}
     if len(scenarios) < len(bandwidths):
         raise InputError(f"--b lists a bandwidth more than once: {args.b}")
-    outdir = _ensure_outdir(args)
-    outputs = []
+    outdir = _out_arg(args)
+    splits = split_grid(2, args.samples)
+    header = ["alpha", "R1", "R2"]
+    if args.caption_literal:
+        header.append("R2_literal")
+    files = {}
     corners = {}
     for b, sc in scenarios.items():
-        csv_path = outdir / f"region_b{_fmt(b)}.csv"
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            header = ["alpha", "R1", "R2"]
+        rows = [header]
+        for split in splits:
+            alpha = split[1]  # share of the better user, as in the region definition
+            point = boundary_rates(sc, split)
+            row = [alpha, point.rates[0], point.rates[1]]
             if args.caption_literal:
-                header.append("R2_literal")
-            writer.writerow(header)
-            for split in split_grid(2, args.samples):
-                alpha = split[1]  # share of the better user, as in the region definition
-                point = boundary_rates(sc, split)
-                row = [_fmt(alpha), _fmt(point.rates[0]), _fmt(point.rates[1])]
-                if args.caption_literal:
-                    # literal form with the stronger user's bound printed over N_1
-                    literal = 0.5 * b * math.log2(
-                        (alpha * sc.power + sc.noises[1]) / sc.noises[0]
-                    )
-                    row.append(_fmt(literal))
-                writer.writerow(row)
-        outputs.append(csv_path.name)
-        corners[_fmt(b)] = {
+                # literal form with the stronger user's bound printed over N_1
+                row.append(0.5 * b * math.log2((alpha * sc.power + sc.noises[1]) / sc.noises[0]))
+            rows.append(row)
+        files[f"region_b{b!r}.csv"] = rows
+        corners[repr(b)] = {
             "R1_corner": boundary_rates(sc, (1.0, 0.0)).rates[0],
             "R2_corner": boundary_rates(sc, (0.0, 1.0)).rates[1],
         }
@@ -273,12 +258,10 @@ def cmd_figure1(args) -> int:
         "corners": corners,
         "nesting": pairs,
         "all_nested": all(n["contained"] and n["strict"] for n in pairs),
-        "outputs": outputs,
+        "outputs": list(files),
     }
-    summary_path = outdir / "figure1_summary.json"
-    _write_json(summary_path, summary)
-    outputs.append(summary_path.name)
-    manifest = _write_manifest(
+    files["figure1_summary.json"] = summary
+    outputs = _write_outputs(
         outdir,
         "figure1",
         None,
@@ -289,13 +272,13 @@ def cmd_figure1(args) -> int:
             "samples": args.samples,
             "caption_literal": bool(args.caption_literal),
         },
-        outputs,
+        files,
     )
     _emit(
         {
             "command": "figure1",
             "all_nested": summary["all_nested"],
-            "outputs": [str(outdir / name) for name in outputs] + [str(manifest)],
+            "outputs": outputs,
         }
     )
     return EXIT_OK
@@ -305,19 +288,11 @@ def cmd_simulate(args) -> int:
     scenario = _load_scenario_arg(args)
     cfg = SimConfig(scenario=scenario, samples=args.samples, seed=args.seed)
     report = run_analog(cfg)
-    payload = {"command": "simulate", **report.to_dict()}
+    payload = {"command": "simulate", **dataclasses.asdict(report)}
     if args.out is not None:
-        outdir = _ensure_outdir(args)
-        report_path = outdir / "simulate_report.json"
-        _write_json(report_path, payload)
-        manifest = _write_manifest(
-            outdir,
-            "simulate",
-            scenario,
-            {"samples": args.samples, "seed": args.seed},
-            [report_path.name],
-        )
-        payload["outputs"] = [str(report_path), str(manifest)]
+        parameters = {"samples": args.samples, "seed": args.seed}
+        files = {"simulate_report.json": payload}  # written before "outputs" is added
+        payload["outputs"] = _write_outputs(Path(args.out), "simulate", scenario, parameters, files)
     _emit(payload)
     return EXIT_OK
 
@@ -371,8 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not math.isfinite(args.tolerance):
-            raise InputError(f"--tolerance must be finite, got {args.tolerance}")
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return args.func(args)
     except InputError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

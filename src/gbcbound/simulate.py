@@ -70,18 +70,6 @@ class SimReport:
     seed: int
     generator: str = GENERATOR_NAME
 
-    def to_dict(self) -> dict:
-        return {
-            "empirical": list(self.empirical),
-            "theoretical": list(self.theoretical),
-            "std_err": list(self.std_err),
-            "empirical_power": self.empirical_power,
-            "power_std_err": self.power_std_err,
-            "samples": self.samples,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
-
 
 def _std_err(total: float, total_sq: float, count: int) -> float:
     if count < 2:

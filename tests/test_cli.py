@@ -227,6 +227,26 @@ def test_trace_gap_at_unit_or_lower_bandwidth(capsys, tmp_path):
             assert shift - 1e-15 <= float(row["gap"]) <= shift + TRACE_WIDTH
 
 
+def test_trace_infeasible_row(capsys, tmp_path):
+    """A D_1 below the point-to-point floor D_1* = 0.5 leaves no feasible D_2:
+    its row reads nan, and the other rows are the b <= 1 floor rows."""
+    out = tmp_path / "out"
+    code, payload = run_cli(
+        capsys, "trace", "--scenario", str(SCENARIOS / "matched_k2.json"),
+        "--d1-grid", "0.3:1:4", "--out", str(out),
+    )
+    assert code == 0
+    assert payload["rows"] == 4
+    floor_row = "0.24999999964999997,0.25,-3.5000002895912985e-10\r\n"
+    assert (out / "trace.csv").read_bytes() == (
+        "D1,D2_min,D2_trivial,gap\r\n"
+        "0.3,nan,0.25,nan\r\n"
+        f"0.5333333333333333,{floor_row}"
+        f"0.7666666666666666,{floor_row}"
+        f"0.9999999999999998,{floor_row}"
+    ).encode()
+
+
 def test_trace_byte_reproducible(capsys, expansion, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_cli(capsys, "trace", "--scenario", expansion, "--d1-grid", "0.25:0.3:3", "--out", str(out_a))
@@ -424,7 +444,7 @@ def test_figure1_rejects_bad_bandwidths(capsys, tmp_path, b, error):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -434,12 +454,75 @@ def test_figure1_rejects_bad_bandwidths(capsys, tmp_path, b, error):
     ],
 )
 def test_tolerance_must_be_finite(capsys, matched, tmp_path, argv, tolerance):
+    """--tolerance must be finite and >= 0: at -1, eval reported
+    ``satisfied: false`` at lhs = rhs."""
     out = tmp_path / "t"
     code, payload = run_cli(
         capsys, *argv, "--scenario", matched, "--tolerance", tolerance, "--out", str(out)
     )
     assert code == 2
     assert payload["error"] == "InputError" and "tolerance" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "1,x", "--out", "D"),
+        ("figure1", "--c1", "1", "--c2", "5", "--b", ",", "--out", "D"),
+        ("trace", "--scenario", "{expansion}", "--d1-grid", "0.25:0.3", "--out", "D"),
+        ("trace", "--scenario", "{expansion}", "--d1-grid", "0.25:0.3:x", "--out", "D"),
+        ("trace", "--scenario", "{expansion}", "--d1-grid", "0.25:2:4", "--out", "D"),
+        ("trace", "--scenario", "{expansion}", "--d1-grid", "0:0.3:4", "--out", "D"),
+        ("trace", "--d1-grid", "0.25:0.3:3", "--out", "D"),
+        ("trace", "--scenario", "not_json.json", "--d1-grid", "0.25:0.3:3", "--out", "D"),
+        ("trace", "--scenario", "{expansion}", "--d1-grid", "0.25:0.3:3"),
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "1"),
+    ],
+    ids=["list-entry", "list-empty", "grid-parts", "grid-count", "grid-above-ns",
+         "grid-at-zero", "no-scenario", "scenario-not-json", "trace-no-out", "figure1-no-out"],
+)
+def test_input_errors_write_nothing(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("not_json.json").write_text("{")
+    before = sorted(tmp_path.iterdir())
+    expansion = str(SCENARIOS / "expansion_k2.json")
+    code, payload = run_cli(capsys, *(a.format(expansion=expansion) for a in argv))
+    assert code == 2
+    assert payload["error"] == "InputError" and payload["message"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--d1-grid", "0.25:0.37:3"),
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "0.5,1", "--samples", "8"),
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "1", "--samples", "8", "--caption-literal"),
+        ("simulate", "--scenario", str(SCENARIOS / "matched_k2.json"), "--samples", "100"),
+    ],
+    ids=["trace", "figure1", "figure1-literal", "simulate"],
+)
+def test_outputs_are_the_files_written(capsys, tmp_path, argv):
+    """--out holds exactly the manifest's outputs and the manifest, and the
+    payload lists their paths with the manifest last."""
+    out = tmp_path / "out"
+    code, payload = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    manifest_path = out / f"{argv[0]}_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    validate_payload(manifest, "manifest.schema.json")
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], manifest_path.name])
+    assert payload["outputs"] == [str(out / name) for name in manifest["outputs"]] + [str(manifest_path)]
+
+
+def test_figure1_zero_samples_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "D"
+    code, payload = run_cli(
+        capsys, "figure1", "--c1", "1", "--c2", "5", "--b", "1", "--samples", "0", "--out", str(out)
+    )
+    assert code == 2
+    assert payload["error"] == "InvalidSplit"
     assert not out.exists()
 
 

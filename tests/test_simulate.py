@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -64,7 +65,7 @@ def test_generator_recorded_for_reproducibility():
     report = run_analog(SimConfig(S_MATCHED, samples=10, seed=0))
     assert report.generator == GENERATOR_NAME == "philox"
     assert report.seed == 0
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     assert payload["generator"] == "philox"
     assert payload["samples"] == 10
 

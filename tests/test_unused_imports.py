@@ -1,4 +1,5 @@
-"""Every name imported in ``src/`` and ``tests/`` is used or re-exported."""
+"""Every name imported in ``src/`` and ``tests/`` is used or re-exported, and
+every private module-level definition in ``src/`` is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,46 @@ def test_no_unused_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(path: Path) -> list[tuple[str, int]]:
+    """Module-level ``_``-prefixed functions, classes and constants of ``path``."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names ``path`` reads, as a bare name, an attribute or an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_dead_private_definitions():
+    sources = sorted((REPO / "src").rglob("*.py"))
+    readers = [path for top in ("src", "tests", "perfbench") for path in sorted((REPO / top).rglob("*.py"))]
+    referenced = set().union(*(_referenced_names(path) for path in readers))
+    dead = [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for path in sources
+        for name, line in _private_definitions(path)
+        if name not in referenced
+    ]
+    assert dead == []
