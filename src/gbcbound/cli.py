@@ -6,10 +6,13 @@ run produces.  Payloads are deterministic given the arguments and seed
 (no timestamps, sorted keys, shortest round-trip float formatting), so
 reruns are byte-for-byte reproducible.
 
-A command checks every input, ``--tolerance`` included (finite and >= 0),
-and computes all of its output before it writes anything: an input error
-leaves no ``--out`` directory behind.  One writer, ``_write_outputs``,
-creates ``--out`` and writes the files and their manifest.
+Each subcommand declares only the options it reads, plus ``--seed``,
+which every subcommand accepts.  Every input error, a usage error of the
+parser included, prints one payload ``{"error", "message"}`` on stdout and
+exits 2.  A command checks every input and computes all of its output
+before it writes anything: an input error leaves no ``--out`` directory
+behind.  One writer, ``_write_outputs``, creates ``--out`` and writes the
+files and their manifest.
 
 +infinity is spelled ``inf`` everywhere: in schedule arguments and in
 JSON payloads (as the string "inf", keeping the output strict JSON).
@@ -30,12 +33,7 @@ from pathlib import Path
 from . import __version__
 from .bound import DEFAULT_REL_TOL, check_inequality
 from .capacity import boundary_rates, nesting, scenario_from_capacities, split_grid
-from .core import (
-    BroadcastScenario,
-    json_safe,
-    load_scenario,
-    trivial_distortion,
-)
+from .core import json_safe, load_scenario, trivial_distortion
 from .errors import InfeasibleEverywhere, InputError
 from .membership import in_outer_region, trace_boundary
 from .simulate import SimConfig, run_analog
@@ -87,25 +85,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-def _load_scenario_arg(args) -> BroadcastScenario:
-    if args.scenario is None:
-        raise InputError("--scenario FILE is required for this command")
-    try:
-        return load_scenario(args.scenario)
-    except FileNotFoundError as exc:
-        raise InputError(f"scenario file not found: {args.scenario}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(json_safe(payload), sort_keys=True, indent=2) + "\n")
-
-
-def _out_arg(args) -> Path:
-    if args.out is None:
-        raise InputError("--out DIR is required for this command")
-    return Path(args.out)
 
 
 def _write_outputs(outdir: Path, command: str, scenario, parameters: dict, files: dict) -> list[str]:
@@ -131,7 +112,7 @@ def _write_outputs(outdir: Path, command: str, scenario, parameters: dict, files
 
 
 def cmd_eval(args) -> int:
-    scenario = _load_scenario_arg(args)
+    scenario = load_scenario(args.scenario)
     distortions = _parse_list(args.distortions, "distortions")
     taus = _parse_list(args.tau, "tau")
     result = check_inequality(scenario, distortions, taus, rel_tol=args.tolerance)
@@ -148,7 +129,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    scenario = _load_scenario_arg(args)
+    scenario = load_scenario(args.scenario)
     distortions = _parse_list(args.distortions, "distortions")
     verdict = in_outer_region(scenario, distortions, rel_tol=args.tolerance)
     _emit(
@@ -171,14 +152,13 @@ def cmd_membership(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    scenario = _load_scenario_arg(args)
+    scenario = load_scenario(args.scenario)
     if scenario.num_receivers != 2:
         raise InputError(f"trace needs K = 2 receivers, got K = {scenario.num_receivers}")
     lo, hi, count = _parse_grid(args.d1_grid)
     ns = scenario.source_var
     if not (0.0 < lo and hi <= ns):
         raise InputError(f"D_1 grid ({lo}, {hi}) outside (0, N_S = {ns}]")
-    outdir = _out_arg(args)
     d2_trivial = trivial_distortion(scenario, 2)
     rows = [("D1", "D2_min", "D2_trivial", "gap")]
     for i in range(count):
@@ -190,7 +170,7 @@ def cmd_trace(args) -> int:
             d2_min, gap = math.nan, math.nan
         rows.append((d1, d2_min, d2_trivial, gap))
     parameters = {"d1_grid": args.d1_grid, "tolerance": args.tolerance}
-    outputs = _write_outputs(outdir, "trace", scenario, parameters, {"trace.csv": rows})
+    outputs = _write_outputs(args.out, "trace", scenario, parameters, {"trace.csv": rows})
     _emit(
         {
             "command": "trace",
@@ -221,7 +201,6 @@ def cmd_figure1(args) -> int:
     scenarios = {b: scenario_from_capacities(args.c1, args.c2, b) for b in bandwidths}
     if len(scenarios) < len(bandwidths):
         raise InputError(f"--b lists a bandwidth more than once: {args.b}")
-    outdir = _out_arg(args)
     splits = split_grid(2, args.samples)
     header = ["alpha", "R1", "R2"]
     if args.caption_literal:
@@ -262,7 +241,7 @@ def cmd_figure1(args) -> int:
     }
     files["figure1_summary.json"] = summary
     outputs = _write_outputs(
-        outdir,
+        args.out,
         "figure1",
         None,
         {
@@ -285,50 +264,78 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario_arg(args)
+    scenario = load_scenario(args.scenario)
     cfg = SimConfig(scenario=scenario, samples=args.samples, seed=args.seed)
     report = run_analog(cfg)
     payload = {"command": "simulate", **dataclasses.asdict(report)}
     if args.out is not None:
         parameters = {"samples": args.samples, "seed": args.seed}
         files = {"simulate_report.json": payload}  # written before "outputs" is added
-        payload["outputs"] = _write_outputs(Path(args.out), "simulate", scenario, parameters, files)
+        payload["outputs"] = _write_outputs(args.out, "simulate", scenario, parameters, files)
     _emit(payload)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``InputError``, so that they take
+    the one input-error path in ``main``.  Subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _tolerance(text: str) -> float:
+    """``--tolerance``: a relative tolerance, finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbcbound",
         description="Outer bounds on the distortion region of Gaussian broadcast, "
         "with membership search, capacity cross-checks, and analog simulation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="JSON scenario file (power, noises, bandwidth, source_var)")
-    common.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL, help="relative comparison tolerance")
-    common.add_argument("--seed", type=int, default=42, help="random seed")
-    common.add_argument("--out", help="output directory for files and manifests")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True,
+                          help="JSON scenario file (power, noises, bandwidth, source_var)")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=_tolerance, default=DEFAULT_REL_TOL,
+                           help="relative comparison tolerance, finite and >= 0")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, required=True, help="output directory for files and manifests")
+    seed = argparse.ArgumentParser(add_help=False)
+    # Every subcommand accepts --seed, though only verify-theorems and simulate
+    # read it: perfbench's cli-readme workload passes it to all of them.
+    seed.add_argument("--seed", type=int, default=42, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate one inequality of the family")
+    p = sub.add_parser("eval", parents=[scenario, tolerance, seed], help="evaluate one inequality of the family")
     p.add_argument("--distortions", required=True, help="comma list, e.g. 0.5,0.25")
     p.add_argument("--tau", required=True, help="comma list, nonincreasing, last 0; 'inf' allowed")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("membership", parents=[common], help="decide region membership via the schedule supremum")
+    p = sub.add_parser("membership", parents=[scenario, tolerance, seed],
+                       help="decide region membership via the schedule supremum")
     p.add_argument("--distortions", required=True, help="comma list, e.g. 0.5,0.25")
     p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("trace", parents=[common], help="trace the minimal D_2 over a D_1 grid (K = 2)")
+    p = sub.add_parser("trace", parents=[scenario, tolerance, out, seed],
+                       help="trace the minimal D_2 over a D_1 grid (K = 2)")
     p.add_argument("--d1-grid", dest="d1_grid", required=True, help="lo:hi:count")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("verify-theorems", parents=[common], help="run the randomized self-check suites")
+    p = sub.add_parser("verify-theorems", parents=[seed], help="run the randomized self-check suites")
     p.add_argument("--trials", type=int, default=1000, help="sample-count scale for the suites")
     p.set_defaults(func=cmd_verify_theorems)
 
-    p = sub.add_parser("figure1", parents=[common], help="capacity regions at fixed point-to-point capacities")
+    p = sub.add_parser("figure1", parents=[out, seed], help="capacity regions at fixed point-to-point capacities")
     p.add_argument("--c1", type=float, required=True, help="point-to-point capacity of user 1 [bits]")
     p.add_argument("--c2", type=float, required=True, help="point-to-point capacity of user 2 [bits]")
     p.add_argument("--b", required=True, help="comma list of bandwidth factors, e.g. 0.5,1,2")
@@ -336,18 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caption-literal", action="store_true", help="also emit the literal printed R2 form")
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo analog transmission at b = 1")
+    p = sub.add_parser("simulate", parents=[scenario, seed], help="Monte Carlo analog transmission at b = 1")
+    p.add_argument("--out", type=Path, help="output directory for the report and its manifest")
     p.add_argument("--samples", type=int, default=10**6, help="number of source samples")
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

@@ -254,9 +254,19 @@ def json_safe(value):
 
 
 def load_scenario(path) -> BroadcastScenario:
-    """Load a scenario from a JSON file with fields power, noises, bandwidth, source_var."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+    """Load a scenario from a JSON file with fields power, noises, bandwidth, source_var.
+
+    A path that yields no scenario raises ``InputError``: missing, unreadable,
+    not UTF-8, not JSON, or not a valid scenario."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except FileNotFoundError as exc:
+        raise InputError(f"scenario file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"scenario file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("scenario file must contain a JSON object")
     return scenario_from_dict(raw)

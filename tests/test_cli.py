@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from referencing import Registry, Resource
 
 import gbcbound
 from gbcbound.bound import DEFAULT_REL_TOL, bound_rhs
-from gbcbound.cli import main
+from gbcbound.cli import build_parser, main
 from gbcbound.core import load_scenario, trivial_distortion
 from gbcbound.membership import TRACE_WIDTH
 
@@ -41,7 +43,10 @@ def validate_payload(payload, schema_name):
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip().splitlines()
-    return code, json.loads(out[-1])
+    payload = json.loads(out[-1])
+    if code == 2:
+        validate_payload(payload, "error.schema.json")
+    return code, payload
 
 
 @pytest.fixture()
@@ -116,6 +121,33 @@ def test_missing_scenario_file(capsys):
     )
     assert code == 2
     assert "not found" in payload["message"]
+
+
+def _run_input_error(capsys, argv):
+    """Run ``argv`` in process; check it is one input error: exit 2, exactly
+    one stdout line, a payload valid against error.schema.json, no stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    validate_payload(payload, "error.schema.json")
+    return payload
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_scenario_path(capsys, tmp_path, kind):
+    """A scenario path that cannot be read as text is an input error, not a crash."""
+    if kind == "directory":
+        path = SCENARIOS
+    else:
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    payload = _run_input_error(capsys, ["membership", "--scenario", str(path), "--distortions", "0.5,0.25"])
+    assert payload["error"] == "InputError"
+    assert "cannot read scenario file" in payload["message"]
 
 
 def test_scenario_value_not_a_number(capsys, tmp_path):
@@ -457,9 +489,8 @@ def test_tolerance_must_be_finite(capsys, matched, tmp_path, argv, tolerance):
     """--tolerance must be finite and >= 0: at -1, eval reported
     ``satisfied: false`` at lhs = rhs."""
     out = tmp_path / "t"
-    code, payload = run_cli(
-        capsys, *argv, "--scenario", matched, "--tolerance", tolerance, "--out", str(out)
-    )
+    out_arg = ("--out", str(out)) if argv[0] == "trace" else ()
+    code, payload = run_cli(capsys, *argv, "--scenario", matched, "--tolerance", tolerance, *out_arg)
     assert code == 2
     assert payload["error"] == "InputError" and "tolerance" in payload["message"]
     assert not out.exists()
@@ -491,6 +522,54 @@ def test_input_errors_write_nothing(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert payload["error"] == "InputError" and payload["message"]
     assert sorted(tmp_path.iterdir()) == before
+
+
+MATCHED = str(SCENARIOS / "matched_k2.json")
+EVAL_ARGV = ("eval", "--scenario", MATCHED, "--distortions", "0.5,0.25", "--tau", "1,0")
+FIGURE1_ARGV = ("figure1", "--c1", "1", "--c2", "5", "--b", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("eval", "--scenario", MATCHED, "--distortions", "0.5,0.25"),
+        (*FIGURE1_ARGV, "--samples", "x", "--out", "D"),
+        (*EVAL_ARGV, "--tolerance", "x"),
+        (*EVAL_ARGV, "--out", "D"),
+        ("membership", "--scenario", MATCHED, "--distortions", "0.5,0.25", "--out", "D"),
+        ("verify-theorems", "--trials", "1", "--scenario", MATCHED),
+        ("verify-theorems", "--trials", "1", "--tolerance", "1e-9"),
+        ("verify-theorems", "--trials", "1", "--out", "D"),
+        (*FIGURE1_ARGV, "--out", "D", "--scenario", MATCHED),
+        (*FIGURE1_ARGV, "--out", "D", "--tolerance", "1e-9"),
+        ("simulate", "--scenario", MATCHED, "--samples", "8", "--tolerance", "1e-9", "--out", "D"),
+    ],
+    ids=["no-subcommand", "eval-no-tau", "samples-not-int", "tolerance-not-number", "eval-out",
+         "membership-out", "verify-scenario", "verify-tolerance", "verify-out", "figure1-scenario",
+         "figure1-tolerance", "simulate-tolerance"],
+)
+def test_usage_errors_are_input_errors(capsys, tmp_path, monkeypatch, argv):
+    """A usage error, an option a subcommand does not take included, prints
+    the InputError payload on stdout, nothing on stderr, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    payload = _run_input_error(capsys, argv)
+    assert payload["error"] == "InputError" and payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perfbench_cli_argv_exit_zero(capsys, tmp_path, monkeypatch):
+    """The benchmark's cli-readme commands, which pass --seed to every
+    subcommand, all run in process with exit 0."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.chdir(REPO)  # the argv name scenario files relative to the repository
+    readme = workloads.CliReadme(7, workloads.Context(root=REPO, tmp=str(tmp_path)))
+    assert len(readme.argv) == 5
+    for argv in readme.argv.values():
+        assert "--seed" in argv
+        assert main(list(argv)) == 0, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -570,3 +649,49 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "gbcbound" in proc.stdout
+
+
+# The options each subcommand takes (dests), as README's CLI table lists them.
+OPTIONS = {
+    "eval": {"scenario", "tolerance", "seed", "distortions", "tau"},
+    "membership": {"scenario", "tolerance", "seed", "distortions"},
+    "trace": {"scenario", "tolerance", "out", "seed", "d1_grid"},
+    "verify-theorems": {"seed", "trials"},
+    "figure1": {"out", "seed", "c1", "c2", "b", "samples", "caption_literal"},
+    "simulate": {"scenario", "seed", "out", "samples"},
+}
+IGNORES_SEED = {"eval", "membership", "trace", "figure1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        EVAL_ARGV,
+        ("membership", "--scenario", MATCHED, "--distortions", "0.5,0.25"),
+        ("trace", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--d1-grid", "0.25:0.3:2", "--out", "D"),
+        ("verify-theorems", "--trials", "1"),
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "1,2", "--samples", "8", "--out", "D"),
+        ("simulate", "--scenario", MATCHED, "--samples", "8", "--out", "D"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_reads_its_options(capsys, tmp_path, monkeypatch, argv):
+    """Every option a subcommand declares is read by its handler, apart from
+    --seed where it is accepted only for a uniform command line."""
+    monkeypatch.chdir(tmp_path)
+    parsed = build_parser().parse_args(list(argv))
+    name = parsed.command
+    assert set(vars(parsed)) - {"func", "command"} == OPTIONS[name]
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    recording = Recording(**vars(parsed))
+    reads.clear()
+    assert parsed.func(recording) == 0
+    capsys.readouterr()
+    ignored = {"seed"} if name in IGNORES_SEED else set()
+    assert OPTIONS[name] - ignored - reads == set()
