@@ -295,6 +295,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _outdir(text: str) -> Path:
+    """``--out``: a directory path; an empty one would mean the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a nonempty path")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gbcbound",
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance.add_argument("--tolerance", type=_tolerance, default=DEFAULT_REL_TOL,
                            help="relative comparison tolerance, finite and >= 0")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", type=Path, required=True, help="output directory for files and manifests")
+    out.add_argument("--out", type=_outdir, required=True, help="output directory for files and manifests")
     seed = argparse.ArgumentParser(add_help=False)
     # Every subcommand accepts --seed, though only verify-theorems and simulate
     # read it: perfbench's cli-readme workload passes it to all of them.
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("simulate", parents=[scenario, seed], help="Monte Carlo analog transmission at b = 1")
-    p.add_argument("--out", type=Path, help="output directory for the report and its manifest")
+    p.add_argument("--out", type=_outdir, help="output directory for the report and its manifest")
     p.add_argument("--samples", type=int, default=10**6, help="number of source samples")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -8,21 +8,15 @@ The functional nests like Horner's rule in factors that each depend on
 one schedule entry (see ``bound``), and the only coupling between entries
 is their order.  So the supremum is a backward recursion over a single
 grid of tau values, a chain dynamic program costing O(K M) for M grid
-points.  Each pass builds all its links at once, as (K - 1) x M arrays
-computed in place (``bound._Chain.links``), and runs the recursion on
-their rows.  The grid holds exact 0 and +inf, so the step schedules (the
-ones that recover the per-receiver point-to-point constraints) are always
-candidates.  On the first grid the same links also give a rigorous upper
-bound on the supremum, a cell-by-cell enclosure (``_enclosure``), so the
-supremum comes as a bracket [sup_value, sup_upper].  When that leaves a
-verdict open only through the last cell, [MARGIN N_S, +inf], the cell
-alone is re-bounded on a fine geometric tail (``_tail_bound``); this
-certifies the boundary members at b <= 1.  The recursion then refines
-its witness: each zoom pass reruns it on a small grid of geometric
-windows around the witness's entries, so runs of equal entries move
-together; a pass that returns the incumbent witness costs no
-evaluation.  A membership verdict stops refining as soon as the bracket
-lies on one side of the threshold.  Past the float range (small b) a
+points.  The first pass builds all its links at once, as (K - 1) x M
+arrays computed in place (``bound._Chain.links``), and runs the
+recursion on their rows.  The grid holds exact 0 and +inf, so the step
+schedules (the ones that recover the per-receiver point-to-point
+constraints) are always candidates.  The same links bound the supremum
+from above cell by cell (``_enclosure``), so the supremum comes as a
+bracket [sup_value, sup_upper].  At b <= 1 the recursion's own maximum
+bounds it; at b > 1 one branch-and-bound search (``_Cells``) narrows a
+bracket that leaves the question open.  Past the float range (small b) a
 stage holds +inf, and NaN where a link underflowed to 0; the readback
 never picks a NaN, so the supremum is +inf there.  ``argmax_t`` reports
 the witness in compactified coordinates t = tau / (1 + tau), which map
@@ -68,16 +62,13 @@ __all__ = [
 ]
 
 GRID_POINTS = 2049
-ZOOM_POINTS = 257
-ZOOM_STEP = 1e-8
 MARGIN = 1e3
 TRACE_WIDTH = 1e-10
-TAIL_RATIO = 1.1
-TAIL_POINTS = 219
-_UNIT = np.linspace(0.0, 1.0, ZOOM_POINTS)
+SPLIT = 16  # pieces a refined cell is cut into
+POINT_BUDGET = 1000  # new points over all rounds of one search
 _RAMP = np.arange(GRID_POINTS - 2, dtype=float)
-_TAIL = TAIL_RATIO ** np.arange(TAIL_POINTS - 1)  # 1, r, ..., r^217 < 1e9
-_UNBOUNDED = (math.inf, math.inf, None)
+_CUTS = np.arange(1, SPLIT) / SPLIT
+_ENDS = np.array([[0], [1]])  # a cell's lower and upper end
 
 
 @dataclass(frozen=True)
@@ -86,13 +77,13 @@ class SupResult:
 
     The supremum lies in [``sup_value``, ``sup_upper``].  ``sup_value``
     is the evaluator's value at exactly ``argmax_tau``, +inf past the
-    float range; ``sup_upper`` is a rigorous upper bound from the first
-    grid (``_enclosure``), +inf where the float range does not suffice.
-    ``argmax_tau`` lives on the compactified closure: entries may be
-    +inf when the maximum is approached along a diverging schedule.
-    ``iterations`` counts the grid evaluations of every pass, plus one
-    evaluation of each pass's witness (known without evaluating when it
-    is the incumbent).
+    float range; ``sup_upper`` is a rigorous upper bound, +inf where the
+    float range does not suffice.  ``argmax_tau`` lives on the
+    compactified closure: entries may be +inf when the maximum is
+    approached along a diverging schedule.  ``iterations`` counts the
+    link evaluations, K - 1 per point of the first grid and per new point
+    of each search round, plus one evaluation of each pass's and round's
+    witness.
     """
 
     sup_value: float
@@ -133,71 +124,47 @@ def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
     return grid
 
 
-def _chain_dp(
-    chain: _Chain, grid: np.ndarray, bounded: bool = False
-) -> tuple[list[float], tuple[float, float, np.ndarray | None]]:
+def _chain_dp(chain: _Chain, grid: np.ndarray, links: tuple | None = None,
+              keep: bool = False) -> tuple[list[float], list[float], np.ndarray]:
     """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
-    grid[-1] = +inf), and an upper bound on the supremum over all
-    schedules: ``_enclosure`` if ``bounded``, else (+inf, +inf, None).
+    grid[-1] = +inf), each stage's value there, and every stage's values.
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
-    with M_K = a_K(0): each stage is a running maximum over the grid, run
-    in place on one row of ``chain.links``, and the witness is read back
-    from the stages (``_pick``).  Past the float range a stage can hold
-    +inf, and NaN where an underflowed c_k meets an infinite M_{k+1}; the
-    running maximum skips NaN, and the readback never picks one.  The
-    enclosure reads the links before the recursion overwrites them; any
-    underflow while they are formed or read makes it +inf.
+    with M_K = a_K(0): each stage is a running maximum over the grid, and
+    the witness is read back from the stages (``_pick``).  ``links`` are
+    ``chain.links(grid)`` if already formed; the recursion runs in place
+    on their rows unless ``keep`` asks to leave them intact.  Past the
+    float range a stage can hold +inf, and NaN where an underflowed c_k
+    meets an infinite M_{k+1}; the running maximum skips NaN, and the
+    readback never picks one.
     """
-    underflows: list[bool] = []
-    with _watch(underflows):
-        a, c, running = chain.links(grid)
-        enclosure = _enclosure(chain, a, c, running) if bounded else _UNBOUNDED
-    if underflows or not enclosure[0] < math.inf:
-        enclosure = _UNBOUNDED
+    a, c, last = links or chain.links(grid)
+    values, scratch = (np.empty_like(c), np.empty(len(grid))) if keep else (c, None)
+    running = last
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(c) - 1, -1, -1):
-            value = np.multiply(c[k], running, out=c[k])
+            value = np.multiply(c[k], running, out=values[k])
             np.add(value, a[k], out=value)
-            running = np.fmax.accumulate(value, out=a[k])
-    taus = []
+            running = np.fmax.accumulate(value, out=a[k] if scratch is None else scratch)
+    taus, stages = [], []
     top = len(grid)
-    for value in c:
+    for value in values:
         top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
-    return taus + [0.0], enclosure
-
-
-def _tail_bound(chain: _Chain, x: float, seeds: np.ndarray) -> float:
-    """``_enclosure`` of the first grid with the points x r^j (r = TAIL_RATIO,
-    j = 1 .. TAIL_POINTS - 2) inserted into its last cell [x, +inf].
-
-    ``seeds`` are the first grid's running maxima at x, from which each
-    stage's recursion restarts on the tail, so only the tail's links are
-    formed.  +inf on any underflow, as in ``_chain_dp``.
-    """
-    underflows: list[bool] = []
-    with _watch(underflows):
-        a, c, last = chain.links(np.append(x * _TAIL, math.inf))
-        upper = _enclosure(chain, a, c, last, seeds)[0]
-    return upper if not underflows and upper < math.inf else math.inf
+        stages.append(float(value[top - 1]))
+    return taus + [0.0], stages, values
 
 
 def _watch(underflows: list[bool]) -> np.errstate:
-    """Ignore overflow and NaN; record every underflow in ``underflows``."""
-    return np.errstate(over="ignore", invalid="ignore", under="call",
+    """Ignore overflow, division by zero and NaN; record every underflow."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore", under="call",
                        call=lambda *_: underflows.append(True))
 
 
-def _enclosure(
-    chain: _Chain, a: np.ndarray, c: np.ndarray, last: float, seeds: np.ndarray | None = None
-) -> tuple[float, float, np.ndarray]:
-    """Rigorous upper bound on the supremum over *all* schedules, from the
-    links a, c on a grid x_0 = 0 < ... < x_{M-1} = +inf and a_K(0) = ``last``.
-
-    Returns the bound U_1(+inf) and the bound over every cell but the
-    last, U_1(x_{M-2}), both rounded outward, and each stage's U_k(x_{M-2})
-    as it stands, so that ``_tail_bound`` can re-bound the last cell alone.
+def _enclosure(a: np.ndarray, c: np.ndarray, last: float) -> np.ndarray:
+    """First-order bounds from the links a, c on a grid x_0 = 0 < ... <
+    x_{M-1} = +inf and a_K(0) = ``last``: row k - 1 holds stage k's bound
+    on each cell [x_i, x_{i+1}], as computed.
 
     a_k is nonincreasing in tau (N_S >= D_k), c_k is monotone, and the true
     M_{k+1} is nondecreasing, so every tau in the cell [x_i, x_{i+1}]
@@ -210,16 +177,6 @@ def _enclosure(
     supremum.  The maxima propagate NaN: a 0 * inf cell is never skipped,
     and the caller maps NaN to +inf.
 
-    With ``seeds``, the links are those of a tail x_{M-2} < ... < +inf
-    that refines the last cell of a first grid, ``seeds`` holds that grid's
-    U_k(x_{M-2}), and each running maximum starts from its seed.  The
-    result is then the bound on the first grid with the tail's points
-    inserted, operation for operation: the cells below x_{M-2} and their
-    U_k are the same in both.  The last cell's bound takes a_k at
-    x_{M-2} = MARGIN N_S, which lies about 1e-4 relatively above a_k(+inf);
-    that is often all that keeps a boundary member at b <= 1 from being
-    certified, and a geometric tail shrinks it below the tolerance.
-
     Outward rounding (eps = 2^-52; basic operations round to within
     eps / 2, and exp and log1p are taken to be within 2 ulps, 2 eps).  In
     a link, N_S - D_k or |D_{k+1} - D_k|, the sum with tau and the ratio
@@ -229,38 +186,195 @@ def _enclosure(
     = log g / b or log h / b carries a relative error of at most 4 eps,
     exp turns it into 4 eps |y| and adds 2 eps, and dN_k and its product
     add eps: each link is within lam = 4 eps (Y + 1) relatively, where Y
-    bounds |y| over the grid.  |log g| and |log h| fall as tau grows, so
-    Y is their largest value at tau = 0.  Each stage's product and sum
-    add eps, and all terms are nonnegative, so U_1 is within
-    delta = K eps (4 Y + 6) of its exact-arithmetic value (the spare eps
-    per stage covers second-order terms), and the true bound is at most
-    U_1 / (1 - delta) <= U_1 (1 + 2 delta).  The analysis assumes every
-    result in the normal range: the caller makes the bound +inf on any
-    underflow.
+    bounds |y| over all tau, its value at tau = 0.  Each stage's product
+    and sum add eps, and all terms are nonnegative, so U_1 is within delta
+    = K eps (4 Y + 6) of its exact-arithmetic value (the spare eps per
+    stage covers second-order terms), and the true bound is at most U_1 /
+    (1 - delta) <= U_1 (1 + 2 delta).  Stage by stage, a bound computed
+    from a rigorous bound on the next stage is rigorous once scaled by
+    1 + rho, rho = lam + 4 eps.  The analysis assumes every result in the
+    normal range: the caller makes the bound +inf on any underflow.
     """
-    free = len(c)
-    bound = np.full(c.shape[1] - 1, last)  # U_{k+1}(x_1), ..., U_{k+1}(x_{M-1})
-    cell = np.empty_like(bound)
-    below = np.empty(free)  # U_k(x_{M-2})
+    free, size = len(c), c.shape[1] - 1
+    rows = np.empty((free, size))
+    bound = np.full(size, last)  # U_{k+1}(x_1), ..., U_{k+1}(x_{M-1})
     for k in range(free - 1, -1, -1):
+        cell = rows[k]
         np.maximum(c[k, :-1], c[k, 1:], out=cell)
         np.multiply(cell, bound, out=cell)
         np.add(cell, a[k, :-1], out=cell)
-        if k:  # the first stage needs only two maxima, not a running one
+        if k:  # the first stage needs only its maximum, not a running one
             np.maximum.accumulate(cell, out=bound)
-            if seeds is not None:
-                np.maximum(bound, seeds[k], out=bound)
-            below[k] = bound[-2]
-    log_g, log_h = chain.log_factors(np.zeros(len(chain.d)))
-    y = max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b
-    delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
-    scale = 1.0 + 2.0 * delta
-    if not free:
-        return float(last * scale), math.inf, below
-    top, below[0] = cell.max(), cell[:-1].max()
-    if seeds is not None:
-        top, below[0] = np.maximum(top, seeds[0]), np.maximum(below[0], seeds[0])
-    return float(top * scale), float(below[0] * scale), below
+    return rows
+
+
+def _splice(old: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``old`` with the block new[..., i, :] inserted before its column at[i] (ascending)."""
+    parts, prev = [], 0
+    for i, col in enumerate(at.tolist()):
+        parts += [old[..., prev:col], new[..., i, :]]
+        prev = col
+    parts.append(old[..., prev:])
+    return np.concatenate(parts, axis=-1)
+
+
+class _Cells:
+    """The branch-and-bound search at b > 1 (``sup_bound_lhs``): a sorted
+    grid x (0 first, +inf last), the links a, c at every point, and each
+    stage's rigorous bound on every cell [x_i, x_{i+1}] (``rows``, row
+    k - 1 for stage k), at first the first grid's first-order bounds."""
+
+    def __init__(self, chain: _Chain, grid: np.ndarray, a: np.ndarray, c: np.ndarray,
+                 last: float, rows: np.ndarray, rho: float) -> None:
+        self.chain, self.rho, self.last = chain, rho, last
+        self.x, self.a, self.c = grid, a, c
+        self.rows = rows * ((1.0 + rho) ** np.arange(len(rows) + 1, 1, -1))[:, None]
+
+    def opened(self, level: float, stages: list[float], tol: float) -> tuple[np.ndarray, list[int]]:
+        """The cells some stage cannot yet close (a mask), and each such stage's highest."""
+        hits = self.rows[0] > level
+        mask, best = hits.copy(), []
+        for k, row in enumerate(self.rows):
+            if not hits.any():
+                break
+            end = len(hits) - int(hits[::-1].argmax())  # past the highest open cell
+            best.append(int(row[:end].argmax()))
+            if k + 1 < len(self.rows):
+                hits = self.rows[k + 1, :end] > stages[k + 1] * tol
+                mask[:end] |= hits
+        return mask, best
+
+    def beside(self, taus: list[float], values: np.ndarray | None) -> tuple[list[int], dict, float | None]:
+        """The cell next to each free entry (a grid point) that bounds its stage
+        higher; or, given the first grid's stage ``values``, both, the peak of
+        a parabola in u through the stage's values there and beside, and the
+        first stage's peak value, a guess at the supremum."""
+        x, rows, cells, peaks, guess = self.x, self.rows, [], {}, None
+        for k, i in enumerate(np.searchsorted(x, taus[:-1]).tolist()):
+            below, above = max(i - 1, 0), min(i, rows.shape[1] - 1)
+            if values is None:
+                cells.append(above if rows[k, above] >= rows[k, below] else below)
+                continue
+            cells += [below, above]
+            if not (0 < i < len(x) - 2 and values[k, i] >= max(values[k, i - 1], values[k, i + 1])):
+                continue
+            f0, f1, f2 = values[k, i - 1:i + 2].tolist()
+            u0, u1, u2 = (1.0 / (self.chain.d[k] + x[i - 1:i + 2])).tolist()
+            s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
+            bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
+            slope = s0 - bend * (u0 - u1)
+            top = u1 - 0.5 * slope / bend if bend < 0.0 else 0.0  # the peak's u
+            tau = 1.0 / top - self.chain.d[k] if top > 0.0 else math.nan
+            if x[i - 1] < tau < x[i + 1]:
+                peaks[below if tau < x[i] else above] = tau
+                guess = f1 - 0.25 * slope * slope / bend if k == 0 else guess
+        return cells, peaks, guess
+
+    def cut(self, cells: np.ndarray, peaks: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Points that cut ``cells`` into SPLIT pieces each (geometric in tau,
+        but even in tau on [0, x_1] and in 1 / tau on [x, +inf]; the cut
+        nearest a known peak moves onto it), and the links there."""
+        lo, hi = self.x[cells], self.x[cells + 1]
+        points = lo[:, None] * (hi / lo)[:, None] ** _CUTS
+        if cells[0] == 0:
+            points[0] = hi[0] * _CUTS
+        if hi[-1] == math.inf:
+            points[-1] = lo[-1] / (1.0 - _CUTS)
+        for row, cell in enumerate(cells.tolist()):
+            if cell in peaks:
+                points[row, min(int((points[row] < peaks[cell]).sum()), SPLIT - 2)] = peaks[cell]
+        a, c, _ = self.chain.links(points.ravel())
+        return points, a, c
+
+    def lift(self, taus: list[float], points: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple:
+        """The recursion over 0, the free entries of ``taus``, ``points``
+        (with their links a, c) and +inf: its witness and stage values."""
+        at = np.searchsorted(self.x, [0.0] + taus[:-1] + [math.inf])
+        grid = np.concatenate((self.x[at], points.ravel()))
+        order = np.argsort(grid, kind="stable")
+        links = (np.concatenate((self.a[:, at], a), axis=1)[:, order],
+                 np.concatenate((self.c[:, at], c), axis=1)[:, order], self.last)
+        return _chain_dp(self.chain, grid[order], links)[:2]
+
+    def insert(self, cells: np.ndarray, points: np.ndarray, a: np.ndarray, c: np.ndarray,
+               rebound: np.ndarray) -> None:
+        """Put the ``points`` that cut ``cells`` into the grid, each piece with
+        its cell's bounds, and re-bound the pieces and the cells ``rebound``."""
+        at, blocks = cells + 1, (len(a), len(cells), SPLIT - 1)
+        self.x = _splice(self.x, at, points)
+        self.a, self.c = _splice(self.a, at, a.reshape(blocks)), _splice(self.c, at, c.reshape(blocks))
+        self.rows = _splice(self.rows, at, np.repeat(self.rows[:, cells, None], SPLIT - 1, axis=2))
+        start = cells + (SPLIT - 1) * np.arange(len(cells))
+        moved = rebound + (SPLIT - 1) * np.searchsorted(cells, rebound)
+        self.rebound(np.sort(np.concatenate(((start[:, None] + np.arange(SPLIT)).ravel(), moved))))
+
+    def rebound(self, cells: np.ndarray) -> None:
+        """Tangent bounds on ``cells`` (ascending) at every stage, deepest
+        first, each kept only where it is below the cell's old bound.
+
+        On [x_i, x_{i+1}] stage k is a_k + c_k M_{k+1}, where M_{k+1}(tau) comes
+        from below x_i, bounded by U_{k+1}(x_i), or from tau_{k+1} <= tau_k in
+        the cell.  Stages k..j at one tau telescope into Phi = A + C V with A =
+        (N_k - N_{j+1}) g_k^(1/b), C = (1 + (D_{j+1} - D_k) u)^(1/b), u = 1 /
+        (D_k + tau) and g_k = 1 + (N_S - D_k) u; at b > 1 Phi is concave in u
+        for V >= 0, so on each half of the cell (width w in u) it lies below
+        the tangent at that half's end, Phi(u_e) + max(+-s_e, 0) w / 2, with
+        the slope s = alpha + gamma V, alpha = (N_S - D_k) A / (g_k b), gamma
+        = (D_{j+1} - D_k) C^(1 - b) / b.  The two tangents of a quadratic meet
+        at the midpoint, so this is second order in w.  If the run's slope at
+        the cell's lower tau end is >= 0 for V up to stage j + 1's bound on
+        the cell, a tau_{j+1} in the cell does best at tau_k, which extends
+        the run, and V = U_{j+1}(x_i) covers the rest; otherwise V =
+        U_{j+1}(x_{i+1}) covers the cell, as M is nondecreasing.  The ratios
+        (N_S - D_k) / g_k and (D_{j+1} - D_k) / C^b are formed as differences
+        times (D_k + tau) / (N_S + tau) and (D_k + tau) / (D_{j+1} + tau), 1 at
+        tau = +inf, where the last cell's width is 1 / (D_k + x).  Rounding: a
+        run of r stages is within r (lam + 2 eps) (``_enclosure``), which
+        (1 + rho)^r covers, and its slope within 2 r rho (alpha + |gamma| V).
+        """
+        chain, rows, rho, free = self.chain, self.rows, self.rho, len(self.rows)
+        ends = cells + _ENDS
+        taus, a, c = self.x[ends], self.a[:, ends], self.c[:, ends]
+        last = taus[1, -1] == math.inf  # then the last cell is [x, +inf]
+        held = [None] * free + [(self.last * (1.0 + rho),) * 3]  # row j's U at the ends, and its bound
+        for k in range(free - 1, -1, -1):
+            d = chain.d[k]
+            near = d + taus
+            to_ns, half = near / (chain.ns + taus), 0.5 * (taus[1] - taus[0]) / near[0] / near[1]
+            if last:
+                to_ns[1, -1], half[-1] = 1.0, 0.5 / near[0, -1]
+            to_ns *= chain.gap[k] / chain.b
+            head, prod, alive, bound = a[k], c[k], True, 0.0
+            for j in range(k, free):  # the run of stages k..j, then row j + 1
+                r = j - k + 1
+                if j > k:
+                    head, prod = head + prod * a[j], prod * c[j]
+                to_next = near / (chain.d[j + 1] + taus)
+                if last:
+                    to_next[1, -1] = 1.0
+                alpha, gamma = head * to_ns, prod * to_next * ((chain.d[j + 1] - d) / chain.b)
+                v_lo, v, v_cell = held[j + 1]
+                if j + 1 < free:
+                    rise = gamma[0] * v_cell
+                    rising = alpha[0] + rise >= (alpha[0] + abs(rise)) * (2 * r * rho)
+                    v = np.where(rising, v_lo, v)
+                rise = gamma * v
+                f, step = head + prod * v, (alpha + rise) * half
+                top = np.maximum(f[1] + np.maximum(step[1], 0.0), f[0] - np.minimum(step[0], 0.0))
+                top += (alpha.sum(axis=0) + abs(rise).sum(axis=0)) * half * (4.0 * r * rho)
+                bound = np.maximum(bound, top * ((1.0 + rho) ** r * alive))
+                if j + 1 == free:
+                    break
+                alive = alive & rising
+                if not alive.any():
+                    break
+            rows[k, cells] = bound = np.minimum(rows[k, cells], bound)
+            if k:  # U_k at the cells' ends: running maxima over the cells below each end
+                start = max(cells[0] - 1, 0)
+                run = np.maximum.accumulate(rows[k, start:cells[-1] + 1])
+                if start:
+                    run = np.maximum(run, rows[k, :start].max())
+                held[k] = run[np.maximum(cells - start - 1, 0)], run[cells - start], bound
 
 
 def _pick(value: np.ndarray) -> int:
@@ -282,30 +396,6 @@ def _t(tau: float) -> float:
     return 1.0 if tau == math.inf else tau / (1.0 + tau)
 
 
-def _zoom_grid(grid: np.ndarray, taus: list[float], step: float) -> np.ndarray:
-    """The next pass's grid: 0, +inf, the witness ``taus`` (all on ``grid``),
-    and a window of ZOOM_POINTS geometric points around each free entry x.
-
-    The window spans x's cell of ``grid`` and at least [x / r, x r], with
-    r = exp(``step``) the step of the pass that put x there, so an entry
-    can follow its neighbours even where windows overlap and cells are
-    narrow.  A cell that reaches 0 or +inf (x is 0, +inf, or next to one)
-    is cut off MARGIN times beyond the last positive finite grid point.
-    0 and +inf appear once; a positive point may appear twice, which
-    neither the recursion nor the cell lookup minds.
-    """
-    r = math.exp(step)
-    last = len(grid) - 2
-    xs = set(taus[:-1])
-    parts = [[0.0, math.inf], [x for x in xs if 0.0 < x < math.inf]]
-    for x in xs:
-        i = int(np.searchsorted(grid, x))
-        lo = min(grid[i - 1], x / r) if i > 1 else grid[1] / MARGIN
-        hi = max(grid[i + 1], x * r) if i < last else grid[last] * MARGIN
-        parts.append(np.exp(math.log(lo) + math.log(hi / lo) * _UNIT))
-    return np.sort(np.concatenate(parts))
-
-
 def sup_bound_lhs(
     scenario: BroadcastScenario, distortions: Distortions, *, target: float | None = None
 ) -> SupResult:
@@ -314,48 +404,94 @@ def sup_bound_lhs(
     The chain dynamic program finds the best schedule on a first grid
     that holds 0 and +inf, so the all-zero and the step schedules are
     always candidates, and bounds the supremum from above on the same
-    links (``sup_upper``).  Each zoom pass then reruns it on a grid around
-    the incumbent witness (``_zoom_grid``), whose geometric step shrinks
-    from r to r^(2 / (ZOOM_POINTS - 1)), until the step is at most
-    ZOOM_STEP relative.  The witness's own entries stay on every grid,
-    and a pass's witness is kept only if the evaluator confirms a gain,
-    so the value never goes down; a pass that returns the incumbent needs
-    no evaluation.  ``sup_value`` is the evaluator's value at exactly
-    ``argmax_tau``, +inf past the float range.
+    links (``_enclosure``).  Unless that bracket already decides how the
+    supremum compares with ``target`` (``sup_value > target`` or
+    ``sup_upper <= target``), it is narrowed.  At b <= 1 the recursion's
+    maximum, scaled by (1 + rho)^K, bounds the supremum: with the others
+    held, the functional is convex in one entry's u = 1 / (D_k + tau), and
+    so is a run of equal entries (their factors telescope, as in
+    ``_Cells.rebound``), so moving a schedule's entries one run at a time
+    to the ends of their cells loses nothing: the supremum is a grid
+    schedule's value.
 
-    With a ``target``, the search stops as soon as the bracket decides
-    how the supremum compares with it: after the first pass when
-    ``sup_value > target`` or ``sup_upper <= target``, and after any zoom
-    pass that lifts ``sup_value`` above it.  ``sup_value`` is then the
-    lower end at that point, not the fully refined value.  When the first
-    pass leaves the comparison open but only its last cell, [MARGIN N_S,
-    +inf], bounds above the target, that cell alone is re-bounded on a
-    geometric tail of TAIL_POINTS points (``_tail_bound``, counted in
-    ``iterations``) before any zoom pass; at b <= 1 this certifies the
-    boundary members, whose witness is the step schedule (+inf, 0, ...).
+    At b > 1 each round of ``_Cells`` splits the cells beside the
+    witness's entries (both at first, with a parabola's peak among the
+    cuts; then the one bounding the stage higher) and each stage's
+    highest cell that it cannot close (``_Cells.opened``; stage 1 is held
+    to max(sup_value (1 + 2 K rho), target), the allowance for rounding).
+    The recursion reruns over 0, the witness's entries, the new points
+    and +inf, and its witness is kept if the evaluator confirms a gain;
+    unless that decides, the pieces, and at first every cell the first
+    pass left open, are re-bounded.  The search stops when the bracket
+    decides, when no cell is open (the bracket is then within the
+    allowance), at POINT_BUDGET new points, or when a round underflows
+    (its bound is dropped).  ``sup_value`` is the evaluator's value at
+    exactly ``argmax_tau``: on a decided stop, the lower end there.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
     free = len(d.values) - 1
     grid = _tau_grid(scenario, d)
-    taus, (upper, head, seeds) = _chain_dp(chain, grid, bounded=True)
+    underflows: list[bool] = []
+    with _watch(underflows):
+        a, c, last = chain.links(grid)
+        rows = _enclosure(a, c, last)
+    log_g, log_h = chain.log_factors(np.zeros(len(d.values)))
+    y = float(max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b)  # Y (``_enclosure``)
+    delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
+    upper = float((rows[0].max() if free else last) * (1.0 + 2.0 * delta))
+    if underflows or not upper < math.inf:
+        upper = math.inf
+    search = free and upper < math.inf and (target is None or upper > target)
+    taus, stages, values = _chain_dp(chain, grid, (a, c, last), keep=search and chain.b > 1.0)
     value = chain.lhs(taus)
     evals = free * len(grid) + 1
-    if target is not None and value <= target < upper and head <= target:
-        upper = min(upper, _tail_bound(chain, grid[-2], seeds))
-        evals += free * TAIL_POINTS
-    step = math.log(grid[2] / grid[1])
-    decided = target is not None and (value > target or upper <= target)
-    while free and step > ZOOM_STEP and not decided:
-        grid = _zoom_grid(grid, taus, step)
-        probe, _ = _chain_dp(chain, grid)
-        evals += free * len(grid) + 1
-        if probe != taus:
-            probe_value = chain.lhs(probe)
-            if probe_value > value:
-                taus, value = probe, probe_value
-                decided = target is not None and value > target
-        step *= 2.0 / (ZOOM_POINTS - 1)
+    rho = math.ulp(1.0) * (4.0 * y + 8.0)  # a stage's outward rounding (``_enclosure``)
+    if search and chain.b <= 1.0:
+        upper = min(upper, stages[0] * (1.0 + rho) ** len(chain.d))
+    search = search and chain.b > 1.0 and (target is None or value <= target)
+    if search:
+        cells, tol = _Cells(chain, grid, a, c, last, rows, rho), 1.0 + 2.0 * len(chain.d) * rho
+    spent, first = 0, True
+    while search and (target is None or value <= target < upper):
+        level = value * tol if target is None else max(value * tol, target)
+        if first:  # first-order bounds cannot tell which side of an entry holds its peak
+            (near, peaks, guess), best = cells.beside(taus, values), []
+        else:
+            mask, best = cells.opened(level, stages, tol)
+            if not best:
+                break
+            near, peaks, _ = cells.beside(taus, None)
+        room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
+        split = np.array(sorted(list(dict.fromkeys(near + best))[:room]), dtype=int)
+        if not len(split):
+            break
+        with _watch(underflows):
+            points, new_a, new_c = cells.cut(split, peaks)
+        spent += points.size
+        evals += free * points.size + 1
+        member = first and target is not None and guess is not None and guess <= target
+        for phase in ("bound", "lift") if member else ("lift", "bound"):  # a guessed member re-bounds first
+            if phase == "lift":
+                probe, probe_stages = cells.lift(taus, points, new_a, new_c)
+                probe_value = chain.lhs(probe) if probe != taus else value
+                if probe_value > value:
+                    taus, value, stages = probe, probe_value, probe_stages
+                if underflows or target is not None and value > target:
+                    break
+                continue
+            if first:
+                mask, _ = cells.opened(level, stages, tol)
+            mask[split], first = False, False
+            with _watch(underflows):
+                cells.insert(split, points, new_a, new_c, np.flatnonzero(mask))
+            if underflows:
+                break
+            upper = min(upper, float(cells.rows[0].max()))
+            if target is not None and upper <= target:
+                break
+        if underflows:
+            break
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
@@ -376,8 +512,9 @@ def in_outer_region(
     (P + N_1)(1 + rel_tol).  It is certified when the bracket decides:
     ``sup_upper`` <= threshold (member) or ``sup_value`` > threshold
     (non-member, violated at ``argmax_tau``), and the search stops there.
-    Otherwise it is the tolerant verdict on the fully refined
-    ``sup_value``, and ``certified`` is False.
+    Otherwise (the bracket within the rounding floor, or the point budget
+    spent) it is the tolerant verdict on ``sup_value``, and ``certified``
+    is False.
     """
     rhs = bound_rhs(scenario)
     threshold = rhs * (1.0 + rel_tol)

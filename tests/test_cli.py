@@ -296,30 +296,30 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
 
 README_TRACE_CSV = (
     'D1,D2_min,D2_trivial,gap\r\n'
-    '0.25,0.09999430797901314,0.0625,0.03749430797901314\r\n'
-    '0.255,0.08474433181367581,0.0625,0.022244331813675813\r\n'
-    '0.26,0.07987506612385573,0.0625,0.017375066123855726\r\n'
-    '0.265,0.07664180702802655,0.0625,0.014141807028026546\r\n'
-    '0.27,0.0742294392329886,0.0625,0.011729439232988595\r\n'
-    '0.275,0.0723266340035549,0.0625,0.009826634003554893\r\n'
-    '0.28,0.07077594837403454,0.0625,0.008275948374034545\r\n'
-    '0.285,0.06948518359008028,0.0625,0.006985183590080282\r\n'
-    '0.29,0.06839514157232911,0.0625,0.005895141572329107\r\n'
-    '0.295,0.06746531642334122,0.0625,0.004965316423341221\r\n'
-    '0.3,0.06666666642470885,0.0625,0.004166666424708851\r\n'
-    '0.305,0.065977610191122,0.0625,0.003477610191121999\r\n'
+    '0.25,0.09999430797848438,0.0625,0.03749430797848438\r\n'
+    '0.255,0.08474433181374272,0.0625,0.022244331813742718\r\n'
+    '0.26,0.07987506612602198,0.0625,0.01737506612602198\r\n'
+    '0.265,0.07664180702807376,0.0625,0.014141807028073758\r\n'
+    '0.27,0.07422943925518115,0.0625,0.011729439255181148\r\n'
+    '0.275,0.07232663402765577,0.0625,0.009826634027655767\r\n'
+    '0.28,0.070775948374185,0.0625,0.008275948374184994\r\n'
+    '0.285,0.06948518358293636,0.0625,0.006985183582936358\r\n'
+    '0.29,0.06839514157400187,0.0625,0.0058951415740018664\r\n'
+    '0.295,0.06746531642347302,0.0625,0.004965316423473018\r\n'
+    '0.3,0.06666666642499967,0.0625,0.004166666424999674\r\n'
+    '0.305,0.06597761021440315,0.0625,0.003477610214403154\r\n'
     '0.31,0.0653816495476993,0.0625,0.0028816495476993026\r\n'
-    '0.315,0.06486587921842628,0.0625,0.0023658792184262784\r\n'
+    '0.315,0.06486587921914981,0.0625,0.0023658792191498107\r\n'
     '0.32,0.06442001134764144,0.0625,0.0019200113476414427\r\n'
     '0.325,0.06403571320424216,0.0625,0.001535713204242159\r\n'
     '0.33,0.06370614377585065,0.0625,0.0012061437758506544\r\n'
-    '0.335,0.06342562168579122,0.0625,0.000925621685791217\r\n'
-    '0.34,0.06318938100198909,0.0625,0.0006893810019890922\r\n'
-    '0.345,0.06299338899333391,0.0625,0.0004933889933339125\r\n'
+    '0.335,0.0634256216860424,0.0625,0.0009256216860424049\r\n'
+    '0.34,0.0631893810020345,0.0625,0.0006893810020345004\r\n'
+    '0.345,0.06299338899337152,0.0625,0.0004933889933715213\r\n'
     '0.35,0.06283420739966801,0.0625,0.00033420739966801005\r\n'
     '0.355,0.0627088853522191,0.0625,0.0002088853522190931\r\n'
-    '0.36,0.06261487565452584,0.0625,0.0001148756545258367\r\n'
-    '0.365,0.06254996835634871,0.0625,4.9968356348711884e-05\r\n'
+    '0.36,0.06261487565452988,0.0625,0.00011487565452987514\r\n'
+    '0.365,0.06254996835634878,0.0625,4.996835634878127e-05\r\n'
     '0.37,0.06251223782771831,0.0625,1.2237827718308836e-05\r\n'
 )
 
@@ -544,10 +544,14 @@ FIGURE1_ARGV = ("figure1", "--c1", "1", "--c2", "5", "--b", "1")
         (*FIGURE1_ARGV, "--out", "D", "--scenario", MATCHED),
         (*FIGURE1_ARGV, "--out", "D", "--tolerance", "1e-9"),
         ("simulate", "--scenario", MATCHED, "--samples", "8", "--tolerance", "1e-9", "--out", "D"),
+        ("trace", "--scenario", MATCHED, "--d1-grid", "0.5:0.6:2", "--out", ""),
+        (*FIGURE1_ARGV, "--out", ""),
+        ("simulate", "--scenario", MATCHED, "--samples", "8", "--out", ""),
     ],
     ids=["no-subcommand", "eval-no-tau", "samples-not-int", "tolerance-not-number", "eval-out",
          "membership-out", "verify-scenario", "verify-tolerance", "verify-out", "figure1-scenario",
-         "figure1-tolerance", "simulate-tolerance"],
+         "figure1-tolerance", "simulate-tolerance", "trace-out-empty", "figure1-out-empty",
+         "simulate-out-empty"],
 )
 def test_usage_errors_are_input_errors(capsys, tmp_path, monkeypatch, argv):
     """A usage error, an option a subcommand does not take included, prints

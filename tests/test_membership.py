@@ -17,7 +17,7 @@ from gbcbound.core import (
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
 from gbcbound.membership import (
     GRID_POINTS,
-    TAIL_POINTS,
+    POINT_BUDGET,
     TRACE_WIDTH,
     SupResult,
     _chain_dp,
@@ -355,12 +355,9 @@ def _member_probes(monkeypatch, sc, prefixes):
 
 
 def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
-    """At b <= 1 only the first grid's last cell, [MARGIN N_S, +inf], keeps
-    sup_upper above the threshold at a boundary member.  Re-bounding that
-    cell on the tail certifies the member after the first pass and the
-    tail, except on the row at D_1 = D_1*, where interior cells of the
-    first grid already bound above the threshold; at D_1 = N_S the first
-    pass alone may decide."""
+    """At b <= 1 the recursion's own maximum, rounded outward, bounds the
+    supremum, so every member probe of a boundary row is certified after
+    the first pass alone, the row at D_1 = D_1* included."""
     grids = []
     for name in ("compression_k2", "matched_k2"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
@@ -371,25 +368,81 @@ def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatc
     grids.append((sc, [(f1 + (1.0 - f1) * i / 9, d2) for i in range(10)]))
     for sc, prefixes in grids:
         probes = _member_probes(monkeypatch, sc, prefixes)
-        certified = [v for v in probes if v.certified]
-        assert len(probes) == 10 and len(certified) >= 9, sc
+        assert len(probes) == 10 and all(v.certified for v in probes), sc
         threshold = bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)
-        for v in probes:
-            assert v.certified == (v.sup.sup_upper <= threshold)
         first = (sc.num_receivers - 1) * GRID_POINTS + 1
-        tail = (sc.num_receivers - 1) * TAIL_POINTS
-        passes = [v.sup.iterations for v in certified]
-        assert set(passes) <= {first, first + tail} and passes.count(first + tail) >= 8, sc
+        for v in probes:
+            assert v.sup.sup_upper <= threshold and v.sup.iterations == first
 
 
-def test_readme_trace_member_probes_keep_their_passes(monkeypatch):
-    """At b = 2 the excess over the threshold lies in interior cells, so the
-    tail is never tried: the README trace's member probes stay undecided
-    and run every zoom pass, as before the tail existed."""
+def _rounding_floor(sc, d):
+    """The search's rounding allowance 2 K rho relative, rho = eps (4 Y + 8)."""
+    chain = _Chain(sc, check_distortions(sc, d))
+    log_g, log_h = chain.log_factors(np.zeros(len(chain.d)))
+    y = max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b
+    return 2.0 * len(chain.d) * math.ulp(1.0) * (4.0 * y + 8.0)
+
+
+def test_readme_trace_member_probes_are_certified(monkeypatch):
+    """At b = 2 the excess over the threshold lies in interior cells, which
+    the search splits and re-bounds with tangent bounds: every member probe
+    of the README trace is certified, or lies within the rounding floor of
+    the threshold and is reported undecided."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     probes = _member_probes(monkeypatch, readme, [(0.25 + 0.12 * i / 24,) for i in range(25)])
-    assert not any(v.certified for v in probes)
-    assert [v.sup.iterations for v in probes] == [2832] * 2 + [2833] * 34
+    threshold = bound_rhs(readme) * (1.0 + DEFAULT_REL_TOL)
+    assert len(probes) >= 25
+    for v in probes:
+        if not v.certified:
+            assert threshold - v.sup.sup_value <= 2.0 * threshold * _rounding_floor(readme, (0.25, 0.1))
+    assert sum(v.certified for v in probes) >= len(probes) - 1
+
+
+def test_k3_expansion_boundary_members_are_certified(monkeypatch):
+    """K = 3 at b = 2 (P = 3, N = (3, 1, 0.3)), D_2 = D_2* (N_S / D_2*)^0.15:
+    at least half of the member probes of a 10-row trace are certified."""
+    sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
+    f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
+    d2 = f2 * (sc.source_var / f2) ** 0.15
+    probes = _member_probes(monkeypatch, sc, [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2)
+                                              for i in range(10)])
+    assert len(probes) >= 10 and 2 * sum(v.certified for v in probes) >= len(probes)
+
+
+def _searched(monkeypatch, call):
+    """``call()``'s result, and the rounds of the search it ran."""
+    import gbcbound.membership as m
+
+    real, rounds = m._Cells.cut, []
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(m._Cells, "cut", counted)
+        result = call()
+    return result, len(rounds)
+
+
+def test_search_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
+    """On a README trace row, the float next to the boundary of the tolerant
+    verdict has its supremum within the rounding floor of the threshold, so
+    it can be certified neither way: the search stops undecided, within its
+    point budget."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    threshold = bound_rhs(readme) * (1.0 + DEFAULT_REL_TOL)
+    d1 = 0.25 + 0.12 * 22 / 24
+    lo, hi = trivial_distortion(readme, 2), 1.0
+    for _ in range(200):  # bisect the tolerant verdict to the float next to the boundary
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if in_outer_region(readme, (d1, mid)).member else (mid, hi)
+        if hi - lo <= 2.0 * math.ulp(hi):
+            break
+    verdict, rounds = _searched(monkeypatch, lambda: in_outer_region(readme, (d1, hi)))
+    assert verdict.member and not verdict.certified
+    assert abs(verdict.sup.sup_value / threshold - 1.0) <= _rounding_floor(readme, (d1, hi))
+    assert verdict.sup.iterations <= GRID_POINTS + POINT_BUDGET + rounds + 1
 
 
 def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):

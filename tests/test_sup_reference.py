@@ -12,14 +12,10 @@ import math
 import random
 from decimal import Decimal, localcontext
 
-import numpy as np
-
-from gbcbound.bound import _Chain
-from gbcbound.core import BroadcastScenario, check_distortions, trivial_distortion
+from gbcbound.core import BroadcastScenario, trivial_distortion
 from gbcbound.membership import (
-    _TAIL,
-    _chain_dp,
-    _tau_grid,
+    GRID_POINTS,
+    POINT_BUDGET,
     in_outer_region,
     sup_bound_lhs,
     trace_boundary,
@@ -58,7 +54,21 @@ def _bandwidth(rng):
 
 
 def _assert_bounds(sc, d, schedules):
-    res = sup_bound_lhs(sc, d)
+    import gbcbound.membership as m
+
+    real, rounds = m._Cells.cut, []
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return real(*args, **kwargs)
+
+    m._Cells.cut = counted
+    try:
+        res = sup_bound_lhs(sc, d)
+    finally:
+        m._Cells.cut = real
+    k = sc.num_receivers
+    assert res.iterations <= (k - 1) * (GRID_POINTS + POINT_BUDGET) + len(rounds) + 1
     assert res.sup_value <= res.sup_upper
     upper = Decimal(res.sup_upper)
     for taus in list(schedules) + [res.argmax_tau.taus]:
@@ -99,29 +109,34 @@ def test_sup_upper_above_reference_at_probes():
         _assert_bounds(sc, random_distortions(rng, sc), [])
 
 
-def test_tail_sup_upper_above_reference_at_boundary():
-    """b <= 1 boundary members, K = 2, 3, 5: ``in_outer_region`` re-bounds
-    the first grid's last cell on the tail.  Its sup_upper lies above the
-    exact value at schedules whose tau_1 is a tail point or +inf, is below
-    the first grid's bound (``sup_bound_lhs`` without a target), and equals
-    the enclosure of the first grid with the tail's points inserted."""
+def test_refined_sup_upper_above_reference_at_boundary():
+    """Boundary members at b <= 1 and at b = 2, K = 2 and 3: the refined
+    sup_upper of ``in_outer_region`` certifies them, and lies above the
+    exact value at the witness and at schedules spread over the cells the
+    search refined (within 1e-6 relative of the witness's entries), and
+    above the fully refined value without a target."""
     rng = random.Random(71)
-    for k in (2, 2, 3, 5):
-        sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.choice((rng.uniform(0.2, 0.9), 1.0)))
+    cases = [random_scenario(rng, k_range=(k, k), bandwidth=rng.choice((rng.uniform(0.2, 0.9), 1.0)))
+             for k in (2, 2, 3)]
+    cases += [BroadcastScenario(3.0, (3.0, 1.0), 2.0), BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)]
+    for sc in cases:
+        k = sc.num_receivers
         prefix = tuple(trivial_distortion(sc, j) * (sc.source_var / trivial_distortion(sc, j)) ** 0.3
                        for j in range(1, k))
-        d = check_distortions(sc, prefix + (trace_boundary(sc, prefix),))
+        d = prefix + (trace_boundary(sc, prefix),)
         verdict = in_outer_region(sc, d)
-        grid = _tau_grid(sc, d)
-        tail = list(grid[-2] * _TAIL) + [math.inf]
-        merged = _chain_dp(_Chain(sc, d), np.concatenate((grid[:-1], tail[1:])), bounded=True)[1]
-        assert verdict.member and verdict.certified
-        assert verdict.sup.sup_upper < sup_bound_lhs(sc, d).sup_upper
-        assert verdict.sup.sup_upper == merged[0]
+        assert verdict.member and verdict.certified, (sc, d)
+        full = sup_bound_lhs(sc, d)  # refined further, to the rounding floor or the budget
+        assert verdict.sup.sup_value <= full.sup_upper and full.sup_value <= verdict.sup.sup_upper
         upper = Decimal(verdict.sup.sup_upper)
-        for tau in tail:
-            for taus in ((tau,) + (0.0,) * (k - 1), (tau,) * (k - 1) + (0.0,)):
-                assert upper >= lhs_reference(sc, d.values, taus), (sc, d, taus)
+        witness = verdict.sup.argmax_tau.taus
+        schedules = [witness]
+        for f in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6):
+            schedules.append(tuple(t * f for t in witness[:-1]) + (0.0,))
+            schedules.append((witness[0] * f,) + witness[1:])
+        for taus in schedules:
+            if all(x >= y for x, y in zip(taus, taus[1:])):
+                assert upper >= lhs_reference(sc, d, taus), (sc, d, taus)
 
 
 def test_sup_upper_past_float_range_is_inf():

@@ -1,5 +1,6 @@
 """Every name imported in ``src/`` and ``tests/`` is used or re-exported, and
-every private module-level definition in ``src/`` is referenced somewhere."""
+every private module-level definition and every public module-level
+``UPPER_CASE`` constant in ``src/`` is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -40,7 +41,8 @@ def test_no_unused_imports():
 
 
 def _private_definitions(path: Path) -> list[tuple[str, int]]:
-    """Module-level ``_``-prefixed functions, classes and constants of ``path``."""
+    """Module-level ``_``-prefixed functions, classes and constants of ``path``,
+    and its public ``UPPER_CASE`` constants."""
     found = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -52,7 +54,8 @@ def _private_definitions(path: Path) -> list[tuple[str, int]]:
         else:
             continue
         found += [(name, node.lineno) for name in names
-                  if name.startswith("_") and not name.startswith("__")]
+                  if name.startswith("_") and not name.startswith("__")
+                  or not isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.isupper()]
     return found
 
 
