@@ -6,21 +6,20 @@ over the schedule set {0 = tau_K <= ... <= tau_1 <= +inf}.
 
 The functional nests like Horner's rule in factors that each depend on
 one schedule entry (see ``bound``), and the only coupling between entries
-is their order.  So the supremum is a backward recursion over a single
-grid of tau values, a chain dynamic program costing O(K M) for M grid
-points.  The first pass builds all its links at once, as (K - 1) x M
-arrays computed in place (``bound._Chain.links``), and runs the
-recursion on their rows.  The grid holds exact 0 and +inf, so the step
-schedules (the ones that recover the per-receiver point-to-point
-constraints) are always candidates.  The same links bound the supremum
-from above cell by cell (``_enclosure``), so the supremum comes as a
-bracket [sup_value, sup_upper].  At b <= 1 the recursion's own maximum
-bounds it; at b > 1 one branch-and-bound search (``_Cells``) narrows a
+is their order.  So the supremum, bracketed as [sup_value, sup_upper], is
+a backward recursion over one grid of tau values holding exact 0 and
++inf, a chain dynamic program costing O(K M) for M grid points, on links
+built at once as (K - 1) x M arrays (``bound._Chain.links``).  At b <= 1
+the bound degenerates to the trivial one (the paper's result): the
+supremum is a step schedule's value (the step schedules recover the
+point-to-point constraints), so the grid is {0, +inf}, and the
+recursion's maximum, rounded outward, bounds it.  At b > 1 the grid has
+GRID_POINTS points, the same links bound the supremum cell by cell
+(``_enclosure``), and a branch-and-bound search (``_Cells``) narrows a
 bracket that leaves the question open.  Past the float range (small b) a
 stage holds +inf, and NaN where a link underflowed to 0; the readback
-never picks a NaN, so the supremum is +inf there.  ``argmax_t`` reports
-the witness in compactified coordinates t = tau / (1 + tau), which map
-[0, +inf] onto [0, 1].
+never picks a NaN, so the supremum is +inf there.  ``argmax_t`` gives the
+witness as t = tau / (1 + tau), which maps [0, +inf] onto [0, 1].
 
 ``trace_boundary`` finds the smallest member D_K for a fixed prefix by
 root-finding on the supremum, which is convex and nonincreasing in D_K.
@@ -67,6 +66,7 @@ TRACE_WIDTH = 1e-10
 SPLIT = 16  # pieces a refined cell is cut into
 POINT_BUDGET = 1000  # new points over all rounds of one search
 _RAMP = np.arange(GRID_POINTS - 2, dtype=float)
+_STEPS = np.array([0.0, math.inf])  # the grid at b <= 1 (``sup_bound_lhs``)
 _CUTS = np.arange(1, SPLIT) / SPLIT
 _ENDS = np.array([[0], [1]])  # a cell's lower and upper end
 
@@ -83,7 +83,7 @@ class SupResult:
     approached along a diverging schedule.  ``iterations`` counts the
     link evaluations, K - 1 per point of the first grid and per new point
     of each search round, plus one evaluation of each pass's and round's
-    witness.
+    witness: 2 K - 1 at b <= 1, where the grid is {0, +inf}.
     """
 
     sup_value: float
@@ -403,53 +403,53 @@ def sup_bound_lhs(
 
     The chain dynamic program finds the best schedule on a first grid
     that holds 0 and +inf, so the all-zero and the step schedules are
-    always candidates, and bounds the supremum from above on the same
-    links (``_enclosure``).  Unless that bracket already decides how the
-    supremum compares with ``target`` (``sup_value > target`` or
-    ``sup_upper <= target``), it is narrowed.  At b <= 1 the recursion's
-    maximum, scaled by (1 + rho)^K, bounds the supremum: with the others
-    held, the functional is convex in one entry's u = 1 / (D_k + tau), and
-    so is a run of equal entries (their factors telescope, as in
+    always candidates.  At b <= 1 nothing else is needed: with the others
+    held, the functional is convex in one entry's u = 1 / (D_k + tau), as
+    is a run of equal entries (their factors telescope, as in
     ``_Cells.rebound``), so moving a schedule's entries one run at a time
-    to the ends of their cells loses nothing: the supremum is a grid
-    schedule's value.
+    to 0 or +inf loses nothing: the grid is {0, +inf}, and the recursion's
+    maximum, scaled by (1 + rho)^K, bounds the supremum, with no search.
 
-    At b > 1 each round of ``_Cells`` splits the cells beside the
-    witness's entries (both at first, with a parabola's peak among the
-    cuts; then the one bounding the stage higher) and each stage's
-    highest cell that it cannot close (``_Cells.opened``; stage 1 is held
-    to max(sup_value (1 + 2 K rho), target), the allowance for rounding).
-    The recursion reruns over 0, the witness's entries, the new points
-    and +inf, and its witness is kept if the evaluator confirms a gain;
-    unless that decides, the pieces, and at first every cell the first
-    pass left open, are re-bounded.  The search stops when the bracket
-    decides, when no cell is open (the bracket is then within the
-    allowance), at POINT_BUDGET new points, or when a round underflows
-    (its bound is dropped).  ``sup_value`` is the evaluator's value at
-    exactly ``argmax_tau``: on a decided stop, the lower end there.
+    At b > 1 the grid has GRID_POINTS points and the same links bound the
+    supremum from above (``_enclosure``).  Unless that bracket decides how
+    the supremum compares with ``target`` (``sup_value > target`` or
+    ``sup_upper <= target``), each round of ``_Cells`` splits the cells
+    beside the witness's entries (both at first, with a parabola's peak
+    among the cuts; then the one bounding the stage higher) and each stage's
+    highest cell that it cannot close (``_Cells.opened``; stage 1 is held to
+    max(sup_value (1 + 2 K rho), target), the rounding allowance).  The
+    recursion reruns over 0, the witness's entries, the new points and +inf,
+    and its witness is kept if the evaluator confirms a gain; unless that
+    decides, the pieces, and at first every cell the first pass left open,
+    are re-bounded.  The search stops when the bracket decides, when no cell
+    is open (the bracket is then within the allowance), at POINT_BUDGET new
+    points, or when a round underflows (its bound is dropped).  ``sup_value``
+    is the evaluator's value at exactly ``argmax_tau``: on a decided stop,
+    the lower end there.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
-    free = len(d.values) - 1
-    grid = _tau_grid(scenario, d)
+    free, steps = len(d.values) - 1, chain.b <= 1.0
+    grid = _STEPS if steps else _tau_grid(scenario, d)
     underflows: list[bool] = []
     with _watch(underflows):
         a, c, last = chain.links(grid)
-        rows = _enclosure(a, c, last)
+        rows = None if steps else _enclosure(a, c, last)
     log_g, log_h = chain.log_factors(np.zeros(len(d.values)))
     y = float(max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b)  # Y (``_enclosure``)
-    delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
-    upper = float((rows[0].max() if free else last) * (1.0 + 2.0 * delta))
-    if underflows or not upper < math.inf:
-        upper = math.inf
-    search = free and upper < math.inf and (target is None or upper > target)
-    taus, stages, values = _chain_dp(chain, grid, (a, c, last), keep=search and chain.b > 1.0)
-    value = chain.lhs(taus)
-    evals = free * len(grid) + 1
     rho = math.ulp(1.0) * (4.0 * y + 8.0)  # a stage's outward rounding (``_enclosure``)
-    if search and chain.b <= 1.0:
-        upper = min(upper, stages[0] * (1.0 + rho) ** len(chain.d))
-    search = search and chain.b > 1.0 and (target is None or value <= target)
+    if steps:
+        taus, stages, values = _chain_dp(chain, grid, (a, c, last))
+        upper = (stages[0] if free else last) * (1.0 + rho) ** len(chain.d)
+    else:
+        delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
+        upper = (rows[0].max() if free else last) * (1.0 + 2.0 * delta)
+    upper = float(upper) if not underflows and upper < math.inf else math.inf
+    search = not steps and free and upper < math.inf and (target is None or upper > target)
+    if not steps:
+        taus, stages, values = _chain_dp(chain, grid, (a, c, last), keep=search)
+    value, evals = chain.lhs(taus), free * len(grid) + 1
+    search = search and (target is None or value <= target)
     if search:
         cells, tol = _Cells(chain, grid, a, c, last, rows, rho), 1.0 + 2.0 * len(chain.d) * rho
     spent, first = 0, True

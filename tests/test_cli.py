@@ -197,6 +197,27 @@ def test_membership_single_user(capsys, tmp_path):
     assert payload["member"] is True
 
 
+B_LE_1_MEMBERSHIP_STDOUT = {
+    ("matched_k2.json", "0.6,0.3"):
+        '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
+        '"distortions": [0.6, 0.3], "iterations": 3, "margin": 0.6666666666666661, "member": true, '
+        '"rhs": 6.0, "sup_upper": 5.333333333333365, "sup_value": 5.333333333333334, "tolerance": 1e-09}\n',
+    ("compression_k2.json", "0.75,0.5"):
+        '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
+        '"distortions": [0.75, 0.5], "iterations": 3, "margin": 0.0, "member": true, '
+        '"rhs": 6.0, "sup_upper": 6.000000000000037, "sup_value": 6.0, "tolerance": 1e-09}\n',
+}
+
+
+@pytest.mark.parametrize("name, distortions", sorted(B_LE_1_MEMBERSHIP_STDOUT))
+def test_b_le_1_membership_stdout_is_pinned(capsys, name, distortions):
+    """At b <= 1 the supremum is the step schedule's value, found on the grid
+    {0, +inf} in 2 K - 1 = 3 link evaluations, and sup_upper is that value
+    rounded outward: the payload's bytes."""
+    assert main(["membership", "--scenario", str(SCENARIOS / name), "--distortions", distortions]) == 0
+    assert capsys.readouterr().out == B_LE_1_MEMBERSHIP_STDOUT[name, distortions]
+
+
 def test_trace_writes_csv_and_manifest(capsys, expansion, tmp_path):
     out = tmp_path / "out"
     code, payload = run_cli(

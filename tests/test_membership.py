@@ -354,10 +354,19 @@ def _member_probes(monkeypatch, sc, prefixes):
     return [v for v in verdicts if v.member]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the b <= 1 supremum is a step schedule's value")
+
+
 def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
-    """At b <= 1 the recursion's own maximum, rounded outward, bounds the
-    supremum, so every member probe of a boundary row is certified after
-    the first pass alone, the row at D_1 = D_1* included."""
+    """At b <= 1 the recursion's own maximum on the grid {0, +inf}, rounded
+    outward, bounds the supremum, so every member probe of a boundary row
+    is certified after that one pass of 2 K - 1 link evaluations, the row
+    at D_1 = D_1* included, with no full grid, enclosure or search."""
+    import gbcbound.membership as m
+
+    for name in ("_tau_grid", "_enclosure", "_Cells"):
+        monkeypatch.setattr(m, name, _refuse)
     grids = []
     for name in ("compression_k2", "matched_k2"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
@@ -370,7 +379,7 @@ def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatc
         probes = _member_probes(monkeypatch, sc, prefixes)
         assert len(probes) == 10 and all(v.certified for v in probes), sc
         threshold = bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)
-        first = (sc.num_receivers - 1) * GRID_POINTS + 1
+        first = (sc.num_receivers - 1) * 2 + 1
         for v in probes:
             assert v.sup.sup_upper <= threshold and v.sup.iterations == first
 
@@ -381,6 +390,40 @@ def _rounding_floor(sc, d):
     log_g, log_h = chain.log_factors(np.zeros(len(chain.d)))
     y = max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b
     return 2.0 * len(chain.d) * math.ulp(1.0) * (4.0 * y + 8.0)
+
+
+def test_b_le_1_sup_upper_is_the_rounded_step_value():
+    """At b <= 1 sup_upper is the recursion's maximum on {0, +inf} rounded
+    outward, (1 + rho)^K, with or without a target: within the rounding
+    allowance 2 K rho of sup_value, where a two-point first-order cell bound
+    is loose, and finite wherever sup_value is and no link underflowed,
+    where a two-point cell bound can overflow at a finite supremum.
+    Half the draws spread the exponents log(N_S / D_k) / b over [0, 700],
+    so that small b still leaves the supremum finite."""
+    rng = random.Random(83)
+    steps = np.array([0.0, math.inf])
+    finite = 0
+    for i in range(600):
+        k = (1, 2, 3, 5, 8, 16)[i % 6]
+        b = 1.0 if i % 4 == 0 else math.exp(rng.uniform(math.log(1e-3), 0.0))
+        sc = random_scenario(rng, k_range=(k, k), bandwidth=b, min_ratio=1.05 if k >= 8 else 1.2)
+        if i % 2:
+            d = random_distortions(rng, sc)
+        else:
+            d = tuple(sc.source_var * math.exp(-b * rng.uniform(0.0, 700.0)) for _ in range(k))
+        with np.errstate(over="ignore", under="raise"):
+            try:
+                _Chain(sc, check_distortions(sc, d)).links(steps)
+                underflow = False
+            except FloatingPointError:
+                underflow = True
+        for target in (None, bound_rhs(sc)):
+            res = sup_bound_lhs(sc, d, target=target)
+            if math.isfinite(res.sup_value) and not underflow:
+                finite += 1
+                assert math.isfinite(res.sup_upper), (sc, d, res)
+                assert res.sup_upper <= res.sup_value * (1.0 + _rounding_floor(sc, d)), (sc, d, res)
+    assert finite >= 400
 
 
 def test_readme_trace_member_probes_are_certified(monkeypatch):

@@ -12,6 +12,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 
+from gbcbound.bound import reduced_bound_value
 from gbcbound.core import BroadcastScenario, trivial_distortion
 from gbcbound.membership import (
     GRID_POINTS,
@@ -47,6 +48,32 @@ def lhs_reference(sc, d, taus):
             if k + 1 < len(ds):
                 log_h += _log_ratio(ds[k + 1], ds[k], tau)
         return total
+
+
+def grid_max_reference(sc, d, grid):
+    """max of ``lhs_reference`` over the schedules tau_1 >= ... >= tau_{K-1}
+    on ``grid`` (ascending), tau_K = 0, to 50 digits.
+
+    lhs = a_1 + c_1 (a_2 + ... + c_{K-1} a_K), with a_k = dN_k g_k^(1/b) and
+    c_k = h_k^(1/b) depending on tau_k alone, so the best value with tau_k
+    <= s is the running maximum best_k(s) = max_{tau <= s} a_k(tau) +
+    c_k(tau) best_{k+1}(tau), and best_K = a_K(0).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ns, b = Decimal(sc.source_var), Decimal(sc.bandwidth)
+        ds = [Decimal(x) for x in d]
+        noises = [Decimal(n) for n in sc.noises] + [Decimal(0)]
+
+        def a(k, tau):
+            return (noises[k] - noises[k + 1]) * (_log_ratio(ns, ds[k], tau) / b).exp()
+
+        best = [a(len(ds) - 1, 0.0)] * len(grid)
+        for k in range(len(ds) - 2, -1, -1):
+            values = [a(k, tau) + (_log_ratio(ds[k + 1], ds[k], tau) / b).exp() * m
+                      for tau, m in zip(grid, best)]
+            best = list(itertools.accumulate(values, max))
+        return best[-1]
 
 
 def _bandwidth(rng):
@@ -137,6 +164,47 @@ def test_refined_sup_upper_above_reference_at_boundary():
         for taus in schedules:
             if all(x >= y for x, y in zip(taus, taus[1:])):
                 assert upper >= lhs_reference(sc, d, taus), (sc, d, taus)
+
+
+def _near_floors(rng, sc):
+    """D a little above the floors D_k*, or with one entry a little below its floor."""
+    floors = [trivial_distortion(sc, j) for j in range(1, sc.num_receivers + 1)]
+    d = [x * (sc.source_var / x) ** (0.15 * rng.random()) for x in floors]
+    if rng.random() < 0.3:
+        j = rng.randrange(len(d))
+        d[j] = floors[j] * (floors[j] / sc.source_var) ** (0.01 + 0.14 * rng.random())
+    return tuple(d)
+
+
+def test_sup_at_b_le_1_is_the_closed_form_step_value():
+    """At b <= 1 the bound degenerates to the trivial one: the supremum is
+    max_k of ``reduced_bound_value``, the step schedule isolating receiver k
+    in closed form with math.exp, at b = 1, b in (0.05, 1) and b in [1e-3,
+    0.05].  The witness is a step schedule, and sup_upper lies above the
+    exact maximum over every schedule on GRID, interior entries included:
+    the grid {0, +inf} loses nothing.  Near the floors the exponents stay
+    below about 12, so both closed forms round within a few eps; a random D,
+    often past the float range, checks the witness and the upper bound."""
+    rng = random.Random(73)
+    bands = (lambda: 1.0, lambda: math.exp(rng.uniform(math.log(0.05), 0.0)),
+             lambda: math.exp(rng.uniform(math.log(1e-3), math.log(0.05))))
+    for k in (1, 2, 3, 5, 8, 16):
+        for band in bands:
+            sc = random_scenario(rng, k_range=(k, k), bandwidth=band(), min_ratio=1.05 if k >= 8 else 1.2)
+            for near in (True, True, False):
+                d = _near_floors(rng, sc) if near else random_distortions(rng, sc)
+                res = sup_bound_lhs(sc, d)
+                if near:
+                    closed = max(reduced_bound_value(sc, d, j) for j in range(1, k + 1))
+                    assert math.isclose(res.sup_value, closed, rel_tol=1e-14), (sc, d, res)
+                taus = res.argmax_tau.taus
+                assert set(taus) <= {0.0, math.inf} and list(taus) == sorted(taus, reverse=True)
+                exact = grid_max_reference(sc, d, GRID)
+                if k <= 3:  # the recursion against every schedule, to 40 digits
+                    schedules = itertools.combinations_with_replacement(GRID[::-1], k - 1)
+                    brute = max(lhs_reference(sc, d, t + (0.0,)) for t in schedules)
+                    assert abs(exact - brute) <= exact * Decimal("1e-40")
+                assert Decimal(res.sup_upper) >= exact, (sc, d, res.sup_upper)
 
 
 def test_sup_upper_past_float_range_is_inf():
