@@ -193,9 +193,9 @@ def reduced_bound_value(
     """
     scenario._check_index(k)
     d = check_distortions(scenario, distortions)
-    ns = scenario.source_var
+    dk = d.values[k - 1]
     nk = scenario.noises[k - 1]
-    log_ratio = math.log(ns) - math.log(d.values[k - 1])
+    log_ratio = math.log1p((scenario.source_var - dk) / dk)  # as ``_Chain`` forms log g
     try:
         growth = math.exp(log_ratio / scenario.bandwidth)
     except OverflowError:

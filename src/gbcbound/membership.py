@@ -9,17 +9,19 @@ one schedule entry (see ``bound``), and the only coupling between entries
 is their order.  So the supremum, bracketed as [sup_value, sup_upper], is
 a backward recursion over one grid of tau values holding exact 0 and
 +inf, a chain dynamic program costing O(K M) for M grid points, on links
-built at once as (K - 1) x M arrays (``bound._Chain.links``).  At b <= 1
-the bound degenerates to the trivial one (the paper's result): the
-supremum is a step schedule's value (the step schedules recover the
-point-to-point constraints), so the grid is {0, +inf}, and the
-recursion's maximum, rounded outward, bounds it.  At b > 1 the grid has
-GRID_POINTS points, the same links bound the supremum cell by cell
-(``_enclosure``), and a branch-and-bound search (``_Cells``) narrows a
-bracket that leaves the question open.  Past the float range (small b) a
-stage holds +inf, and NaN where a link underflowed to 0; the readback
-never picks a NaN, so the supremum is +inf there.  ``argmax_t`` gives the
-witness as t = tau / (1 + tau), which maps [0, +inf] onto [0, 1].
+formed at once as (K - 1) x M arrays (``bound._Chain.links``) wherever
+they are needed, and kept nowhere.  At b <= 1 the bound degenerates to
+the trivial one (the paper's result): the supremum is a step schedule's
+value (the step schedules recover the point-to-point constraints), so the
+grid is {0, +inf}, and the recursion's maximum bounds it.  At b > 1 the
+grid has GRID_POINTS points, and the same links bound the supremum cell
+by cell (``_enclosure``).  Either bound is rounded outward by one
+allowance, (1 + rho)^K; at b > 1 a branch-and-bound search (``_Cells``)
+narrows a bracket that leaves the question open.  Past the float range
+(small b) a stage holds +inf, and NaN where a link underflowed to 0; the
+readback never picks a NaN, so the supremum is +inf there.  ``argmax_t``
+gives the witness as t = tau / (1 + tau), which maps [0, +inf] onto
+[0, 1].
 
 ``trace_boundary`` finds the smallest member D_K for a fixed prefix by
 root-finding on the supremum, which is convex and nonincreasing in D_K.
@@ -81,9 +83,10 @@ class SupResult:
     float range does not suffice.  ``argmax_tau`` lives on the
     compactified closure: entries may be +inf when the maximum is
     approached along a diverging schedule.  ``iterations`` counts the
-    link evaluations, K - 1 per point of the first grid and per new point
-    of each search round, plus one evaluation of each pass's and round's
-    witness: 2 K - 1 at b <= 1, where the grid is {0, +inf}.
+    evaluated points, K - 1 per point of the first grid and per new point
+    of each search round, plus one per witness (the first pass's and each
+    round's): 2 K - 1 at b <= 1, where the grid is {0, +inf}.  The links
+    that the search forms again where it re-bounds are not counted.
     """
 
     sup_value: float
@@ -124,35 +127,32 @@ def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
     return grid
 
 
-def _chain_dp(chain: _Chain, grid: np.ndarray, links: tuple | None = None,
-              keep: bool = False) -> tuple[list[float], list[float], np.ndarray]:
+def _chain_dp(grid: np.ndarray, links: tuple) -> tuple[list[float], list[float], np.ndarray]:
     """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
     grid[-1] = +inf), each stage's value there, and every stage's values.
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
     with M_K = a_K(0): each stage is a running maximum over the grid, and
     the witness is read back from the stages (``_pick``).  ``links`` are
-    ``chain.links(grid)`` if already formed; the recursion runs in place
-    on their rows unless ``keep`` asks to leave them intact.  Past the
-    float range a stage can hold +inf, and NaN where an underflowed c_k
-    meets an infinite M_{k+1}; the running maximum skips NaN, and the
-    readback never picks one.
+    ``_Chain.links(grid)``, and the recursion runs in place on their rows.
+    Past the float range a stage can hold +inf, and NaN where an
+    underflowed c_k meets an infinite M_{k+1}; the running maximum skips
+    NaN, and the readback never picks one.  An underflow here is harmless,
+    so it is ignored even under ``_watch``, which watches only the links.
     """
-    a, c, last = links or chain.links(grid)
-    values, scratch = (np.empty_like(c), np.empty(len(grid))) if keep else (c, None)
-    running = last
-    with np.errstate(over="ignore", invalid="ignore"):
+    a, c, running = links
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(len(c) - 1, -1, -1):
-            value = np.multiply(c[k], running, out=values[k])
+            value = np.multiply(c[k], running, out=c[k])
             np.add(value, a[k], out=value)
-            running = np.fmax.accumulate(value, out=a[k] if scratch is None else scratch)
+            running = np.fmax.accumulate(value, out=a[k])
     taus, stages = [], []
     top = len(grid)
-    for value in values:
+    for value in c:
         top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
         stages.append(float(value[top - 1]))
-    return taus + [0.0], stages, values
+    return taus + [0.0], stages, c
 
 
 def _watch(underflows: list[bool]) -> np.errstate:
@@ -187,13 +187,12 @@ def _enclosure(a: np.ndarray, c: np.ndarray, last: float) -> np.ndarray:
     exp turns it into 4 eps |y| and adds 2 eps, and dN_k and its product
     add eps: each link is within lam = 4 eps (Y + 1) relatively, where Y
     bounds |y| over all tau, its value at tau = 0.  Each stage's product
-    and sum add eps, and all terms are nonnegative, so U_1 is within delta
-    = K eps (4 Y + 6) of its exact-arithmetic value (the spare eps per
-    stage covers second-order terms), and the true bound is at most U_1 /
-    (1 - delta) <= U_1 (1 + 2 delta).  Stage by stage, a bound computed
-    from a rigorous bound on the next stage is rigorous once scaled by
-    1 + rho, rho = lam + 4 eps.  The analysis assumes every result in the
-    normal range: the caller makes the bound +inf on any underflow.
+    and sum add eps, and all terms are nonnegative, so stage by stage, a
+    bound computed from a rigorous bound on the next stage is rigorous
+    once scaled by 1 + rho, rho = lam + 4 eps (the spare eps covers
+    second-order terms): a_K(0) (1 + rho) bounds M_K, and U_1 (1 + rho)^K
+    the supremum.  The analysis assumes every result in the normal range:
+    the caller makes the bound +inf on any underflow.
     """
     free, size = len(c), c.shape[1] - 1
     rows = np.empty((free, size))
@@ -220,14 +219,12 @@ def _splice(old: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 class _Cells:
     """The branch-and-bound search at b > 1 (``sup_bound_lhs``): a sorted
-    grid x (0 first, +inf last), the links a, c at every point, and each
-    stage's rigorous bound on every cell [x_i, x_{i+1}] (``rows``, row
-    k - 1 for stage k), at first the first grid's first-order bounds."""
+    grid x (0 first, +inf last) and each stage's rigorous bound on every
+    cell [x_i, x_{i+1}] (``rows``, row k - 1 for stage k), at first the
+    first grid's first-order bounds.  The links are formed where needed."""
 
-    def __init__(self, chain: _Chain, grid: np.ndarray, a: np.ndarray, c: np.ndarray,
-                 last: float, rows: np.ndarray, rho: float) -> None:
-        self.chain, self.rho, self.last = chain, rho, last
-        self.x, self.a, self.c = grid, a, c
+    def __init__(self, chain: _Chain, grid: np.ndarray, rows: np.ndarray, rho: float) -> None:
+        self.chain, self.rho, self.x = chain, rho, grid
         self.rows = rows * ((1.0 + rho) ** np.arange(len(rows) + 1, 1, -1))[:, None]
 
     def opened(self, level: float, stages: list[float], tol: float) -> tuple[np.ndarray, list[int]]:
@@ -270,10 +267,10 @@ class _Cells:
                 guess = f1 - 0.25 * slope * slope / bend if k == 0 else guess
         return cells, peaks, guess
 
-    def cut(self, cells: np.ndarray, peaks: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cut(self, cells: np.ndarray, peaks: dict) -> np.ndarray:
         """Points that cut ``cells`` into SPLIT pieces each (geometric in tau,
         but even in tau on [0, x_1] and in 1 / tau on [x, +inf]; the cut
-        nearest a known peak moves onto it), and the links there."""
+        nearest a known peak moves onto it)."""
         lo, hi = self.x[cells], self.x[cells + 1]
         points = lo[:, None] * (hi / lo)[:, None] ** _CUTS
         if cells[0] == 0:
@@ -283,26 +280,19 @@ class _Cells:
         for row, cell in enumerate(cells.tolist()):
             if cell in peaks:
                 points[row, min(int((points[row] < peaks[cell]).sum()), SPLIT - 2)] = peaks[cell]
-        a, c, _ = self.chain.links(points.ravel())
-        return points, a, c
+        return points
 
-    def lift(self, taus: list[float], points: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple:
-        """The recursion over 0, the free entries of ``taus``, ``points``
-        (with their links a, c) and +inf: its witness and stage values."""
-        at = np.searchsorted(self.x, [0.0] + taus[:-1] + [math.inf])
-        grid = np.concatenate((self.x[at], points.ravel()))
-        order = np.argsort(grid, kind="stable")
-        links = (np.concatenate((self.a[:, at], a), axis=1)[:, order],
-                 np.concatenate((self.c[:, at], c), axis=1)[:, order], self.last)
-        return _chain_dp(self.chain, grid[order], links)[:2]
+    def lift(self, taus: list[float], points: np.ndarray) -> tuple:
+        """The recursion over 0, the free entries of ``taus``, ``points`` and
+        +inf: its witness and stage values."""
+        grid = np.sort(np.concatenate(([0.0], taus[:-1], points.ravel(), [math.inf])))
+        return _chain_dp(grid, self.chain.links(grid))[:2]
 
-    def insert(self, cells: np.ndarray, points: np.ndarray, a: np.ndarray, c: np.ndarray,
-               rebound: np.ndarray) -> None:
+    def insert(self, cells: np.ndarray, points: np.ndarray, rebound: np.ndarray) -> None:
         """Put the ``points`` that cut ``cells`` into the grid, each piece with
         its cell's bounds, and re-bound the pieces and the cells ``rebound``."""
-        at, blocks = cells + 1, (len(a), len(cells), SPLIT - 1)
+        at = cells + 1
         self.x = _splice(self.x, at, points)
-        self.a, self.c = _splice(self.a, at, a.reshape(blocks)), _splice(self.c, at, c.reshape(blocks))
         self.rows = _splice(self.rows, at, np.repeat(self.rows[:, cells, None], SPLIT - 1, axis=2))
         start = cells + (SPLIT - 1) * np.arange(len(cells))
         moved = rebound + (SPLIT - 1) * np.searchsorted(cells, rebound)
@@ -333,10 +323,11 @@ class _Cells:
         (1 + rho)^r covers, and its slope within 2 r rho (alpha + |gamma| V).
         """
         chain, rows, rho, free = self.chain, self.rows, self.rho, len(self.rows)
-        ends = cells + _ENDS
-        taus, a, c = self.x[ends], self.a[:, ends], self.c[:, ends]
+        taus = self.x[cells + _ENDS]
+        a, c, a_last = chain.links(taus.ravel())
+        a, c = a.reshape(free, *taus.shape), c.reshape(free, *taus.shape)
         last = taus[1, -1] == math.inf  # then the last cell is [x, +inf]
-        held = [None] * free + [(self.last * (1.0 + rho),) * 3]  # row j's U at the ends, and its bound
+        held = [None] * free + [(a_last * (1.0 + rho),) * 3]  # row j's U at the ends, and its bound
         for k in range(free - 1, -1, -1):
             d = chain.d[k]
             near = d + taus
@@ -411,7 +402,8 @@ def sup_bound_lhs(
     maximum, scaled by (1 + rho)^K, bounds the supremum, with no search.
 
     At b > 1 the grid has GRID_POINTS points and the same links bound the
-    supremum from above (``_enclosure``).  Unless that bracket decides how
+    supremum from above (``_enclosure``), the first stage's largest cell
+    bound scaled by the same (1 + rho)^K.  Unless that bracket decides how
     the supremum compares with ``target`` (``sup_value > target`` or
     ``sup_upper <= target``), each round of ``_Cells`` splits the cells
     beside the witness's entries (both at first, with a parabola's peak
@@ -433,25 +425,19 @@ def sup_bound_lhs(
     grid = _STEPS if steps else _tau_grid(scenario, d)
     underflows: list[bool] = []
     with _watch(underflows):
-        a, c, last = chain.links(grid)
-        rows = None if steps else _enclosure(a, c, last)
+        links = chain.links(grid)
+        rows = None if steps else _enclosure(*links)
     log_g, log_h = chain.log_factors(np.zeros(len(d.values)))
     y = float(max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b)  # Y (``_enclosure``)
     rho = math.ulp(1.0) * (4.0 * y + 8.0)  # a stage's outward rounding (``_enclosure``)
-    if steps:
-        taus, stages, values = _chain_dp(chain, grid, (a, c, last))
-        upper = (stages[0] if free else last) * (1.0 + rho) ** len(chain.d)
-    else:
-        delta = len(chain.d) * math.ulp(1.0) * (4.0 * y + 6.0)
-        upper = (rows[0].max() if free else last) * (1.0 + 2.0 * delta)
+    taus, stages, values = _chain_dp(grid, links)
+    top = links[2] if not free else stages[0] if steps else rows[0].max()  # a_K(0) at K = 1
+    upper = top * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
-    search = not steps and free and upper < math.inf and (target is None or upper > target)
-    if not steps:
-        taus, stages, values = _chain_dp(chain, grid, (a, c, last), keep=search)
     value, evals = chain.lhs(taus), free * len(grid) + 1
-    search = search and (target is None or value <= target)
+    search = not steps and free and upper < math.inf and (target is None or value <= target < upper)
     if search:
-        cells, tol = _Cells(chain, grid, a, c, last, rows, rho), 1.0 + 2.0 * len(chain.d) * rho
+        cells, tol = _Cells(chain, grid, rows, rho), 1.0 + 2.0 * len(chain.d) * rho
     spent, first = 0, True
     while search and (target is None or value <= target < upper):
         level = value * tol if target is None else max(value * tol, target)
@@ -466,14 +452,15 @@ def sup_bound_lhs(
         split = np.array(sorted(list(dict.fromkeys(near + best))[:room]), dtype=int)
         if not len(split):
             break
-        with _watch(underflows):
-            points, new_a, new_c = cells.cut(split, peaks)
+        with _watch(underflows):  # the first cell's ratio hi / 0 is discarded
+            points = cells.cut(split, peaks)
         spent += points.size
         evals += free * points.size + 1
         member = first and target is not None and guess is not None and guess <= target
         for phase in ("bound", "lift") if member else ("lift", "bound"):  # a guessed member re-bounds first
             if phase == "lift":
-                probe, probe_stages = cells.lift(taus, points, new_a, new_c)
+                with _watch(underflows):
+                    probe, probe_stages = cells.lift(taus, points)
                 probe_value = chain.lhs(probe) if probe != taus else value
                 if probe_value > value:
                     taus, value, stages = probe, probe_value, probe_stages
@@ -484,7 +471,7 @@ def sup_bound_lhs(
                 mask, _ = cells.opened(level, stages, tol)
             mask[split], first = False, False
             with _watch(underflows):
-                cells.insert(split, points, new_a, new_c, np.flatnonzero(mask))
+                cells.insert(split, points, np.flatnonzero(mask))
             if underflows:
                 break
             upper = min(upper, float(cells.rows[0].max()))

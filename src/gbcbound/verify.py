@@ -210,8 +210,8 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
     0.98 D* never is, and min(1.02 D*, N_S) is whenever D* is.  At b < 1
     and K >= 2 the schedule (1, 0, ..., 0) stays below P + N_1 at D* by
     more than the rounding error of lhs - rhs.  At b > 1 its violation can
-    lie within the verdict's 1e-9 tolerance; such a draw skips its D*
-    verdict.
+    lie within the verdict's tolerance, DEFAULT_REL_TOL; such a draw skips
+    its D* verdict.
     """
     result = CheckResult("regime-vs-trivial", 0, 0)
     boxes = max(1, trials // 200)
@@ -243,7 +243,7 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
             if b < 1.0:
                 ok = -margin > _rounding_bound(sc, dstar, tau, rhs, margin)
                 _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
-            elif margin <= 1e-9 * rhs:
+            elif margin <= bound.DEFAULT_REL_TOL * rhs:
                 skipped += 1
                 probes.pop(0)
         for d, member in probes:

@@ -197,7 +197,7 @@ def test_membership_single_user(capsys, tmp_path):
     assert payload["member"] is True
 
 
-B_LE_1_MEMBERSHIP_STDOUT = {
+MEMBERSHIP_STDOUT = {
     ("matched_k2.json", "0.6,0.3"):
         '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
         '"distortions": [0.6, 0.3], "iterations": 3, "margin": 0.6666666666666661, "member": true, '
@@ -206,16 +206,24 @@ B_LE_1_MEMBERSHIP_STDOUT = {
         '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
         '"distortions": [0.75, 0.5], "iterations": 3, "margin": 0.0, "member": true, '
         '"rhs": 6.0, "sup_upper": 6.000000000000037, "sup_value": 6.0, "tolerance": 1e-09}\n',
+    ("expansion_k2.json", "0.25,0.0625"):
+        '{"argmax_t": [0.19999999999999996], "argmax_tau": [0.24999999999999994, 0.0], "certified": true, '
+        '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 2050, '
+        '"margin": -0.32455532033675816, "member": false, "rhs": 6.0, "sup_upper": 6.328398724339026, '
+        '"sup_value": 6.324555320336758, "tolerance": 1e-09}\n',
 }
 
 
-@pytest.mark.parametrize("name, distortions", sorted(B_LE_1_MEMBERSHIP_STDOUT))
-def test_b_le_1_membership_stdout_is_pinned(capsys, name, distortions):
-    """At b <= 1 the supremum is the step schedule's value, found on the grid
-    {0, +inf} in 2 K - 1 = 3 link evaluations, and sup_upper is that value
-    rounded outward: the payload's bytes."""
+@pytest.mark.parametrize("name, distortions", sorted(MEMBERSHIP_STDOUT))
+def test_membership_stdout_is_pinned(capsys, name, distortions):
+    """The payload's bytes.  At b <= 1 the supremum is the step schedule's
+    value, found on the grid {0, +inf} in 2 K - 1 = 3 link evaluations, and
+    sup_upper is that value rounded outward.  At the README's b = 2 point
+    the first pass on the full grid decides: its witness violates the bound,
+    and sup_upper is the first-order enclosure's maximum rounded outward
+    by (1 + rho)^K."""
     assert main(["membership", "--scenario", str(SCENARIOS / name), "--distortions", distortions]) == 0
-    assert capsys.readouterr().out == B_LE_1_MEMBERSHIP_STDOUT[name, distortions]
+    assert capsys.readouterr().out == MEMBERSHIP_STDOUT[name, distortions]
 
 
 def test_trace_writes_csv_and_manifest(capsys, expansion, tmp_path):

@@ -131,7 +131,7 @@ def test_chain_dp_matches_exhaustive_enumeration():
                 chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
                 best = max(chain.lhs(taus + (0.0,)) for taus in
                            itertools.combinations_with_replacement(grid[::-1].tolist(), k - 1))
-                got = chain.lhs(_chain_dp(chain, grid)[0])
+                got = chain.lhs(_chain_dp(grid, chain.links(grid))[0])
                 assert got == pytest.approx(best, rel=1e-12, abs=0.0), (sc, chain.d)
 
 
@@ -304,7 +304,7 @@ def _sup_calls_per_row(monkeypatch, sc, prefixes):
 def test_trace_sup_calls_per_row(monkeypatch):
     """Root-finding with a curvature-corrected aim, and a closing probe
     that lo's witness already excludes, take about 4.7 supremum calls per
-    row where bisection took 36: the README's trace grid (4.68), and
+    row where bisection took 36: the README's trace grid (4.76), and
     K = 3 rows on matched_k3's channel at b = 2 (4.56)."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
@@ -441,15 +441,25 @@ def test_readme_trace_member_probes_are_certified(monkeypatch):
     assert sum(v.certified for v in probes) >= len(probes) - 1
 
 
+K3_EXPANSION_ROWS = (
+    "0.016101583882517805", "0.013686864719591298", "0.012227073243195831", "0.011263627660063492",
+    "0.010603150372276614", "0.010147714795993894", "0.009842595940928827", "0.00965567276875265",
+    "0.009568079092610565", "0.009558063189673817",
+)
+
+
 def test_k3_expansion_boundary_members_are_certified(monkeypatch):
     """K = 3 at b = 2 (P = 3, N = (3, 1, 0.3)), D_2 = D_2* (N_S / D_2*)^0.15:
-    at least half of the member probes of a 10-row trace are certified."""
+    at least half of the member probes of a 10-row trace are certified, and
+    each row's D_3,min is pinned to its repr.  On this grid both the
+    run-extended tangent bounds and the lifted recursion act at K = 3."""
     sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
     d2 = f2 * (sc.source_var / f2) ** 0.15
-    probes = _member_probes(monkeypatch, sc, [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2)
-                                              for i in range(10)])
+    prefixes = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2) for i in range(10)]
+    probes = _member_probes(monkeypatch, sc, prefixes)
     assert len(probes) >= 10 and 2 * sum(v.certified for v in probes) >= len(probes)
+    assert tuple(repr(trace_boundary(sc, prefix)) for prefix in prefixes) == K3_EXPANSION_ROWS
 
 
 def _searched(monkeypatch, call):

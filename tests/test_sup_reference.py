@@ -207,6 +207,18 @@ def test_sup_at_b_le_1_is_the_closed_form_step_value():
                 assert Decimal(res.sup_upper) >= exact, (sc, d, res.sup_upper)
 
 
+def test_reduced_bound_value_at_large_source_variance():
+    """The closed form takes log(N_S / D_k) as one log1p of (N_S - D_k) / D_k,
+    as the evaluator does, not as log N_S - log D_k, whose absolute error
+    grows with |log N_S| and is then scaled by 1 / b: at N_S = 1000, D =
+    (1000, 900), b = 0.002 and k = 2, within 1e-15 of the 50-digit value
+    at the step schedule (+inf, 0)."""
+    sc = BroadcastScenario(3, [3, 1], 0.002, 1000)
+    d = (1000.0, 900.0)
+    exact = lhs_reference(sc, d, (math.inf, 0.0))
+    assert abs(Decimal(reduced_bound_value(sc, d, 2)) - exact) <= exact * Decimal("1e-15")
+
+
 def test_sup_upper_past_float_range_is_inf():
     """At b = 0.0009 the step schedule (+inf, 0) is past the float range."""
     sc = BroadcastScenario(3, [3, 1], 0.0009)

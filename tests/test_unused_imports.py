@@ -1,5 +1,6 @@
 """Every name imported in ``src/`` and ``tests/`` is used or re-exported, and
-every private module-level definition and every public module-level
+every private module-level definition, every method of a module-level
+private class with no base class, and every public module-level
 ``UPPER_CASE`` constant in ``src/`` is referenced somewhere."""
 
 import ast
@@ -42,7 +43,8 @@ def test_no_unused_imports():
 
 def _private_definitions(path: Path) -> list[tuple[str, int]]:
     """Module-level ``_``-prefixed functions, classes and constants of ``path``,
-    and its public ``UPPER_CASE`` constants."""
+    its public ``UPPER_CASE`` constants, and the methods (dunders aside) of
+    its ``_``-prefixed classes with no base class, which override nothing."""
     found = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -56,6 +58,9 @@ def _private_definitions(path: Path) -> list[tuple[str, int]]:
         found += [(name, node.lineno) for name in names
                   if name.startswith("_") and not name.startswith("__")
                   or not isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.isupper()]
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_") and not node.bases:
+            found += [(f.name, f.lineno) for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
     return found
 
 
