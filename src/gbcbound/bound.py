@@ -153,14 +153,11 @@ class _Chain:
         with np.errstate(over="ignore"):
             return float(self.dn @ np.exp(self._log_brackets(taus)))
 
-    def split_last(self, taus: Sequence[float]) -> tuple[float, float]:
-        """Left-hand side at one schedule as (first K - 1 terms, last term).
-
-        D_K enters only the last term, through g_K(0) = N_S / D_K and h_{K-1}.
-        """
+    def terms(self, taus: Sequence[float]) -> np.ndarray:
+        """The K terms of the left-hand side at one schedule, each summed in
+        the log domain; a term past the float range is +inf."""
         with np.errstate(over="ignore"):
-            terms = self.dn * np.exp(self._log_brackets(taus))
-        return float(terms[:-1].sum()), float(terms[-1])
+            return self.dn * np.exp(self._log_brackets(taus))
 
 
 def eval_lhs(

@@ -162,7 +162,8 @@ def cmd_trace(args) -> int:
     d2_trivial = trivial_distortion(scenario, 2)
     rows = [("D1", "D2_min", "D2_trivial", "gap")]
     for i in range(count):
-        d1 = lo if count == 1 else lo + (hi - lo) * i / (count - 1)
+        # the last row is hi itself: the formula can round past it, even past N_S
+        d1 = lo if count == 1 else hi if i == count - 1 else lo + (hi - lo) * i / (count - 1)
         try:
             d2_min = trace_boundary(scenario, (d1,), rel_tol=args.tolerance)
             gap = d2_min - d2_trivial

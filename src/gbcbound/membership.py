@@ -288,15 +288,14 @@ class _Cells:
         grid = np.sort(np.concatenate(([0.0], taus[:-1], points.ravel(), [math.inf])))
         return _chain_dp(grid, self.chain.links(grid))[:2]
 
-    def insert(self, cells: np.ndarray, points: np.ndarray, rebound: np.ndarray) -> None:
-        """Put the ``points`` that cut ``cells`` into the grid, each piece with
-        its cell's bounds, and re-bound the pieces and the cells ``rebound``."""
-        at = cells + 1
+    def insert(self, cells: np.ndarray, points: np.ndarray, mask: np.ndarray) -> None:
+        """Put the ``points`` that cut ``cells`` into the grid, each piece with its
+        cell's bounds, and re-bound every piece and every other cell open in ``mask``."""
+        at, mask[cells] = cells + 1, True
         self.x = _splice(self.x, at, points)
-        self.rows = _splice(self.rows, at, np.repeat(self.rows[:, cells, None], SPLIT - 1, axis=2))
-        start = cells + (SPLIT - 1) * np.arange(len(cells))
-        moved = rebound + (SPLIT - 1) * np.searchsorted(cells, rebound)
-        self.rebound(np.sort(np.concatenate(((start[:, None] + np.arange(SPLIT)).ravel(), moved))))
+        self.rows, mask = (_splice(v, at, np.repeat(v[..., cells, None], SPLIT - 1, axis=-1))
+                           for v in (self.rows, mask))
+        self.rebound(np.flatnonzero(mask))
 
     def rebound(self, cells: np.ndarray) -> None:
         """Tangent bounds on ``cells`` (ascending) at every stage, deepest
@@ -409,15 +408,18 @@ def sup_bound_lhs(
     beside the witness's entries (both at first, with a parabola's peak
     among the cuts; then the one bounding the stage higher) and each stage's
     highest cell that it cannot close (``_Cells.opened``; stage 1 is held to
-    max(sup_value (1 + 2 K rho), target), the rounding allowance).  The
-    recursion reruns over 0, the witness's entries, the new points and +inf,
-    and its witness is kept if the evaluator confirms a gain; unless that
-    decides, the pieces, and at first every cell the first pass left open,
-    are re-bounded.  The search stops when the bracket decides, when no cell
-    is open (the bracket is then within the allowance), at POINT_BUDGET new
-    points, or when a round underflows (its bound is dropped).  ``sup_value``
-    is the evaluator's value at exactly ``argmax_tau``: on a decided stop,
-    the lower end there.
+    max(sup_value (1 + 2 K rho), target), the rounding allowance).  A round
+    has two steps.  The lift reruns the recursion over 0, the witness's
+    entries, the new points and +inf, and keeps its witness if the
+    evaluator confirms a gain.  The re-bound puts the points into the grid
+    and re-bounds the pieces and every cell still open (``_Cells.insert``):
+    those open at the round's start, or in the first round after its lift.
+    The lift runs first, except in a first round whose parabola guesses a
+    member.  After each step the search stops if a link underflowed (that
+    step's bound is dropped) or the bracket decides; it also stops when no
+    cell is open (the bracket is then within the allowance) or at
+    POINT_BUDGET new points.  ``sup_value`` is the evaluator's value at
+    exactly ``argmax_tau``: on a decided stop, the lower end there.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
@@ -435,19 +437,33 @@ def sup_bound_lhs(
     upper = top * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
     value, evals = chain.lhs(taus), free * len(grid) + 1
-    search = not steps and free and upper < math.inf and (target is None or value <= target < upper)
-    if search:
-        cells, tol = _Cells(chain, grid, rows, rho), 1.0 + 2.0 * len(chain.d) * rho
-    spent, first = 0, True
-    while search and (target is None or value <= target < upper):
+    tol, spent, first = 1.0 + 2.0 * len(chain.d) * rho, 0, True
+
+    def undecided() -> bool:  # the stop test, made after each step of a round
+        return not underflows and (target is None or value <= target < upper)
+
+    def lift() -> None:  # rerun the recursion on the round's points; keep the better witness
+        nonlocal taus, value, stages
+        with _watch(underflows):
+            probe, probe_stages = cells.lift(taus, points)
+        if probe != taus and (probe_value := chain.lhs(probe)) > value:
+            taus, value, stages = probe, probe_value, probe_stages
+
+    def rebound() -> None:  # splice in the round's points; re-bound the pieces and open cells
+        nonlocal upper
+        with _watch(underflows):
+            cells.insert(split, points, cells.opened(level, stages, tol)[0] if first else mask)
+        upper = upper if underflows else min(upper, float(cells.rows[0].max()))
+
+    cells = (_Cells(chain, grid, rows, rho)  # only where a search can run and is needed
+             if free and not steps and upper < math.inf and undecided() else None)
+    while cells and undecided():
         level = value * tol if target is None else max(value * tol, target)
-        if first:  # first-order bounds cannot tell which side of an entry holds its peak
-            (near, peaks, guess), best = cells.beside(taus, values), []
-        else:
-            mask, best = cells.opened(level, stages, tol)
-            if not best:
-                break
-            near, peaks, _ = cells.beside(taus, None)
+        mask, best = (None, []) if first else cells.opened(level, stages, tol)
+        if not (first or best):  # no cell open
+            break
+        # at first both cells beside an entry: first-order bounds miss its peak's side
+        near, peaks, guess = cells.beside(taus, values if first else None)
         room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
         split = np.array(sorted(list(dict.fromkeys(near + best))[:room]), dtype=int)
         if not len(split):
@@ -457,28 +473,11 @@ def sup_bound_lhs(
         spent += points.size
         evals += free * points.size + 1
         member = first and target is not None and guess is not None and guess <= target
-        for phase in ("bound", "lift") if member else ("lift", "bound"):  # a guessed member re-bounds first
-            if phase == "lift":
-                with _watch(underflows):
-                    probe, probe_stages = cells.lift(taus, points)
-                probe_value = chain.lhs(probe) if probe != taus else value
-                if probe_value > value:
-                    taus, value, stages = probe, probe_value, probe_stages
-                if underflows or target is not None and value > target:
-                    break
-                continue
-            if first:
-                mask, _ = cells.opened(level, stages, tol)
-            mask[split], first = False, False
-            with _watch(underflows):
-                cells.insert(split, points, np.flatnonzero(mask))
-            if underflows:
+        for step in (rebound, lift) if member else (lift, rebound):  # a guessed member re-bounds first
+            step()
+            if not undecided():
                 break
-            upper = min(upper, float(cells.rows[0].max()))
-            if target is not None and upper <= target:
-                break
-        if underflows:
-            break
+        first = False
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
@@ -519,14 +518,15 @@ class _Witness:
     Only the last term depends on D_K: it is C (1 + tau_{K-1} / D_K)^(1/b),
     or C' D_K^(-1/b) when tau_{K-1} = +inf or K = 1, so the curve is convex
     and nonincreasing.  ``chain`` holds the prefix and any D_K, the
-    reference; one ``split_last`` there gives the first K - 1 terms (which
-    do not depend on D_K) and the last term, and the curve elsewhere
-    rescales that last term in closed form.
+    reference; its terms there (``_Chain.terms``) give the sum of the first
+    K - 1 (which do not depend on D_K) and the last term, and the curve
+    elsewhere rescales that last term in closed form.
     """
 
     def __init__(self, chain: _Chain, taus: Sequence[float]) -> None:
         self.taus = tuple(taus)
-        self.head, self.last = chain.split_last(taus)
+        terms = chain.terms(taus)
+        self.head, self.last = float(terms[:-1].sum()), float(terms[-1])
         self.ref = float(chain.d[-1])
         self.b = chain.b
         self.tau = taus[-2] if len(taus) > 1 else math.inf

@@ -95,11 +95,6 @@ def random_scenario(
     return BroadcastScenario(power, noises, b)
 
 
-def random_finite_schedule(rng: random.Random, k: int, hi: float = 50.0) -> TauSchedule:
-    taus = sorted((rng.uniform(0.0, hi) for _ in range(k - 1)), reverse=True)
-    return TauSchedule(tuple(taus) + (0.0,))
-
-
 def random_schedule(rng: random.Random, k: int, hi: float = 50.0) -> TauSchedule:
     """Random schedule, sometimes with an infinite prefix."""
     n_inf = rng.randint(0, k - 1) if k > 1 and rng.random() < 0.3 else 0
@@ -172,9 +167,7 @@ def _rounding_bound(sc: BroadcastScenario, d: tuple[float, ...], tau: tuple[floa
     size[1:] += np.cumsum(np.abs(log_h[:-1]))
     k = np.arange(1, len(size) + 1)
     rel = np.expm1(_EPS * (5.5 + k / 2) * size / sc.bandwidth) + (4.5 + len(k) / 2) * _EPS
-    with np.errstate(over="ignore"):
-        terms = chain.dn * np.exp(chain._log_brackets(tau))
-    return 2.0 * float(terms @ rel) + _EPS * (rhs + abs(margin))
+    return 2.0 * float(chain.terms(tau) @ rel) + _EPS * (rhs + abs(margin))
 
 
 def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:

@@ -19,7 +19,7 @@ from gbcbound.core import (
     trivial_distortions,
 )
 from gbcbound.errors import InvalidDistortion, InvalidTauSchedule
-from gbcbound.verify import random_distortions, random_finite_schedule, random_scenario
+from gbcbound.verify import random_distortions, random_scenario, random_schedule
 
 
 def lhs_product_oracle(scenario, distortions, taus):
@@ -174,7 +174,7 @@ def test_scaling_invariance():
     for _ in range(50):
         sc = random_scenario(rng)
         d = random_distortions(rng, sc)
-        tau = random_finite_schedule(rng, sc.num_receivers)
+        tau = random_schedule(rng, sc.num_receivers)
         base = check_inequality(sc, d, tau)
         for c in (0.1, 1.0, 10.0):
             scaled = check_inequality(sc.scaled(c), d, tau)

@@ -304,8 +304,22 @@ def test_trace_infeasible_row(capsys, tmp_path):
         "0.3,nan,0.25,nan\r\n"
         f"0.5333333333333333,{floor_row}"
         f"0.7666666666666666,{floor_row}"
-        f"0.9999999999999998,{floor_row}"
+        f"1.0,{floor_row}"
     ).encode()
+
+
+def test_trace_last_row_is_hi(capsys, tmp_path):
+    """lo + (hi - lo) i / (count - 1) rounds above hi = N_S in the last row
+    of this grid; that row is hi itself, so the grid is valid and traced."""
+    out = tmp_path / "out"
+    code, payload = run_cli(
+        capsys, "trace", "--scenario", str(SCENARIOS / "compression_k2.json"),
+        "--d1-grid", "0.0048679065618006155:1:73", "--out", str(out),
+    )
+    assert code == 0 and payload["rows"] == 73
+    with (out / "trace.csv").open() as handle:
+        d1 = [float(row["D1"]) for row in csv.DictReader(handle)]
+    assert d1[0] == 0.0048679065618006155 and d1[-1] == 1.0 and d1 == sorted(d1)
 
 
 def test_trace_byte_reproducible(capsys, expansion, tmp_path):

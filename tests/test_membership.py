@@ -462,6 +462,93 @@ def test_k3_expansion_boundary_members_are_certified(monkeypatch):
     assert tuple(repr(trace_boundary(sc, prefix)) for prefix in prefixes) == K3_EXPANSION_ROWS
 
 
+def _b_gt_1_search_calls():
+    """16 seeded b > 1 calls near the floors, K = 3, 5, 8 and 16, two draws
+    each, every draw once without a target and once at the threshold; each
+    result as the repr of (sup_value, argmax_tau, iterations, sup_upper)."""
+    rng = random.Random(2)
+    for k in (3, 5, 8, 16):
+        for _ in range(2):
+            sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.uniform(1.05, 8.0))
+            d = _near_floor(rng, sc, k)
+            for target in (None, bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)):
+                res = sup_bound_lhs(sc, d, target=target)
+                yield k, res, repr((res.sup_value, res.argmax_tau.taus, res.iterations, res.sup_upper))
+
+
+B_GT_1_SEARCH = (
+    '(13.439258039395204, (7.021484324547999e-08, 1.3445120373492106e-17, 0.0), 4403, '
+    '13.439258039395494)',
+    '(13.439229385400862, (7.03448636921916e-08, 1.3639406536747303e-17, 0.0), 4099, '
+    '13.454629198676326)',
+    '(120.31620306359962, (0.9590342002264477, 0.0, 0.0), 4251, 120.31620306360108)',
+    '(120.31620235339173, (0.9566512583879254, 0.0, 0.0), 4099, 120.34893623776111)',
+    '(102.72212051746654, (0.28756694080620465, 0.16495222473199628, 0.02142277552359122, '
+    '5.347580701286308e-08, 0.0), 9401, 102.72212051746833)',
+    '(102.72205248416091, (0.28742169385724947, 0.1641596212668544, 0.021286663804888018, '
+    '5.3226685880566445e-08, 0.0), 8197, 102.8442081103533)',
+    '(106.32879570000927, (26.38923422808301, 0.502342995919527, 0.4526084101313265, '
+    '0.0006652772774491022, 0.0), 9160, 106.32879570001012)',
+    '(106.32879363130304, (26.338152345756566, 0.5001242801652237, 0.4522276551553132, '
+    '0.0006674732925547727, 0.0), 8197, 106.34996624993391)',
+    '(57.998127809696044, (inf, inf, inf, 10.715883557416037, 10.715883557416037, '
+    '0.44292156077809, 0.44292156077809, 0.0), 15396, 57.99812780969658)',
+    '(57.998127804862676, (inf, inf, inf, 10.739682517467601, 10.739682517467601, '
+    '0.442326985796826, 0.442326985796826, 0.0), 14344, 57.99848166010642)',
+    '(100.95941881783757, (10.34146436407527, 10.34146436407527, 10.34146436407527, '
+    '0.07036294894777784, 0.0006570323608526522, 0.0006570323608526522, '
+    '0.0006570323608526522, 0.0), 15607, 100.95941881783993)',
+    '(100.95941247027531, (10.361838802228446, 10.361838802228446, 10.361838802228446, '
+    '0.06985099532553458, 0.0006578400422517884, 0.0006578400422517884, '
+    '0.0006578400422517884, 0.0), 14344, 100.97143667825318)',
+    '(94.98275901485748, (inf, inf, inf, 0.5754896073254465, 0.5754896073254465, '
+    '0.5754896073254465, 0.35080936294092474, 0.35080936294092474, 0.11279659333416513, '
+    '0.009634129197721046, 0.009634129197721046, 0.000670621639497882, 1.454784841481737e-07, '
+    '1.240326596443764e-09, 9.573698568441633e-12, 0.0), 39289, 94.98275901486103)',
+    '(94.982753262561, (inf, inf, inf, 0.5791688025950437, 0.5791688025950437, '
+    '0.5791688025950437, 0.35183270257874444, 0.35183270257874444, 0.11333428384245249, '
+    '0.009590826252797037, 0.009590826252797037, 0.0006770718504132699, '
+    '1.4471115394431982e-07, 1.2422454881282932e-09, 9.5217189742404e-12, 0.0), 30736, '
+    '94.99848227582576)',
+    '(66.74523459938109, (inf, inf, inf, inf, inf, inf, 2.3706079486597, 2.3706079486597, '
+    '2.3706079486597, 0.2635049385551296, 0.2635049385551296, 0.2635049385551296, '
+    '0.11062621308053944, 0.11062621308053944, 0.11062621308053944, 0.0), 32312, '
+    '66.74523459938476)',
+    '(66.7452345757194, (inf, inf, inf, inf, inf, inf, 2.3746860806524914, '
+    '2.3746860806524914, 2.3746860806524914, 0.2626634445096457, 0.2626634445096457, '
+    '0.2626634445096457, 0.11033472019307305, 0.11033472019307305, 0.11033472019307305, 0.0), '
+    '30736, 66.74559883578881)',
+)
+
+
+def test_b_gt_1_search_outputs_are_pinned():
+    """The b > 1 search's outputs at 16 near-floor calls are pinned to their
+    reprs (``B_GT_1_SEARCH``), and each K has a call that runs the search."""
+    calls = list(_b_gt_1_search_calls())
+    assert tuple(text for _, _, text in calls) == B_GT_1_SEARCH
+    for k in (3, 5, 8, 16):
+        assert any(res.iterations > (k - 1) * GRID_POINTS + 1 for j, res, _ in calls if j == k)
+
+
+def test_first_round_rebounds_the_cells_open_after_its_lift():
+    """Round one takes its open cells after its lift, later rounds before
+    theirs.  In this K = 8 call (near the floors, no target), taking them
+    before the lift in round one too would move every output (to 17183
+    iterations and sup_upper 94.06182097516806), so the outputs are pinned."""
+    sc = BroadcastScenario(19.9006721167769, (
+        56.12905297185589, 15.720820962403199, 12.339921320596165, 3.195691256044807,
+        0.9549600559260972, 0.49796790865563945, 0.24016314963850396, 0.043835181822297876,
+    ), 3.1851705680878646)
+    d = (0.40675217650204154, 0.09351113165754794, 0.04713276600923734, 0.0018421520232220127,
+         0.8726184319270892, 7.454312933267315e-06, 7.531777252588529e-07, 0.0006187748281558617)
+    res = sup_bound_lhs(sc, d)
+    assert repr((res.sup_value, res.argmax_tau.taus, res.iterations, res.sup_upper)) == (
+        "(94.06182097516613, (1.251061428349498, 1.251061428349498, 0.09431853660301036, "
+        "0.002703144272570657, 0.002703144272570657, 1.5678928698172087e-05, 0.0, 0.0), 21284, "
+        "94.0629294198877)"
+    )
+
+
 def _searched(monkeypatch, call):
     """``call()``'s result, and the rounds of the search it ran."""
     import gbcbound.membership as m

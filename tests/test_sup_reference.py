@@ -12,6 +12,8 @@ import math
 import random
 from decimal import Decimal, localcontext
 
+import numpy as np
+
 from gbcbound.bound import reduced_bound_value
 from gbcbound.core import BroadcastScenario, trivial_distortion
 from gbcbound.membership import (
@@ -234,3 +236,24 @@ def test_sup_upper_is_inf_where_a_link_underflows():
     sc = BroadcastScenario(3, [3, 1], 0.01)
     res = sup_bound_lhs(sc, (1.0, math.exp(-7.09)))
     assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
+
+
+def _ulps(got, exact):
+    """|got - exact| in units in the last place of the float nearest ``exact``."""
+    return abs(Decimal(float(got)) - exact) / Decimal(math.ulp(float(exact)))
+
+
+def test_exp_and_log1p_are_within_two_ulps():
+    """The rounding allowance rho = eps (4 Y + 8) (``membership._enclosure``)
+    takes numpy's exp and log1p, on arrays as the links call them, to be
+    within 2 ulps.  exp at 5000 seeded y, 4000 of them on [-40, 40] and the
+    rest on [-700, 700]; log1p at r = 0 and 4999 r log-uniform on
+    [1e-12, 1e12]; both against 50-digit decimals."""
+    rng = random.Random(61)
+    ys = [rng.uniform(-40.0, 40.0) for _ in range(4000)] + [rng.uniform(-700.0, 700.0) for _ in range(1000)]
+    rs = [0.0] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(4999)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        worst_exp = max(_ulps(got, Decimal(y).exp()) for y, got in zip(ys, np.exp(np.array(ys))))
+        worst_log1p = max(_ulps(got, (1 + Decimal(r)).ln()) for r, got in zip(rs, np.log1p(np.array(rs))))
+    assert worst_exp <= 2 and worst_log1p <= 2, (worst_exp, worst_log1p)

@@ -1,7 +1,9 @@
-"""Every name imported in ``src/`` and ``tests/`` is used or re-exported, and
+"""Every name imported in ``src/`` and ``tests/`` is used or re-exported;
 every private module-level definition, every method of a module-level
 private class with no base class, and every public module-level
-``UPPER_CASE`` constant in ``src/`` is referenced somewhere."""
+``UPPER_CASE`` constant in ``src/`` is referenced somewhere; and every
+public module-level function in ``src/`` that its module's ``__all__`` does
+not list is read in ``src/`` itself."""
 
 import ast
 from pathlib import Path
@@ -64,6 +66,16 @@ def _private_definitions(path: Path) -> list[tuple[str, int]]:
     return found
 
 
+def _unexported_functions(path: Path) -> list[tuple[str, int]]:
+    """Public module-level functions of ``path`` that its ``__all__`` does not list."""
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    exported = {e.value for node in body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for e in node.value.elts}
+    return [(node.name, node.lineno) for node in body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in exported]
+
+
 def _referenced_names(path: Path) -> set[str]:
     """Names ``path`` reads, as a bare name, an attribute or an imported name."""
     names = set()
@@ -81,10 +93,12 @@ def test_no_dead_private_definitions():
     sources = sorted((REPO / "src").rglob("*.py"))
     readers = [path for top in ("src", "tests", "perfbench") for path in sorted((REPO / top).rglob("*.py"))]
     referenced = set().union(*(_referenced_names(path) for path in readers))
+    in_src = set().union(*(_referenced_names(path) for path in sources))
     dead = [
         f"{path.relative_to(REPO)}:{line}: {name}"
         for path in sources
-        for name, line in _private_definitions(path)
-        if name not in referenced
+        for names, seen in ((_private_definitions(path), referenced), (_unexported_functions(path), in_src))
+        for name, line in names
+        if name not in seen
     ]
     assert dead == []
