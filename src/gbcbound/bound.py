@@ -139,11 +139,12 @@ class _Chain:
         last = self.dn[-1] * np.exp(np.log1p(self.gap[-1] / self.d[-1]) / self.b)
         return a, c, last
 
-    def _log_brackets(self, taus: Sequence[float]) -> np.ndarray:
-        """log of each term's bracket raised to 1/b, at one schedule."""
-        log_g, log_h = self.log_factors(np.array(taus))
-        log_g[1:] += np.cumsum(log_h[:-1])
-        return log_g / self.b
+    def _log_brackets(self, log_g: np.ndarray, log_h: np.ndarray) -> np.ndarray:
+        """log of each term's bracket raised to 1/b, from the log factors at
+        one schedule (``log_factors``), which it leaves unchanged."""
+        brackets = log_g.copy()
+        brackets[1:] += np.cumsum(log_h[:-1])
+        return brackets / self.b
 
     def lhs(self, taus: Sequence[float]) -> float:
         """Left-hand side at one schedule, each term summed in the log domain.
@@ -151,13 +152,14 @@ class _Chain:
         A term past the float range makes it +inf.
         """
         with np.errstate(over="ignore"):
-            return float(self.dn @ np.exp(self._log_brackets(taus)))
+            return float(self.dn @ np.exp(self._log_brackets(*self.log_factors(np.array(taus)))))
 
-    def terms(self, taus: Sequence[float]) -> np.ndarray:
-        """The K terms of the left-hand side at one schedule, each summed in
-        the log domain; a term past the float range is +inf."""
+    def terms(self, log_g: np.ndarray, log_h: np.ndarray) -> np.ndarray:
+        """The K terms of the left-hand side from the log factors at one
+        schedule (``log_factors``), each summed in the log domain; a term
+        past the float range is +inf."""
         with np.errstate(over="ignore"):
-            return self.dn * np.exp(self._log_brackets(taus))
+            return self.dn * np.exp(self._log_brackets(log_g, log_h))
 
 
 def eval_lhs(

@@ -30,10 +30,11 @@ closed-form root of the witness's own curve in D_K, corrected by the
 curvature that an earlier probe shows.  A probe that would close the
 bracket costs no supremum call when lo's witness already violates the
 bound there.  A row takes about 4.7 supremum calls at b > 1 and 1 at
-b <= 1.  D_K = N_S is probed only when no member has been found and the
-witnesses say that it fails, so an infeasible prefix costs 1 or 2 calls,
-and a feasible row never pays for that check.  Everything here is
-reentrant.
+b <= 1.  D_K = N_S is probed only when no member has been found and lo's
+witness cannot reach the bound below it, so a feasible row never pays
+for that check; an infeasible prefix costs 1 call at b <= 1 and 1 to 5
+at b > 1 (1.6 on average over the random prefixes measured).  Everything
+here is reentrant.
 """
 
 from __future__ import annotations
@@ -404,22 +405,23 @@ def sup_bound_lhs(
     supremum from above (``_enclosure``), the first stage's largest cell
     bound scaled by the same (1 + rho)^K.  Unless that bracket decides how
     the supremum compares with ``target`` (``sup_value > target`` or
-    ``sup_upper <= target``), each round of ``_Cells`` splits the cells
-    beside the witness's entries (both at first, with a parabola's peak
-    among the cuts; then the one bounding the stage higher) and each stage's
-    highest cell that it cannot close (``_Cells.opened``; stage 1 is held to
-    max(sup_value (1 + 2 K rho), target), the rounding allowance).  A round
-    has two steps.  The lift reruns the recursion over 0, the witness's
-    entries, the new points and +inf, and keeps its witness if the
-    evaluator confirms a gain.  The re-bound puts the points into the grid
-    and re-bounds the pieces and every cell still open (``_Cells.insert``):
-    those open at the round's start, or in the first round after its lift.
+    ``sup_upper <= target``), each round of ``_Cells`` starts from the
+    cells that some stage cannot yet close (``_Cells.opened``; stage 1 is
+    held to max(sup_value (1 + 2 K rho), target), the rounding allowance).
+    It splits the cells beside the witness's entries (in round one both,
+    with a parabola's peak among the cuts; later the one bounding the stage
+    higher, and each stage's highest open cell).  A round has two steps.
+    The lift reruns the recursion over 0, the witness's entries, the new
+    points and +inf, and keeps its witness if the evaluator confirms a
+    gain.  The re-bound puts the points into the grid and re-bounds the
+    pieces and every cell open at the round's start (``_Cells.insert``).
     The lift runs first, except in a first round whose parabola guesses a
     member.  After each step the search stops if a link underflowed (that
-    step's bound is dropped) or the bracket decides; it also stops when no
-    cell is open (the bracket is then within the allowance) or at
-    POINT_BUDGET new points.  ``sup_value`` is the evaluator's value at
-    exactly ``argmax_tau``: on a decided stop, the lower end there.
+    step's bound is dropped) or the bracket decides; it also stops when a
+    later round finds no cell open (the bracket is then within the
+    allowance) or at POINT_BUDGET new points.  ``sup_value`` is the
+    evaluator's value at exactly ``argmax_tau``: on a decided stop, the
+    lower end there.
     """
     d = check_distortions(scenario, distortions)
     chain = _Chain(scenario, d)
@@ -452,20 +454,21 @@ def sup_bound_lhs(
     def rebound() -> None:  # splice in the round's points; re-bound the pieces and open cells
         nonlocal upper
         with _watch(underflows):
-            cells.insert(split, points, cells.opened(level, stages, tol)[0] if first else mask)
+            cells.insert(split, points, mask)
         upper = upper if underflows else min(upper, float(cells.rows[0].max()))
 
     cells = (_Cells(chain, grid, rows, rho)  # only where a search can run and is needed
              if free and not steps and upper < math.inf and undecided() else None)
     while cells and undecided():
         level = value * tol if target is None else max(value * tol, target)
-        mask, best = (None, []) if first else cells.opened(level, stages, tol)
+        mask, best = cells.opened(level, stages, tol)
         if not (first or best):  # no cell open
             break
-        # at first both cells beside an entry: first-order bounds miss its peak's side
+        # round one splits just the cells beside each entry: first-order bounds miss its peak's side
         near, peaks, guess = cells.beside(taus, values if first else None)
         room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
-        split = np.array(sorted(list(dict.fromkeys(near + best))[:room]), dtype=int)
+        chosen = list(dict.fromkeys(near if first else near + best))[:room]
+        split = np.array(sorted(chosen), dtype=int)
         if not len(split):
             break
         with _watch(underflows):  # the first cell's ratio hi / 0 is discarded
@@ -525,7 +528,7 @@ class _Witness:
 
     def __init__(self, chain: _Chain, taus: Sequence[float]) -> None:
         self.taus = tuple(taus)
-        terms = chain.terms(taus)
+        terms = chain.terms(*chain.log_factors(np.array(taus)))
         self.head, self.last = float(terms[:-1].sum()), float(terms[-1])
         self.ref = float(chain.d[-1])
         self.b = chain.b
@@ -604,15 +607,6 @@ class _Witness:
                 return x
 
 
-def _flattened(taus: Sequence[float]) -> tuple[float, ...]:
-    """The schedule with its last run of equal free entries lowered to 0.
-
-    With tau_{K-1} = 0 the last term no longer depends on D_K, and neither
-    does the functional.
-    """
-    return tuple(0.0 if tau == taus[-2] else tau for tau in taus)
-
-
 def trace_boundary(
     scenario: BroadcastScenario,
     fixed: Sequence[float],
@@ -653,11 +647,10 @@ def trace_boundary(
     hi starts at N_S, which is probed only when needed: a member probe
     below N_S shows that N_S is a member too.  N_S is probed when lo's
     witness cannot reach the target below it (its root is NaN or beyond
-    N_S), or when the witness with its last run lowered to 0
-    (``_flattened``), whose value does not depend on D_K, already violates
-    the bound.  Raises InfeasibleEverywhere when that probe fails (some
-    fixed distortion is below its own floor); this takes 1 or 2 supremum
-    calls, 1 on the b <= 1 prefixes seen.  A b <= 1 row takes 1: a member
+    N_S).  Raises InfeasibleEverywhere when that probe fails (some fixed
+    distortion is below its own floor); this takes 1 supremum call on the
+    b <= 1 prefixes seen, and 1 to 5 at b > 1, where a witness's root can
+    lie below N_S for a few probes first.  A b <= 1 row takes 1: a member
     probe just above the step schedule's root, then a closing probe just
     below it that the step schedule excludes.
     """
@@ -671,14 +664,14 @@ def trace_boundary(
     target = bound_rhs(scenario) * (1.0 + rel_tol)
     chain = _Chain(scenario, DistortionTuple(fixed_vals + (hi,)))
     witness = _Witness(chain, (math.inf,) * (k_total - 1) + (0.0,))
-    member_hi = flat = False
+    member_hi = False
     lo_value = anchor = None  # sup_value at lo once probed; (D_K, sup_value) for reach
     stalled = 0  # probes in a row that failed to halve a bracket with a member hi
     while not (member_hi and hi - lo <= TRACE_WIDTH):
         width = hi - lo
         root = witness.root(target)
         bisect = stalled == 3 or not lo - TRACE_WIDTH < root < hi + TRACE_WIDTH
-        if flat or bisect and not member_hi:
+        if bisect and not member_hi:
             x = hi  # N_S, not yet probed
         elif bisect:
             x = 0.5 * (lo + hi)
@@ -709,7 +702,6 @@ def trace_boundary(
             if not member_hi and lo_value is not None:
                 anchor = (lo, lo_value)
             lo, lo_value, witness = x, verdict.sup.sup_value, _Witness(chain, taus)
-            flat = not member_hi and k_total > 1 and chain.lhs(_flattened(taus)) > target
         if member_hi:
             stalled = 0 if bisect or hi - lo <= 0.5 * width else stalled + 1
     return hi

@@ -167,7 +167,7 @@ def _rounding_bound(sc: BroadcastScenario, d: tuple[float, ...], tau: tuple[floa
     size[1:] += np.cumsum(np.abs(log_h[:-1]))
     k = np.arange(1, len(size) + 1)
     rel = np.expm1(_EPS * (5.5 + k / 2) * size / sc.bandwidth) + (4.5 + len(k) / 2) * _EPS
-    return 2.0 * float(chain.terms(tau) @ rel) + _EPS * (rhs + abs(margin))
+    return 2.0 * float(chain.terms(log_g, log_h) @ rel) + _EPS * (rhs + abs(margin))
 
 
 def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:

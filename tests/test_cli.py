@@ -539,6 +539,17 @@ def test_tolerance_must_be_finite(capsys, matched, tmp_path, argv, tolerance):
     assert not out.exists()
 
 
+def test_tolerance_is_applied(capsys):
+    """A valid --tolerance reaches the verdict: lhs exceeds rhs = 6 by 3.6%,
+    which 0.05 allows and the default does not."""
+    argv = ("eval", "--scenario", str(SCENARIOS / "expansion_k2.json"),
+            "--distortions", "0.25,0.0625", "--tau", "1,0")
+    code, payload = run_cli(capsys, *argv, "--tolerance", "0.05")
+    assert code == 0 and payload["satisfied"] is True and payload["tolerance"] == 0.05
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0 and payload["satisfied"] is False and payload["tolerance"] == DEFAULT_REL_TOL
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -617,6 +628,15 @@ def test_perfbench_cli_argv_exit_zero(capsys, tmp_path, monkeypatch):
         assert "--seed" in argv
         assert main(list(argv)) == 0, argv
     capsys.readouterr()
+
+
+def test_perfbench_restates_the_package_tolerances(monkeypatch):
+    """The benchmark's checks allow exactly the verdict's tolerance and the
+    trace width, which it restates rather than imports."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.REL_TOL == DEFAULT_REL_TOL
+    assert workloads.TRACE_WIDTH == TRACE_WIDTH
 
 
 @pytest.mark.parametrize(

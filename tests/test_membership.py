@@ -530,11 +530,11 @@ def test_b_gt_1_search_outputs_are_pinned():
         assert any(res.iterations > (k - 1) * GRID_POINTS + 1 for j, res, _ in calls if j == k)
 
 
-def test_first_round_rebounds_the_cells_open_after_its_lift():
-    """Round one takes its open cells after its lift, later rounds before
-    theirs.  In this K = 8 call (near the floors, no target), taking them
-    before the lift in round one too would move every output (to 17183
-    iterations and sup_upper 94.06182097516806), so the outputs are pinned."""
+def test_every_round_rebounds_the_cells_open_at_its_start():
+    """Every round, the first included, re-bounds the cells open at its
+    start.  In this K = 8 call (near the floors, no target), taking round
+    one's open cells after its lift would move every output (to 21284
+    iterations and sup_upper 94.0629294198877), so the outputs are pinned."""
     sc = BroadcastScenario(19.9006721167769, (
         56.12905297185589, 15.720820962403199, 12.339921320596165, 3.195691256044807,
         0.9549600559260972, 0.49796790865563945, 0.24016314963850396, 0.043835181822297876,
@@ -543,9 +543,9 @@ def test_first_round_rebounds_the_cells_open_after_its_lift():
          0.8726184319270892, 7.454312933267315e-06, 7.531777252588529e-07, 0.0006187748281558617)
     res = sup_bound_lhs(sc, d)
     assert repr((res.sup_value, res.argmax_tau.taus, res.iterations, res.sup_upper)) == (
-        "(94.06182097516613, (1.251061428349498, 1.251061428349498, 0.09431853660301036, "
-        "0.002703144272570657, 0.002703144272570657, 1.5678928698172087e-05, 0.0, 0.0), 21284, "
-        "94.0629294198877)"
+        "(94.06182097516609, (1.2510611706394394, 1.2510611706394394, 0.09431855650327621, "
+        "0.002703144269219029, 0.002703144269219029, 1.5678928494106973e-05, 0.0, 0.0), 17183, "
+        "94.06182097516806)"
     )
 
 
@@ -622,6 +622,23 @@ def test_trace_matches_plain_bisection():
             assert abs(trace_boundary(sc, prefix) - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, (sc, prefix)
             rows += 1
     assert rows == 12
+
+
+def test_trace_bisects_when_no_witness_root_is_usable(monkeypatch):
+    """With every witness root NaN, the row probes N_S and then bisects
+    (``x = 0.5 * (lo + hi)``): it ends, its result is a member and the
+    result minus TRACE_WIDTH is not, and it agrees with plain bisection."""
+    import gbcbound.membership as m
+
+    monkeypatch.setattr(m._Witness, "root", lambda self, target: math.nan)
+    k3 = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
+    for sc, prefix in ((S_EXPAND, (0.3,)), (S_COMPRESS, (0.8,)), (k3, (0.3, 0.1))):
+        calls, raised = _sup_calls(monkeypatch, sc, prefix)
+        assert not raised and calls <= 40, (sc, calls)
+        dk = trace_boundary(sc, prefix)
+        assert in_outer_region(sc, prefix + (dk,)).member, sc
+        assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, sc
+        assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, sc
 
 
 def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
