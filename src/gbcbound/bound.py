@@ -191,12 +191,16 @@ def reduced_bound_value(
     as ``eval_lhs`` is at that schedule.
     """
     scenario._check_index(k)
-    d = check_distortions(scenario, distortions)
-    dk = d.values[k - 1]
-    nk = scenario.noises[k - 1]
-    log_ratio = math.log1p((scenario.source_var - dk) / dk)  # as ``_Chain`` forms log g
+    return _step_value(scenario, check_distortions(scenario, distortions), k)
+
+
+def _step_value(scenario: BroadcastScenario, d: DistortionTuple, k: int) -> float:
+    """``reduced_bound_value`` on validated inputs, in Python floats: one
+    log1p of (N_S - D_k) / D_k, as ``_Chain`` forms log g, one exp, one
+    difference and one sum."""
+    dk, nk = d.values[k - 1], scenario.noises[k - 1]
     try:
-        growth = math.exp(log_ratio / scenario.bandwidth)
+        growth = math.exp(math.log1p((scenario.source_var - dk) / dk) / scenario.bandwidth)
     except OverflowError:
         return math.inf
     return (scenario.noises[0] - nk) + nk * growth

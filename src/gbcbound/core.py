@@ -107,7 +107,9 @@ class BroadcastScenario:
         return self.noises[-1]
 
     def delta_noises(self) -> tuple[float, ...]:
-        return tuple(self.delta_noise(k) for k in range(1, self.num_receivers + 1))
+        """``delta_noise(k)`` for k = 1..K."""
+        noises = self.noises
+        return tuple(a - b for a, b in zip(noises, noises[1:])) + noises[-1:]
 
     def scaled(self, c: float) -> "BroadcastScenario":
         """Scenario with (P, N_1..N_K) multiplied by c > 0 (b, N_S unchanged)."""

@@ -4,24 +4,26 @@ A tuple D belongs to the region iff lhs(D, tau) <= P + N_1 for *every*
 admissible schedule, so membership reduces to maximizing the functional
 over the schedule set {0 = tau_K <= ... <= tau_1 <= +inf}.
 
-The functional nests like Horner's rule in factors that each depend on
-one schedule entry (see ``bound``), and the only coupling between entries
-is their order.  So the supremum, bracketed as [sup_value, sup_upper], is
-a backward recursion over one grid of tau values holding exact 0 and
-+inf, a chain dynamic program costing O(K M) for M grid points, on links
-formed at once as (K - 1) x M arrays (``bound._Chain.links``) wherever
-they are needed, and kept nowhere.  At b <= 1 the bound degenerates to
-the trivial one (the paper's result): the supremum is a step schedule's
-value (the step schedules recover the point-to-point constraints), so the
-grid is {0, +inf}, and the recursion's maximum bounds it.  At b > 1 the
-grid has GRID_POINTS points, and the same links bound the supremum cell
-by cell (``_enclosure``).  Either bound is rounded outward by one
-allowance, (1 + rho)^K; at b > 1 a branch-and-bound search (``_Cells``)
-narrows a bracket that leaves the question open.  Past the float range
-(small b) a stage holds +inf, and NaN where a link underflowed to 0; the
-readback never picks a NaN, so the supremum is +inf there.  ``argmax_t``
-gives the witness as t = tau / (1 + tau), which maps [0, +inf] onto
-[0, 1].
+The supremum is bracketed as [sup_value, sup_upper].  At b <= 1 the
+bound degenerates to the trivial one (the paper's result): the supremum
+is max_k of the closed form (N_1 - N_k) + N_k (N_S / D_k)^(1/b), the
+value at the step schedule isolating receiver k (the step schedules
+recover the point-to-point constraints), computed in Python floats with
+no grid (``_step_sup``), and that maximum times 1 + rho bounds it.
+
+At b > 1 the functional nests like Horner's rule in factors that each
+depend on one schedule entry (see ``bound``), and the only coupling
+between entries is their order.  So the supremum is a backward recursion
+over one grid of GRID_POINTS tau values holding exact 0 and +inf, a
+chain dynamic program costing O(K M) for M grid points, on links formed
+at once as (K - 1) x M arrays (``bound._Chain.links``) wherever they are
+needed, and kept nowhere.  The same links bound the supremum cell by cell
+(``_enclosure``), rounded outward by (1 + rho)^K, and a branch-and-bound
+search (``_Cells``) narrows a bracket that leaves the question open.
+Past the float range a stage holds +inf, and NaN where a link underflowed
+to 0; the readback never picks a NaN, so the supremum is +inf there.
+``argmax_t`` gives the witness as t = tau / (1 + tau), which maps
+[0, +inf] onto [0, 1].
 
 ``trace_boundary`` finds the smallest member D_K for a fixed prefix by
 root-finding on the supremum, which is convex and nonincreasing in D_K.
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bound import DEFAULT_REL_TOL, Distortions, _Chain, bound_rhs
+from .bound import DEFAULT_REL_TOL, Distortions, _Chain, _step_value, bound_rhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
@@ -69,7 +71,6 @@ TRACE_WIDTH = 1e-10
 SPLIT = 16  # pieces a refined cell is cut into
 POINT_BUDGET = 1000  # new points over all rounds of one search
 _RAMP = np.arange(GRID_POINTS - 2, dtype=float)
-_STEPS = np.array([0.0, math.inf])  # the grid at b <= 1 (``sup_bound_lhs``)
 _CUTS = np.arange(1, SPLIT) / SPLIT
 _ENDS = np.array([[0], [1]])  # a cell's lower and upper end
 
@@ -83,10 +84,10 @@ class SupResult:
     float range; ``sup_upper`` is a rigorous upper bound, +inf where the
     float range does not suffice.  ``argmax_tau`` lives on the
     compactified closure: entries may be +inf when the maximum is
-    approached along a diverging schedule.  ``iterations`` counts the
-    evaluated points, K - 1 per point of the first grid and per new point
-    of each search round, plus one per witness (the first pass's and each
-    round's): 2 K - 1 at b <= 1, where the grid is {0, +inf}.  The links
+    approached along a diverging schedule.  ``iterations`` is K at b <= 1,
+    one per step schedule.  At b > 1 it counts the evaluated points, K - 1
+    per point of the first grid and per new point of each search round,
+    plus one per witness (the first pass's and each round's); the links
     that the search forms again where it re-bounds are not counted.
     """
 
@@ -387,23 +388,57 @@ def _t(tau: float) -> float:
     return 1.0 if tau == math.inf else tau / (1.0 + tau)
 
 
+def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
+    """The supremum at b <= 1: the largest of the K step values, the bound at
+    the step schedule isolating receiver k in closed form (``bound._step_value``).
+
+    The witness isolates the first largest, or past the float range the
+    last +inf (``_pick``'s rule).  Rounding (``_enclosure``'s terms): each
+    step value is one link-shaped term N_k (N_S / D_k)^(1/b), within lam =
+    4 eps (Y + 1) relatively, Y the largest exponent log(N_S / D_k) / b (at
+    the smallest D_k), plus one difference N_1 - N_k and one sum, each
+    within eps / 2; all are nonnegative, so it is within lam + eps <= rho =
+    eps (4 Y + 8), and the largest times 1 + rho (the spare eps cover that
+    product's rounding) bounds the supremum.  ``sup_upper`` is at least
+    ``sup_value``, which the evaluator rounds differently.
+    """
+    count = len(d.values)
+    values = [_step_value(scenario, d, k) for k in range(1, count + 1)]
+    top = max(values)
+    j = values.index(top) if top < math.inf else count - 1 - values[::-1].index(top)
+    taus = [math.inf] * j + [0.0] * (count - j)
+    low = min(d.values)
+    y = math.log1p((scenario.source_var - low) / low) / scenario.bandwidth
+    value = _Chain(scenario, d).lhs(taus)
+    return SupResult(
+        sup_value=value,
+        argmax_tau=TauSchedule(tuple(taus)),
+        argmax_t=tuple(_t(tau) for tau in taus[:-1]),
+        iterations=count,
+        sup_upper=max(top * (1.0 + math.ulp(1.0) * (4.0 * y + 8.0)), value),
+    )
+
+
 def sup_bound_lhs(
     scenario: BroadcastScenario, distortions: Distortions, *, target: float | None = None
 ) -> SupResult:
     """Bracket the functional's supremum over all admissible schedules.
 
-    The chain dynamic program finds the best schedule on a first grid
-    that holds 0 and +inf, so the all-zero and the step schedules are
-    always candidates.  At b <= 1 nothing else is needed: with the others
-    held, the functional is convex in one entry's u = 1 / (D_k + tau), as
-    is a run of equal entries (their factors telescope, as in
+    At b <= 1 the supremum is the largest of the K step values: with the
+    others held, the functional is convex in one entry's u = 1 / (D_k +
+    tau), as is a run of equal entries (their factors telescope, as in
     ``_Cells.rebound``), so moving a schedule's entries one run at a time
-    to 0 or +inf loses nothing: the grid is {0, +inf}, and the recursion's
-    maximum, scaled by (1 + rho)^K, bounds the supremum, with no search.
+    to 0 or +inf loses nothing, and a schedule on {0, +inf} is a step
+    schedule.  ``_step_sup`` takes the largest in closed form, with K
+    iterations and no grid, links or search: ``sup_upper`` is that
+    maximum times 1 + rho, and ``sup_value`` the evaluator's value at the
+    step schedule that isolates its receiver.
 
-    At b > 1 the grid has GRID_POINTS points and the same links bound the
+    At b > 1 the chain dynamic program finds the best schedule on a first
+    grid of GRID_POINTS points that holds 0 and +inf, so the all-zero and
+    the step schedules are always candidates, and the same links bound the
     supremum from above (``_enclosure``), the first stage's largest cell
-    bound scaled by the same (1 + rho)^K.  Unless that bracket decides how
+    bound scaled by (1 + rho)^K.  Unless that bracket decides how
     the supremum compares with ``target`` (``sup_value > target`` or
     ``sup_upper <= target``), each round of ``_Cells`` starts from the
     cells that some stage cannot yet close (``_Cells.opened``; stage 1 is
@@ -424,18 +459,20 @@ def sup_bound_lhs(
     lower end there.
     """
     d = check_distortions(scenario, distortions)
+    if scenario.bandwidth <= 1.0:
+        return _step_sup(scenario, d)
     chain = _Chain(scenario, d)
-    free, steps = len(d.values) - 1, chain.b <= 1.0
-    grid = _STEPS if steps else _tau_grid(scenario, d)
+    free = len(d.values) - 1
+    grid = _tau_grid(scenario, d)
     underflows: list[bool] = []
     with _watch(underflows):
         links = chain.links(grid)
-        rows = None if steps else _enclosure(*links)
+        rows = _enclosure(*links)
     log_g, log_h = chain.log_factors(np.zeros(len(d.values)))
     y = float(max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b)  # Y (``_enclosure``)
     rho = math.ulp(1.0) * (4.0 * y + 8.0)  # a stage's outward rounding (``_enclosure``)
     taus, stages, values = _chain_dp(grid, links)
-    top = links[2] if not free else stages[0] if steps else rows[0].max()  # a_K(0) at K = 1
+    top = rows[0].max() if free else links[2]  # a_K(0) at K = 1
     upper = top * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
     value, evals = chain.lhs(taus), free * len(grid) + 1
@@ -458,7 +495,7 @@ def sup_bound_lhs(
         upper = upper if underflows else min(upper, float(cells.rows[0].max()))
 
     cells = (_Cells(chain, grid, rows, rho)  # only where a search can run and is needed
-             if free and not steps and upper < math.inf and undecided() else None)
+             if free and upper < math.inf and undecided() else None)
     while cells and undecided():
         level = value * tol if target is None else max(value * tol, target)
         mask, best = cells.opened(level, stages, tol)

@@ -200,12 +200,12 @@ def test_membership_single_user(capsys, tmp_path):
 MEMBERSHIP_STDOUT = {
     ("matched_k2.json", "0.6,0.3"):
         '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
-        '"distortions": [0.6, 0.3], "iterations": 3, "margin": 0.6666666666666661, "member": true, '
-        '"rhs": 6.0, "sup_upper": 5.333333333333365, "sup_value": 5.333333333333334, "tolerance": 1e-09}\n',
+        '"distortions": [0.6, 0.3], "iterations": 2, "margin": 0.6666666666666661, "member": true, '
+        '"rhs": 6.0, "sup_upper": 5.333333333333349, "sup_value": 5.333333333333334, "tolerance": 1e-09}\n',
     ("compression_k2.json", "0.75,0.5"):
         '{"argmax_t": [1.0], "argmax_tau": ["inf", 0.0], "certified": true, "command": "membership", '
-        '"distortions": [0.75, 0.5], "iterations": 3, "margin": 0.0, "member": true, '
-        '"rhs": 6.0, "sup_upper": 6.000000000000037, "sup_value": 6.0, "tolerance": 1e-09}\n',
+        '"distortions": [0.75, 0.5], "iterations": 2, "margin": 0.0, "member": true, '
+        '"rhs": 6.0, "sup_upper": 6.000000000000019, "sup_value": 6.0, "tolerance": 1e-09}\n',
     ("expansion_k2.json", "0.25,0.0625"):
         '{"argmax_t": [0.19999999999999996], "argmax_tau": [0.24999999999999994, 0.0], "certified": true, '
         '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 2050, '
@@ -216,9 +216,9 @@ MEMBERSHIP_STDOUT = {
 
 @pytest.mark.parametrize("name, distortions", sorted(MEMBERSHIP_STDOUT))
 def test_membership_stdout_is_pinned(capsys, name, distortions):
-    """The payload's bytes.  At b <= 1 the supremum is the step schedule's
-    value, found on the grid {0, +inf} in 2 K - 1 = 3 link evaluations, and
-    sup_upper is that value rounded outward.  At the README's b = 2 point
+    """The payload's bytes.  At b <= 1 the supremum is the largest of the
+    K = 2 closed-form step values (iterations 2, no grid), and sup_upper is
+    that value times 1 + rho.  At the README's b = 2 point
     the first pass on the full grid decides: its witness violates the bound,
     and sup_upper is the first-order enclosure's maximum rounded outward
     by (1 + rho)^K."""

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbcbound.bound import DEFAULT_REL_TOL, _Chain, bound_rhs, check_inequality, eval_lhs
+from gbcbound.bound import (
+    DEFAULT_REL_TOL,
+    _Chain,
+    bound_rhs,
+    check_inequality,
+    eval_lhs,
+    reduced_bound_value,
+)
 from gbcbound.core import (
     BroadcastScenario,
     check_distortions,
@@ -137,8 +144,7 @@ def test_chain_dp_matches_exhaustive_enumeration():
 
 def test_small_bandwidth_overflow_is_non_member():
     """At b = 0.0009 the step schedule (+inf, 0) gives +inf, past the float
-    range, while the recursion's links at small tau underflow to 0: a 0 * inf
-    product must never be read as the maximum."""
+    range: the witness is that schedule, and the verdict a non-member."""
     sc = BroadcastScenario(3, [3, 1], 0.0009)
     d = (0.99995, 0.5 * trivial_distortion(sc, 2))
     verdict = in_outer_region(sc, d)
@@ -355,18 +361,19 @@ def _member_probes(monkeypatch, sc, prefixes):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the b <= 1 supremum is a step schedule's value")
+    raise AssertionError("the b <= 1 supremum is the largest closed-form step value")
 
 
 def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
-    """At b <= 1 the recursion's own maximum on the grid {0, +inf}, rounded
-    outward, bounds the supremum, so every member probe of a boundary row
-    is certified after that one pass of 2 K - 1 link evaluations, the row
-    at D_1 = D_1* included, with no full grid, enclosure or search."""
+    """At b <= 1 the largest of the K closed-form step values, times 1 + rho,
+    bounds the supremum, so every member probe of a boundary row is
+    certified with K iterations, the row at D_1 = D_1* included, with no
+    grid, link, recursion, enclosure or search."""
     import gbcbound.membership as m
 
-    for name in ("_tau_grid", "_enclosure", "_Cells"):
+    for name in ("_tau_grid", "_chain_dp", "_enclosure", "_Cells"):
         monkeypatch.setattr(m, name, _refuse)
+    monkeypatch.setattr(m._Chain, "links", _refuse)
     grids = []
     for name in ("compression_k2", "matched_k2"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
@@ -379,9 +386,8 @@ def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatc
         probes = _member_probes(monkeypatch, sc, prefixes)
         assert len(probes) == 10 and all(v.certified for v in probes), sc
         threshold = bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)
-        first = (sc.num_receivers - 1) * 2 + 1
         for v in probes:
-            assert v.sup.sup_upper <= threshold and v.sup.iterations == first
+            assert v.sup.sup_upper <= threshold and v.sup.iterations == sc.num_receivers
 
 
 def _rounding_floor(sc, d):
@@ -393,37 +399,37 @@ def _rounding_floor(sc, d):
 
 
 def test_b_le_1_sup_upper_is_the_rounded_step_value():
-    """At b <= 1 sup_upper is the recursion's maximum on {0, +inf} rounded
-    outward, (1 + rho)^K, with or without a target: within the rounding
-    allowance 2 K rho of sup_value, where a two-point first-order cell bound
-    is loose, and finite wherever sup_value is and no link underflowed,
-    where a two-point cell bound can overflow at a finite supremum.
-    Half the draws spread the exponents log(N_S / D_k) / b over [0, 700],
-    so that small b still leaves the supremum finite."""
+    """At b <= 1 sup_upper is the largest closed-form step value times
+    1 + rho, with or without a target: at or above sup_value and that
+    value, within the rounding allowance 2 K rho of sup_value, and finite
+    wherever sup_value is.  Of the first 600 draws, half spread the
+    exponents u_k = log(N_S / D_k) / b over [0, 700], so that small b still
+    leaves the supremum finite; the last 200 put u_k alternately on [0, 0.4]
+    and [708.5, 709], where a link c_k(0) = e^(u_k - u_{k+1}) would mostly
+    underflow."""
     rng = random.Random(83)
-    steps = np.array([0.0, math.inf])
-    finite = 0
-    for i in range(600):
+    finite = deep = 0
+    for i in range(800):
         k = (1, 2, 3, 5, 8, 16)[i % 6]
         b = 1.0 if i % 4 == 0 else math.exp(rng.uniform(math.log(1e-3), 0.0))
         sc = random_scenario(rng, k_range=(k, k), bandwidth=b, min_ratio=1.05 if k >= 8 else 1.2)
-        if i % 2:
+        if i >= 600:
+            u = [rng.uniform(*((708.5, 709.0) if j % 2 else (0.0, 0.4))) for j in range(k)]
+            d = tuple(sc.source_var * math.exp(-b * x) for x in u)
+        elif i % 2:
             d = random_distortions(rng, sc)
         else:
             d = tuple(sc.source_var * math.exp(-b * rng.uniform(0.0, 700.0)) for _ in range(k))
-        with np.errstate(over="ignore", under="raise"):
-            try:
-                _Chain(sc, check_distortions(sc, d)).links(steps)
-                underflow = False
-            except FloatingPointError:
-                underflow = True
+        closed = max(reduced_bound_value(sc, d, j) for j in range(1, k + 1))
         for target in (None, bound_rhs(sc)):
             res = sup_bound_lhs(sc, d, target=target)
-            if math.isfinite(res.sup_value) and not underflow:
+            assert res.sup_value <= res.sup_upper and closed <= res.sup_upper, (sc, d, res)
+            if math.isfinite(res.sup_value):
                 finite += 1
+                deep += i >= 600 and k > 1
                 assert math.isfinite(res.sup_upper), (sc, d, res)
                 assert res.sup_upper <= res.sup_value * (1.0 + _rounding_floor(sc, d)), (sc, d, res)
-    assert finite >= 400
+    assert finite >= 400 and deep >= 50, (finite, deep)
 
 
 def test_readme_trace_member_probes_are_certified(monkeypatch):

@@ -231,11 +231,26 @@ def test_sup_upper_past_float_range_is_inf():
 
 def test_sup_upper_is_inf_where_a_link_underflows():
     """The rounding factor holds only for results in the normal range.  At
-    b = 0.01 and D = (N_S, e^-7.09 N_S), c_1(0) = e^-709 is subnormal while
-    the supremum itself is finite, so the bound gives up to +inf."""
+    b = 1.0001, N_S = 1e10 and D = (N_S, e^-709.07 N_S), c_1(0) = e^-708.9
+    is subnormal while the supremum itself is finite, so the bound gives up
+    to +inf, with or without a target."""
+    sc = BroadcastScenario(3, [3, 0.01], 1.0001, 1e10)
+    d = (1e10, 1e10 * math.exp(-709 * 1.0001))
+    for target in (None, 3.01):
+        res = sup_bound_lhs(sc, d, target=target)
+        assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
+
+
+def test_b_le_1_sup_upper_forms_no_link():
+    """At b = 0.01 and D = (N_S, e^-7.09 N_S) the link c_1(0) = e^-709 would
+    be subnormal, but at b <= 1 no link is formed: sup_upper is finite and
+    at or above the 50-digit value at each step schedule."""
     sc = BroadcastScenario(3, [3, 1], 0.01)
-    res = sup_bound_lhs(sc, (1.0, math.exp(-7.09)))
-    assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
+    d = (1.0, math.exp(-7.09))
+    res = sup_bound_lhs(sc, d)
+    assert math.isfinite(res.sup_upper)
+    for taus in ((0.0, 0.0), (math.inf, 0.0)):
+        assert Decimal(res.sup_upper) >= lhs_reference(sc, d, taus), taus
 
 
 def _ulps(got, exact):
@@ -245,15 +260,25 @@ def _ulps(got, exact):
 
 def test_exp_and_log1p_are_within_two_ulps():
     """The rounding allowance rho = eps (4 Y + 8) (``membership._enclosure``)
-    takes numpy's exp and log1p, on arrays as the links call them, to be
-    within 2 ulps.  exp at 5000 seeded y, 4000 of them on [-40, 40] and the
-    rest on [-700, 700]; log1p at r = 0 and 4999 r log-uniform on
-    [1e-12, 1e12]; both against 50-digit decimals."""
+    takes exp and log1p to be within 2 ulps: numpy's, on arrays as the links
+    call them, and math's, as the b <= 1 step values call them
+    (``membership._step_sup``).  exp at 5000 seeded y, 4000 of them on
+    [-40, 40] and the rest on [-700, 700]; log1p at r = 0 and 4999 r
+    log-uniform on [1e-12, 1e12]; all against 50-digit decimals."""
     rng = random.Random(61)
     ys = [rng.uniform(-40.0, 40.0) for _ in range(4000)] + [rng.uniform(-700.0, 700.0) for _ in range(1000)]
     rs = [0.0] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(4999)]
     with localcontext() as ctx:
         ctx.prec = 50
-        worst_exp = max(_ulps(got, Decimal(y).exp()) for y, got in zip(ys, np.exp(np.array(ys))))
-        worst_log1p = max(_ulps(got, (1 + Decimal(r)).ln()) for r, got in zip(rs, np.log1p(np.array(rs))))
-    assert worst_exp <= 2 and worst_log1p <= 2, (worst_exp, worst_log1p)
+        exact_exp = [Decimal(y).exp() for y in ys]
+        exact_log1p = [(1 + Decimal(r)).ln() for r in rs]
+        worst = {
+            name: max(_ulps(got, exact) for got, exact in zip(values, exacts))
+            for name, values, exacts in (
+                ("numpy.exp", np.exp(np.array(ys)), exact_exp),
+                ("math.exp", map(math.exp, ys), exact_exp),
+                ("numpy.log1p", np.log1p(np.array(rs)), exact_log1p),
+                ("math.log1p", map(math.log1p, rs), exact_log1p),
+            )
+        }
+    assert all(ulps <= 2 for ulps in worst.values()), worst
