@@ -16,23 +16,26 @@ Regrouped, every factor depends on a single schedule entry:
 
 so lhs = a_1 + c_1 (a_2 + c_2 (... + c_{K-1} a_K)) with a_k = dN_k g_k^(1/b)
 and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h
-at one schedule, for the evaluator here; ``_Chain.links`` computes a_k and
-c_k for every free receiver on a whole grid of entries, for the supremum
-search in ``membership``, with the same arithmetic.  Each log is one log1p
+at one schedule in Python floats, for the evaluator here; ``_Chain.links``
+computes a_k and c_k for every free receiver on a whole grid of entries,
+for the supremum search in ``membership``, in the same steps in numpy,
+whose exp and log1p may differ from math's by an ulp.  Each log is one log1p
 of a nonnegative ratio, (N_S - D_k) / (D_k + tau) for g and
 |D_{k+1} - D_k| / (min(D_k, D_{k+1}) + tau) for h, which takes the sign of
 D_{k+1} - D_k; both ratios are exactly 0 at tau = +inf.  An infinite entry
 thus contributes g = h = 1, which is the shared-rate limit (all infinite
 entries diverge together) with no separate code path.  Each term is summed
 in the log domain before one exp: the bracket raised to 1/b overflows
-quickly for small b if formed as a plain product.  A term past the float
-range is +inf, and so is the left-hand side.
+quickly for small b if formed as a plain product.  The terms are summed
+with math.fsum, rounded once.  A term past the float range is +inf, and so
+is the left-hand side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -85,31 +88,73 @@ class _Chain:
     Inputs are taken as already validated; the public functions validate.
     log h_k = sign_k log1p(delta_k / (base_k + tau)), with delta_k =
     |D_{k+1} - D_k| >= 0, base_k = min(D_k, D_{k+1}) and sign_k = -1 where
-    D_{k+1} < D_k, else +1 (delta_K = 0, so h_K = 1).
+    D_{k+1} < D_k, else +1 (delta_K = 0, so h_K = 1).  The per-schedule
+    evaluator (``log_factors``, ``terms``, ``lhs``) works on these as Python
+    floats, with math.log1p and math.exp, and sums the terms with math.fsum:
+    a numpy call on a length-K array costs more than the arithmetic.
     """
 
     def __init__(self, scenario: BroadcastScenario, d: DistortionTuple) -> None:
-        self.ns = scenario.source_var
+        self.ns = ns = scenario.source_var
         self.b = scenario.bandwidth
-        # Formed from the Python floats: a numpy call on a length-K array
-        # costs more than the arithmetic, which rounds the same either way.
-        values = d.values
-        pairs = list(zip(values, values[1:] + values[-1:]))
-        self.dn = np.array(scenario.delta_noises())
-        self.d = np.array(values)
-        self.gap = np.array([self.ns - x for x in values])
-        self.delta = np.array([abs(y - x) for x, y in pairs])
-        self.base = np.array([min(x, y) for x, y in pairs])
-        self.sign = np.array([-1.0 if y < x else 1.0 for x, y in pairs])
+        self.dn = scenario.delta_noises()
+        self.d = values = d.values
+        self.gap, self.delta, self.base, self.sign = [], [], [], []
+        for x, y in zip(values, values[1:] + values[-1:]):
+            self.gap.append(ns - x)
+            self.delta.append(x - y if y < x else y - x)
+            self.base.append(y if y < x else x)
+            self.sign.append(-1.0 if y < x else 1.0)
 
-    def log_factors(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log g_k(tau_k) and log h_k(tau_k) at one schedule (shape (K,)).
+    def rho(self) -> float:
+        """A stage's outward rounding rho = eps (4 Y + 8) (``membership._enclosure``).
+
+        Y bounds every exponent |log g_k| / b and |log h_k| / b over all
+        tau: each is largest at tau = 0, and there the largest is log g at
+        the smallest D_k, since |D_{k+1} - D_k| <= N_S - min(D_k, D_{k+1})
+        and each ratio's rounding is monotone.
+        """
+        low = min(self.d)
+        return math.ulp(1.0) * (4.0 * math.log1p((self.ns - low) / low) / self.b + 8.0)
+
+    def log_factors(self, taus: Sequence[float]) -> tuple[list[float], list[float]]:
+        """log g_k(tau_k) and log h_k(tau_k) at one schedule.
 
         Each is one log1p of a ratio >= 0, so h stays accurate when
         D_{k+1} << D_k, and each ratio is exactly 0 at tau = +inf.
         """
-        log_g = np.log1p(self.gap / (self.d + taus))
-        return log_g, self.sign * np.log1p(self.delta / (self.base + taus))
+        log1p, log_g, log_h = math.log1p, [], []
+        for t, gap, x, sign, delta, base in zip(taus, self.gap, self.d, self.sign, self.delta, self.base):
+            log_g.append(log1p(gap / (x + t)))
+            log_h.append(sign * log1p(delta / (base + t)))
+        return log_g, log_h
+
+    def terms(self, log_g: Sequence[float], log_h: Sequence[float]) -> list[float]:
+        """The K terms of the left-hand side from the log factors at one
+        schedule (``log_factors``): term k is dN_k exp((log g_k + log h_1 +
+        ... + log h_{k-1}) / b), the log h summed in order; a term past the
+        float range is +inf."""
+        out, run, b = [], 0.0, self.b
+        for dn, g, h in zip(self.dn, log_g, log_h):
+            try:
+                out.append(dn * math.exp((g + run) / b))
+            except OverflowError:
+                out.append(math.inf)
+            run += h
+        return out
+
+    def lhs(self, taus: Sequence[float]) -> float:
+        """Left-hand side at one schedule; a term past the float range makes it +inf."""
+        return _total(self.terms(*self.log_factors(taus)))
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """D_k, N_S - D_k, dN_k, base_k, delta_k and sign_k b of the K - 1 free
+        receivers, each as a (K - 1) x 1 column for ``links``."""
+        free = len(self.d) - 1
+        signed = [s * self.b for s in self.sign]
+        return tuple(np.array(v[:free])[:, None]
+                     for v in (self.d, self.gap, self.dn, self.base, self.delta, signed))
 
     def links(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The chain's links a_k = dN_k g_k^(1/b) and c_k = h_k^(1/b) on ``grid``.
@@ -119,47 +164,35 @@ class _Chain:
         are built in place in one allocation: a fresh temporary at every
         step, or two allocations that the C allocator can hand back to the
         system after each pass, cost more than the arithmetic at K = 16.
-        Dividing by sign_k b gives exactly log h_k / b.  Entries past the
-        float range are +inf (or 0).
+        The steps are those of ``log_factors`` and ``terms``, in numpy's
+        exp and log1p, which may differ from math's by an ulp.  Dividing
+        by sign_k b gives exactly log h_k / b.  Entries past the float
+        range are +inf (or 0).
         """
-        free = len(self.d) - 1
-        col = (slice(None, free), None)
-        a, c = np.empty((2, free, len(grid)))
-        np.add(self.d[col], grid, out=a)
-        np.divide(self.gap[col], a, out=a)
+        d, gap, dn, base, delta, signed = self._columns
+        a, c = np.empty((2, len(d), len(grid)))
+        np.add(d, grid, out=a)
+        np.divide(gap, a, out=a)
         np.log1p(a, out=a)
         np.divide(a, self.b, out=a)
         np.exp(a, out=a)
-        np.multiply(a, self.dn[col], out=a)
-        np.add(self.base[col], grid, out=c)
-        np.divide(self.delta[col], c, out=c)
+        np.multiply(a, dn, out=a)
+        np.add(base, grid, out=c)
+        np.divide(delta, c, out=c)
         np.log1p(c, out=c)
-        np.divide(c, self.b * self.sign[col], out=c)
+        np.divide(c, signed, out=c)
         np.exp(c, out=c)
         last = self.dn[-1] * np.exp(np.log1p(self.gap[-1] / self.d[-1]) / self.b)
         return a, c, last
 
-    def _log_brackets(self, log_g: np.ndarray, log_h: np.ndarray) -> np.ndarray:
-        """log of each term's bracket raised to 1/b, from the log factors at
-        one schedule (``log_factors``), which it leaves unchanged."""
-        brackets = log_g.copy()
-        brackets[1:] += np.cumsum(log_h[:-1])
-        return brackets / self.b
 
-    def lhs(self, taus: Sequence[float]) -> float:
-        """Left-hand side at one schedule, each term summed in the log domain.
-
-        A term past the float range makes it +inf.
-        """
-        with np.errstate(over="ignore"):
-            return float(self.dn @ np.exp(self._log_brackets(*self.log_factors(np.array(taus)))))
-
-    def terms(self, log_g: np.ndarray, log_h: np.ndarray) -> np.ndarray:
-        """The K terms of the left-hand side from the log factors at one
-        schedule (``log_factors``), each summed in the log domain; a term
-        past the float range is +inf."""
-        with np.errstate(over="ignore"):
-            return self.dn * np.exp(self._log_brackets(log_g, log_h))
+def _total(terms: Sequence[float]) -> float:
+    """The sum of nonnegative terms, rounded once (math.fsum); +inf past the
+    float range, where fsum itself raises on an intermediate overflow."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def eval_lhs(

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bound import DEFAULT_REL_TOL, Distortions, _Chain, _step_value, bound_rhs
+from .bound import DEFAULT_REL_TOL, Distortions, _Chain, _step_value, _total, bound_rhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
@@ -398,24 +398,24 @@ def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
     4 eps (Y + 1) relatively, Y the largest exponent log(N_S / D_k) / b (at
     the smallest D_k), plus one difference N_1 - N_k and one sum, each
     within eps / 2; all are nonnegative, so it is within lam + eps <= rho =
-    eps (4 Y + 8), and the largest times 1 + rho (the spare eps cover that
-    product's rounding) bounds the supremum.  ``sup_upper`` is at least
-    ``sup_value``, which the evaluator rounds differently.
+    eps (4 Y + 8) (``_Chain.rho``), and the largest times 1 + rho (the
+    spare eps cover that product's rounding) bounds the supremum.
+    ``sup_upper`` is at least ``sup_value``, which the evaluator rounds
+    differently.
     """
     count = len(d.values)
     values = [_step_value(scenario, d, k) for k in range(1, count + 1)]
     top = max(values)
     j = values.index(top) if top < math.inf else count - 1 - values[::-1].index(top)
     taus = [math.inf] * j + [0.0] * (count - j)
-    low = min(d.values)
-    y = math.log1p((scenario.source_var - low) / low) / scenario.bandwidth
-    value = _Chain(scenario, d).lhs(taus)
+    chain = _Chain(scenario, d)
+    value = chain.lhs(taus)
     return SupResult(
         sup_value=value,
         argmax_tau=TauSchedule(tuple(taus)),
         argmax_t=tuple(_t(tau) for tau in taus[:-1]),
         iterations=count,
-        sup_upper=max(top * (1.0 + math.ulp(1.0) * (4.0 * y + 8.0)), value),
+        sup_upper=max(top * (1.0 + chain.rho()), value),
     )
 
 
@@ -468,9 +468,7 @@ def sup_bound_lhs(
     with _watch(underflows):
         links = chain.links(grid)
         rows = _enclosure(*links)
-    log_g, log_h = chain.log_factors(np.zeros(len(d.values)))
-    y = float(max(np.abs(log_g).max(), np.abs(log_h).max()) / chain.b)  # Y (``_enclosure``)
-    rho = math.ulp(1.0) * (4.0 * y + 8.0)  # a stage's outward rounding (``_enclosure``)
+    rho = chain.rho()  # a stage's outward rounding (``_enclosure``)
     taus, stages, values = _chain_dp(grid, links)
     top = rows[0].max() if free else links[2]  # a_K(0) at K = 1
     upper = top * (1.0 + rho) ** len(chain.d)
@@ -565,9 +563,9 @@ class _Witness:
 
     def __init__(self, chain: _Chain, taus: Sequence[float]) -> None:
         self.taus = tuple(taus)
-        terms = chain.terms(*chain.log_factors(np.array(taus)))
-        self.head, self.last = float(terms[:-1].sum()), float(terms[-1])
-        self.ref = float(chain.d[-1])
+        terms = chain.terms(*chain.log_factors(taus))
+        self.head, self.last = _total(terms[:-1]), terms[-1]
+        self.ref = chain.d[-1]
         self.b = chain.b
         self.tau = taus[-2] if len(taus) > 1 else math.inf
 

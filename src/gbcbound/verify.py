@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import bound, capacity, membership, minkowski
 from .core import (
     BroadcastScenario,
@@ -156,18 +154,20 @@ def _rounding_bound(sc: BroadcastScenario, d: tuple[float, ...], tau: tuple[floa
     (k - 1 additions, eps / 2 of at most L_k, the sum of their absolute
     values) and divides by b, so its exponent is within dy_k = eps (5.5 +
     k / 2) L_k / b.  exp adds 4 eps, dN_k eps / 2 and the sum of K
-    nonnegative products K eps / 2, so term T_k is within rel_k =
-    expm1(dy_k) + (4.5 + K / 2) eps.  The bound is 2 sum_k T_k rel_k (the
-    factor 2 covers T_k being itself computed and second-order terms),
-    plus eps (rhs + |margin|) for rhs = P + N_1 and the subtraction.
+    nonnegative products at most K eps / 2 (math.fsum rounds it once), so
+    term T_k is within rel_k = expm1(dy_k) + (4.5 + K / 2) eps.  The bound
+    is 2 sum_k T_k rel_k (the factor 2 covers T_k being itself computed
+    and second-order terms), plus eps (rhs + |margin|) for rhs = P + N_1
+    and the subtraction.
     """
     chain = bound._Chain(sc, check_distortions(sc, d))
-    log_g, log_h = chain.log_factors(np.array(tau))
-    size = np.abs(log_g)
-    size[1:] += np.cumsum(np.abs(log_h[:-1]))
-    k = np.arange(1, len(size) + 1)
-    rel = np.expm1(_EPS * (5.5 + k / 2) * size / sc.bandwidth) + (4.5 + len(k) / 2) * _EPS
-    return 2.0 * float(chain.terms(log_g, log_h) @ rel) + _EPS * (rhs + abs(margin))
+    log_g, log_h = chain.log_factors(tau)
+    parts, size_h = [], 0.0  # size_h: the sum of |log h_j| over j < k
+    for k, (term, g, h) in enumerate(zip(chain.terms(log_g, log_h), log_g, log_h), 1):
+        dy = _EPS * (5.5 + k / 2) * (abs(g) + size_h) / sc.bandwidth
+        parts.append(term * (math.expm1(dy) + (4.5 + len(tau) / 2) * _EPS))
+        size_h += abs(h)
+    return 2.0 * bound._total(parts) + _EPS * (rhs + abs(margin))
 
 
 def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:

@@ -133,6 +133,17 @@ def test_reduced_bound_past_float_range_is_inf():
     assert eval_lhs(sc, d, step_schedule(2, 2)) == math.inf
 
 
+def test_eval_sum_past_float_range_is_inf():
+    """Finite terms whose sum passes the float range give +inf too, not the
+    OverflowError that math.fsum raises there: at b = 0.5, D_1 = 1e-154 and
+    tau = (0, 0) both terms are about 1e308."""
+    sc = BroadcastScenario(1, [2, 1], 0.5)
+    d = (1e-154, 0.5)
+    chain = _Chain(sc, check_distortions(sc, d))
+    assert all(1e308 <= term < math.inf for term in chain.terms(*chain.log_factors((0.0, 0.0))))
+    assert eval_lhs(sc, d, (0.0, 0.0)) == math.inf
+
+
 def test_reduction_identity_tight():
     """Extended evaluation at a step schedule equals the closed form to 1e-12."""
     rng = random.Random(11)
@@ -225,27 +236,43 @@ def test_log_factors_match_high_precision_reference(d1, d2, tau):
     within a few ulps of a 50-digit reference, at D_2 / D_1 = 1, 1e-12 and
     1e12 and tau = 0, 1e12 and +inf; exact where the reference is 0."""
     sc = BroadcastScenario(1, [1, 0.5], 0.5)
-    log_g, log_h = _Chain(sc, check_distortions(sc, (d1, d2))).log_factors(np.array([tau, 0.0]))
+    log_g, log_h = _Chain(sc, check_distortions(sc, (d1, d2))).log_factors([tau, 0.0])
     pairs = [(log_h[0], _log_ratio(d2, d1, tau)), (log_h[1], 0.0),
              (log_g[0], _log_ratio(1.0, d1, tau)), (log_g[1], _log_ratio(1.0, d2, 0.0))]
     for got, want in pairs:
         assert abs(got - want) <= 4 * math.ulp(want), (got, want)
 
 
-def test_links_match_log_factors():
-    """The links the supremum's recursion runs on, built in place for all free
-    receivers on a grid, are exactly dN_k g_k^(1/b) and h_k^(1/b) from the
-    per-schedule log factors: the same arithmetic, entry by entry."""
+def _power_reference(num, den, tau, b):
+    """((num + tau) / (den + tau))^(1 / b) to 50 digits; 1 at tau = +inf."""
+    if tau == math.inf:
+        return Decimal(1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(tau)
+        return (((Decimal(num) + t) / (Decimal(den) + t)).ln() / Decimal(b)).exp()
+
+
+def test_links_within_rounding_allowance_of_reference():
+    """Each link the supremum's recursion runs on, a_k = dN_k g_k^(1/b) and
+    c_k = h_k^(1/b) for every free receiver on a grid, and a_K(0), lies
+    within lam = 4 eps (Y + 1) of its 50-digit value, Y the largest
+    exponent log(N_S / D_k) / b: the allowance that ``sup_upper``'s
+    rounding analysis (``membership._enclosure``) takes for a link."""
     rng = random.Random(5)
     grid = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 7), [math.inf]))
     for k in (1, 2, 5, 16):
         sc = random_scenario(rng, k_range=(k, k), min_ratio=1.05)
-        chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
-        a, c, last = chain.links(grid)
+        d = random_distortions(rng, sc)
+        ns, b, noises = sc.source_var, sc.bandwidth, sc.noises + (0.0,)
+        a, c, last = _Chain(sc, check_distortions(sc, d)).links(grid)
         assert a.shape == c.shape == (k - 1, len(grid))
-        for j, tau in enumerate(grid):
-            log_g, log_h = chain.log_factors(np.full(k, tau))
-            assert np.array_equal(a[:, j], (chain.dn * np.exp(log_g / sc.bandwidth))[:-1])
-            assert np.array_equal(c[:, j], np.exp(log_h / sc.bandwidth)[:-1])
-        log_g, _ = chain.log_factors(np.zeros(k))
-        assert last == chain.dn[-1] * np.exp(log_g[-1] / sc.bandwidth)
+        lam = Decimal(4 * math.ulp(1.0) * (math.log(ns / min(d)) / b + 1.0))
+        dn = [Decimal(noises[j]) - Decimal(noises[j + 1]) for j in range(k)]
+        pairs = [(last, dn[-1] * _power_reference(ns, d[-1], 0.0, b))]
+        for j, tau in enumerate(grid.tolist()):
+            for i in range(k - 1):
+                pairs.append((a[i, j], dn[i] * _power_reference(ns, d[i], tau, b)))
+                pairs.append((c[i, j], _power_reference(d[i + 1], d[i], tau, b)))
+        for got, want in pairs:
+            assert abs(Decimal(float(got)) - want) <= lam * want, (k, got, want)

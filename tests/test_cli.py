@@ -340,17 +340,17 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
 README_TRACE_CSV = (
     'D1,D2_min,D2_trivial,gap\r\n'
     '0.25,0.09999430797848438,0.0625,0.03749430797848438\r\n'
-    '0.255,0.08474433181374272,0.0625,0.022244331813742718\r\n'
+    '0.255,0.08474433181374279,0.0625,0.022244331813742788\r\n'
     '0.26,0.07987506612602198,0.0625,0.01737506612602198\r\n'
     '0.265,0.07664180702807376,0.0625,0.014141807028073758\r\n'
     '0.27,0.07422943925518115,0.0625,0.011729439255181148\r\n'
     '0.275,0.07232663402765577,0.0625,0.009826634027655767\r\n'
-    '0.28,0.070775948374185,0.0625,0.008275948374184994\r\n'
+    '0.28,0.07077594837418498,0.0625,0.00827594837418498\r\n'
     '0.285,0.06948518358293636,0.0625,0.006985183582936358\r\n'
     '0.29,0.06839514157400187,0.0625,0.0058951415740018664\r\n'
     '0.295,0.06746531642347302,0.0625,0.004965316423473018\r\n'
     '0.3,0.06666666642499967,0.0625,0.004166666424999674\r\n'
-    '0.305,0.06597761021440315,0.0625,0.003477610214403154\r\n'
+    '0.305,0.06597761021440322,0.0625,0.0034776102144032234\r\n'
     '0.31,0.0653816495476993,0.0625,0.0028816495476993026\r\n'
     '0.315,0.06486587921914981,0.0625,0.0023658792191498107\r\n'
     '0.32,0.06442001134764144,0.0625,0.0019200113476414427\r\n'

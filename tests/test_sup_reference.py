@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from gbcbound.bound import reduced_bound_value
+from gbcbound.bound import eval_lhs, reduced_bound_value
 from gbcbound.core import BroadcastScenario, trivial_distortion
 from gbcbound.membership import (
     GRID_POINTS,
@@ -23,7 +23,7 @@ from gbcbound.membership import (
     sup_bound_lhs,
     trace_boundary,
 )
-from gbcbound.verify import random_distortions, random_scenario
+from gbcbound.verify import _rounding_bound, random_distortions, random_scenario
 
 GRID = [0.0] + [10.0 ** e for e in range(-3, 4)] + [math.inf]
 
@@ -253,6 +253,25 @@ def test_b_le_1_sup_upper_forms_no_link():
         assert Decimal(res.sup_upper) >= lhs_reference(sc, d, taus), taus
 
 
+def test_evaluator_within_its_rounding_bound_of_reference():
+    """``eval_lhs`` lies within ``verify._rounding_bound`` of the 50-digit
+    value on 300 seeded draws: K up to 16, b log-uniform on [1e-3, 10],
+    exponents log(N_S / D_k) / b up to 600, and schedules whose entries
+    mix 0, +inf and values log-uniform on [1e-6, 1e6]."""
+    rng = random.Random(89)
+    for i in range(300):
+        k = (1, 2, 3, 5, 8, 16)[i % 6]
+        b = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+        sc = random_scenario(rng, k_range=(k, k), bandwidth=b, min_ratio=1.05 if k >= 8 else 1.2)
+        d = tuple(sc.source_var * math.exp(-min(b * rng.uniform(0.0, 600.0), 700.0)) for _ in range(k))
+        free = (rng.choice((0.0, math.inf, 10.0 ** rng.uniform(-6.0, 6.0))) for _ in range(k - 1))
+        taus = tuple(sorted(free, reverse=True)) + (0.0,)
+        value = eval_lhs(sc, d, taus)
+        assert math.isfinite(value), (sc, d, taus)
+        error = abs(Decimal(value) - lhs_reference(sc, d, taus))
+        assert error <= Decimal(_rounding_bound(sc, d, taus, 0.0, value)), (sc, d, taus)
+
+
 def _ulps(got, exact):
     """|got - exact| in units in the last place of the float nearest ``exact``."""
     return abs(Decimal(float(got)) - exact) / Decimal(math.ulp(float(exact)))
@@ -261,8 +280,8 @@ def _ulps(got, exact):
 def test_exp_and_log1p_are_within_two_ulps():
     """The rounding allowance rho = eps (4 Y + 8) (``membership._enclosure``)
     takes exp and log1p to be within 2 ulps: numpy's, on arrays as the links
-    call them, and math's, as the b <= 1 step values call them
-    (``membership._step_sup``).  exp at 5000 seeded y, 4000 of them on
+    call them, and math's, as the evaluator (``bound._Chain.lhs``) and the
+    b <= 1 step values (``membership._step_sup``) call them.  exp at 5000 seeded y, 4000 of them on
     [-40, 40] and the rest on [-700, 700]; log1p at r = 0 and 4999 r
     log-uniform on [1e-12, 1e12]; all against 50-digit decimals."""
     rng = random.Random(61)
