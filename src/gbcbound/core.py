@@ -94,6 +94,11 @@ class BroadcastScenario:
                 raise NonDecreasingNoises(
                     f"noise variances must be strictly decreasing, got {a} before {b}"
                 )
+        # formed once: every evaluator built on the scenario reads it; not a field,
+        # so equality, hashing, repr and asdict see only the four parameters
+        noises = self.noises
+        object.__setattr__(self, "_delta_noises",
+                           tuple(a - b for a, b in zip(noises, noises[1:])) + noises[-1:])
 
     @property
     def num_receivers(self) -> int:
@@ -108,8 +113,7 @@ class BroadcastScenario:
 
     def delta_noises(self) -> tuple[float, ...]:
         """``delta_noise(k)`` for k = 1..K."""
-        noises = self.noises
-        return tuple(a - b for a, b in zip(noises, noises[1:])) + noises[-1:]
+        return self._delta_noises
 
     def scaled(self, c: float) -> "BroadcastScenario":
         """Scenario with (P, N_1..N_K) multiplied by c > 0 (b, N_S unchanged)."""

@@ -17,9 +17,11 @@ between entries is their order.  So the supremum is a backward recursion
 over one grid of GRID_POINTS tau values holding exact 0 and +inf, a
 chain dynamic program costing O(K M) for M grid points, on links formed
 at once as (K - 1) x M arrays (``bound._Chain.links``) wherever they are
-needed, and kept nowhere.  The same links bound the supremum cell by cell
-(``_enclosure``), rounded outward by (1 + rho)^K, and a branch-and-bound
-search (``_Cells``) narrows a bracket that leaves the question open.
+needed, and kept nowhere; its witness's entries then move to the peaks
+of parabolas through their stages' grid values (``_polish``).  The same
+links bound the supremum cell by cell (``_enclosure``), rounded outward
+by (1 + rho)^K, and a branch-and-bound search (``_Cells``) narrows a
+bracket that leaves the question open.
 Past the float range a stage holds +inf, and NaN where a link underflowed
 to 0; the readback never picks a NaN, so the supremum is +inf there.
 ``argmax_t`` gives the witness as t = tau / (1 + tau), which maps
@@ -31,12 +33,13 @@ Each probe aims just below the boundary that lo's witness predicts: the
 closed-form root of the witness's own curve in D_K, corrected by the
 curvature that an earlier probe shows.  A probe that would close the
 bracket costs no supremum call when lo's witness already violates the
-bound there.  A row takes about 4.7 supremum calls at b > 1 and 1 at
-b <= 1.  D_K = N_S is probed only when no member has been found and lo's
-witness cannot reach the bound below it, so a feasible row never pays
-for that check; an infeasible prefix costs 1 call at b <= 1 and 1 to 5
-at b > 1 (1.6 on average over the random prefixes measured).  Everything
-here is reentrant.
+bound there.  A row takes 4 to 5 supremum calls at b > 1 (4.64 on the
+README grid, 4.00 on K = 3 rows at b = 2) and 1 at b <= 1.  D_K = N_S
+is probed only when no member has been found and lo's witness cannot
+reach the bound below it, so a feasible row never pays for that check;
+an infeasible prefix costs 1 call at b <= 1 and 1 to 5 at b > 1 (1.6 on
+average over the random prefixes measured).  Everything here is
+reentrant.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ __all__ = [
     "trace_boundary",
 ]
 
-GRID_POINTS = 2049
+GRID_POINTS = 513
 MARGIN = 1e3
 TRACE_WIDTH = 1e-10
 SPLIT = 16  # pieces a refined cell is cut into
@@ -87,8 +90,9 @@ class SupResult:
     approached along a diverging schedule.  ``iterations`` is K at b <= 1,
     one per step schedule.  At b > 1 it counts the evaluated points, K - 1
     per point of the first grid and per new point of each search round,
-    plus one per witness (the first pass's and each round's); the links
-    that the search forms again where it re-bounds are not counted.
+    plus one per witness (the first pass's, its polished one and each
+    round's), so (K - 1) GRID_POINTS + 2 where the first pass decides; the
+    links that the search forms again where it re-bounds are not counted.
     """
 
     sup_value: float
@@ -255,18 +259,9 @@ class _Cells:
                 cells.append(above if rows[k, above] >= rows[k, below] else below)
                 continue
             cells += [below, above]
-            if not (0 < i < len(x) - 2 and values[k, i] >= max(values[k, i - 1], values[k, i + 1])):
-                continue
-            f0, f1, f2 = values[k, i - 1:i + 2].tolist()
-            u0, u1, u2 = (1.0 / (self.chain.d[k] + x[i - 1:i + 2])).tolist()
-            s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
-            bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
-            slope = s0 - bend * (u0 - u1)
-            top = u1 - 0.5 * slope / bend if bend < 0.0 else 0.0  # the peak's u
-            tau = 1.0 / top - self.chain.d[k] if top > 0.0 else math.nan
-            if x[i - 1] < tau < x[i + 1]:
-                peaks[below if tau < x[i] else above] = tau
-                guess = f1 - 0.25 * slope * slope / bend if k == 0 else guess
+            if peak := _peak(self.chain.d[k], x, values[k], i):
+                peaks[below if peak[0] < x[i] else above] = peak[0]
+                guess = peak[1] if k == 0 else guess
         return cells, peaks, guess
 
     def cut(self, cells: np.ndarray, peaks: dict) -> np.ndarray:
@@ -369,6 +364,40 @@ class _Cells:
                 held[k] = run[np.maximum(cells - start - 1, 0)], run[cells - start], bound
 
 
+def _peak(d: float, x: np.ndarray, value: np.ndarray, i: int) -> tuple[float, float] | None:
+    """The peak of the parabola in u = 1 / (d + tau) through a stage's
+    ``value`` at the grid points x[i - 1], x[i] and x[i + 1] (all finite),
+    where x[i] holds the highest of the three: its tau, strictly between
+    the outer two, and its value; None where there is no such peak."""
+    if not (0 < i < len(x) - 2 and value[i] >= max(value[i - 1], value[i + 1])):
+        return None
+    f0, f1, f2 = value[i - 1:i + 2].tolist()
+    u0, u1, u2 = (1.0 / (d + x[i - 1:i + 2])).tolist()
+    s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
+    bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
+    slope = s0 - bend * (u0 - u1)
+    top = u1 - 0.5 * slope / bend if bend < 0.0 else 0.0  # the peak's u
+    tau = 1.0 / top - d if top > 0.0 else math.nan
+    return (tau, f1 - 0.25 * slope * slope / bend) if x[i - 1] < tau < x[i + 1] else None
+
+
+def _polish(d: Sequence[float], grid: np.ndarray, taus: list[float], values: np.ndarray) -> list[float]:
+    """``taus``, a witness on ``grid``, with each free entry moved to its
+    stage's parabola peak (``_peak``) and then lowered where needed to
+    restore the order tau_k >= tau_{k+1}.  A run of equal entries moves
+    with its first: that stage's values already move the whole run."""
+    out = list(taus)
+    for k, i in enumerate(np.searchsorted(grid, taus[:-1]).tolist()):
+        if k and taus[k] == taus[k - 1]:
+            out[k] = out[k - 1]
+            continue
+        if peak := _peak(d[k], grid, values[k], i):
+            out[k] = peak[0]
+        if k:
+            out[k] = min(out[k], out[k - 1])
+    return out
+
+
 def _pick(value: np.ndarray) -> int:
     """Index of the first maximum of a stage, unless it is +inf or NaN.
 
@@ -438,14 +467,19 @@ def sup_bound_lhs(
     grid of GRID_POINTS points that holds 0 and +inf, so the all-zero and
     the step schedules are always candidates, and the same links bound the
     supremum from above (``_enclosure``), the first stage's largest cell
-    bound scaled by (1 + rho)^K.  Unless that bracket decides how
-    the supremum compares with ``target`` (``sup_value > target`` or
-    ``sup_upper <= target``), each round of ``_Cells`` starts from the
-    cells that some stage cannot yet close (``_Cells.opened``; stage 1 is
-    held to max(sup_value (1 + 2 K rho), target), the rounding allowance).
-    It splits the cells beside the witness's entries (in round one both,
-    with a parabola's peak among the cuts; later the one bounding the stage
-    higher, and each stage's highest open cell).  A round has two steps.
+    bound scaled by (1 + rho)^K.  The grid witness is then polished, each
+    entry moved to its stage's parabola peak (``_polish``), and the
+    polished schedule kept if the evaluator confirms a gain: so the lower
+    end, and the witness that ``trace_boundary`` aims from, do not hang on
+    the grid's size.  Unless that bracket decides how the supremum
+    compares with ``target`` (``sup_value > target`` or ``sup_upper <=
+    target``), each round of ``_Cells`` starts from the cells that some
+    stage cannot yet close (``_Cells.opened``; stage 1 is held to
+    max(sup_value (1 + 2 K rho), target), the rounding allowance).  It
+    splits the cells beside the witness's entries (in round one both
+    beside each grid witness entry, with a parabola's peak among the cuts;
+    later the one bounding the stage higher, and each stage's highest open
+    cell).  A round has two steps.
     The lift reruns the recursion over 0, the witness's entries, the new
     points and +inf, and keeps its witness if the evaluator confirms a
     gain.  The re-bound puts the points into the grid and re-bounds the
@@ -469,11 +503,15 @@ def sup_bound_lhs(
         links = chain.links(grid)
         rows = _enclosure(*links)
     rho = chain.rho()  # a stage's outward rounding (``_enclosure``)
-    taus, stages, values = _chain_dp(grid, links)
+    on_grid, stages, values = _chain_dp(grid, links)
     top = rows[0].max() if free else links[2]  # a_K(0) at K = 1
     upper = top * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
-    value, evals = chain.lhs(taus), free * len(grid) + 1
+    taus, value, evals = on_grid, chain.lhs(on_grid), free * len(grid) + 1
+    if free:  # the witness's entries at their parabola peaks, kept if the evaluator confirms a gain
+        polished, evals = _polish(chain.d, grid, on_grid, values), evals + 1
+        if polished != taus and (polished_value := chain.lhs(polished)) > value:
+            taus, value = polished, polished_value
     tol, spent, first = 1.0 + 2.0 * len(chain.d) * rho, 0, True
 
     def undecided() -> bool:  # the stop test, made after each step of a round
@@ -500,7 +538,7 @@ def sup_bound_lhs(
         if not (first or best):  # no cell open
             break
         # round one splits just the cells beside each entry: first-order bounds miss its peak's side
-        near, peaks, guess = cells.beside(taus, values if first else None)
+        near, peaks, guess = cells.beside(on_grid, values) if first else cells.beside(taus, None)
         room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
         chosen = list(dict.fromkeys(near if first else near + best))[:room]
         split = np.array(sorted(chosen), dtype=int)

@@ -208,8 +208,8 @@ MEMBERSHIP_STDOUT = {
         '"rhs": 6.0, "sup_upper": 6.000000000000019, "sup_value": 6.0, "tolerance": 1e-09}\n',
     ("expansion_k2.json", "0.25,0.0625"):
         '{"argmax_t": [0.19999999999999996], "argmax_tau": [0.24999999999999994, 0.0], "certified": true, '
-        '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 2050, '
-        '"margin": -0.32455532033675816, "member": false, "rhs": 6.0, "sup_upper": 6.328398724339026, '
+        '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 515, '
+        '"margin": -0.32455532033675816, "member": false, "rhs": 6.0, "sup_upper": 6.3399448002422245, '
         '"sup_value": 6.324555320336758, "tolerance": 1e-09}\n',
 }
 
@@ -218,10 +218,11 @@ MEMBERSHIP_STDOUT = {
 def test_membership_stdout_is_pinned(capsys, name, distortions):
     """The payload's bytes.  At b <= 1 the supremum is the largest of the
     K = 2 closed-form step values (iterations 2, no grid), and sup_upper is
-    that value times 1 + rho.  At the README's b = 2 point
-    the first pass on the full grid decides: its witness violates the bound,
-    and sup_upper is the first-order enclosure's maximum rounded outward
-    by (1 + rho)^K."""
+    that value times 1 + rho.  At the README's b = 2 point the first pass
+    on the 513-point first grid decides (513 iterations for the grid, one
+    for its witness and one for the polished witness): its witness
+    violates the bound, and sup_upper is the first-order enclosure's
+    maximum rounded outward by (1 + rho)^K."""
     assert main(["membership", "--scenario", str(SCENARIOS / name), "--distortions", distortions]) == 0
     assert capsys.readouterr().out == MEMBERSHIP_STDOUT[name, distortions]
 
@@ -339,31 +340,31 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
 
 README_TRACE_CSV = (
     'D1,D2_min,D2_trivial,gap\r\n'
-    '0.25,0.09999430797848438,0.0625,0.03749430797848438\r\n'
-    '0.255,0.08474433181374279,0.0625,0.022244331813742788\r\n'
-    '0.26,0.07987506612602198,0.0625,0.01737506612602198\r\n'
-    '0.265,0.07664180702807376,0.0625,0.014141807028073758\r\n'
-    '0.27,0.07422943925518115,0.0625,0.011729439255181148\r\n'
-    '0.275,0.07232663402765577,0.0625,0.009826634027655767\r\n'
-    '0.28,0.07077594837418498,0.0625,0.00827594837418498\r\n'
-    '0.285,0.06948518358293636,0.0625,0.006985183582936358\r\n'
-    '0.29,0.06839514157400187,0.0625,0.0058951415740018664\r\n'
-    '0.295,0.06746531642347302,0.0625,0.004965316423473018\r\n'
-    '0.3,0.06666666642499967,0.0625,0.004166666424999674\r\n'
-    '0.305,0.06597761021440322,0.0625,0.0034776102144032234\r\n'
-    '0.31,0.0653816495476993,0.0625,0.0028816495476993026\r\n'
-    '0.315,0.06486587921914981,0.0625,0.0023658792191498107\r\n'
-    '0.32,0.06442001134764144,0.0625,0.0019200113476414427\r\n'
-    '0.325,0.06403571320424216,0.0625,0.001535713204242159\r\n'
-    '0.33,0.06370614377585065,0.0625,0.0012061437758506544\r\n'
-    '0.335,0.0634256216860424,0.0625,0.0009256216860424049\r\n'
-    '0.34,0.0631893810020345,0.0625,0.0006893810020345004\r\n'
-    '0.345,0.06299338899337152,0.0625,0.0004933889933715213\r\n'
-    '0.35,0.06283420739966801,0.0625,0.00033420739966801005\r\n'
-    '0.355,0.0627088853522191,0.0625,0.0002088853522190931\r\n'
-    '0.36,0.06261487565452988,0.0625,0.00011487565452987514\r\n'
-    '0.365,0.06254996835634878,0.0625,4.996835634878127e-05\r\n'
-    '0.37,0.06251223782771831,0.0625,1.2237827718308836e-05\r\n'
+    '0.25,0.09999430797850574,0.0625,0.03749430797850574\r\n'
+    '0.255,0.08474433180696443,0.0625,0.022244331806964432\r\n'
+    '0.26,0.07987506612533538,0.0625,0.017375066125335376\r\n'
+    '0.265,0.07664180702763983,0.0625,0.014141807027639827\r\n'
+    '0.27,0.07422943925513106,0.0625,0.011729439255131063\r\n'
+    '0.275,0.0723266340276355,0.0625,0.009826634027635506\r\n'
+    '0.28,0.07077594837418635,0.0625,0.008275948374186354\r\n'
+    '0.285,0.06948518358292675,0.0625,0.0069851835829267545\r\n'
+    '0.29,0.06839514159896302,0.0625,0.005895141598963025\r\n'
+    '0.295,0.06746531644833409,0.0625,0.0049653164483340895\r\n'
+    '0.3,0.0666666664494774,0.0625,0.004166666449477399\r\n'
+    '0.305,0.06597761023924198,0.0625,0.0034776102392419794\r\n'
+    '0.31,0.06538164957382134,0.0625,0.0028816495738213377\r\n'
+    '0.315,0.06486587927477357,0.0625,0.0023658792747735663\r\n'
+    '0.32,0.06442001137368177,0.0625,0.0019200113736817653\r\n'
+    '0.325,0.06403571317662782,0.0625,0.0015357131766278176\r\n'
+    '0.33,0.06370614376221252,0.0625,0.001206143762212522\r\n'
+    '0.335,0.06342562170734059,0.0625,0.0009256217073405903\r\n'
+    '0.34,0.06318938099575037,0.0625,0.0006893809957503744\r\n'
+    '0.345,0.06299338899207867,0.0625,0.0004933889920786666\r\n'
+    '0.35,0.06283420740257845,0.0625,0.00033420740257844583\r\n'
+    '0.355,0.06270888536701362,0.0625,0.00020888536701361982\r\n'
+    '0.36,0.0626148756545299,0.0625,0.00011487565452990289\r\n'
+    '0.365,0.06254996835634828,0.0625,4.996835634828167e-05\r\n'
+    '0.37,0.06251223783057466,0.0625,1.2237830574662878e-05\r\n'
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -88,6 +89,21 @@ def test_delta_noises():
     assert all(d > 0 for d in sc.delta_noises())
     with pytest.raises(IndexOutOfRange):
         sc.delta_noise(4)
+
+
+def test_delta_noises_are_not_part_of_the_scenario_value():
+    """The scenario keeps its N_k - N_{k+1}, formed once, outside its fields:
+    equality, hashing, repr, asdict and scenario_to_dict see only (P, N, b, N_S)."""
+    sc = BroadcastScenario(2, [5, 2, 0.5], 1.5, 2)
+    fields = (2.0, (5.0, 2.0, 0.5), 1.5, 2.0)
+    assert sc.delta_noises() is sc.delta_noises()
+    assert sc == BroadcastScenario(*fields) and sc != BroadcastScenario(2, [5, 2, 0.25], 1.5, 2)
+    assert hash(sc) == hash(fields)
+    assert repr(sc) == "BroadcastScenario(power=2.0, noises=(5.0, 2.0, 0.5), bandwidth=1.5, source_var=2.0)"
+    assert dataclasses.asdict(sc) == {"power": 2.0, "noises": (5.0, 2.0, 0.5), "bandwidth": 1.5,
+                                      "source_var": 2.0}
+    assert scenario_to_dict(sc) == {"power": 2.0, "noises": [5.0, 2.0, 0.5], "bandwidth": 1.5,
+                                    "source_var": 2.0}
 
 
 def test_trivial_distortion_examples():

@@ -322,9 +322,9 @@ def _sup_calls_per_row(monkeypatch, sc, prefixes):
 
 def test_trace_sup_calls_per_row(monkeypatch):
     """Root-finding with a curvature-corrected aim, and a closing probe
-    that lo's witness already excludes, take about 4.7 supremum calls per
-    row where bisection took 36: the README's trace grid (4.76), and
-    K = 3 rows on matched_k3's channel at b = 2 (4.56)."""
+    that lo's witness already excludes, take 4 to 5 supremum calls per
+    row where bisection took 36: the README's trace grid (4.64), and
+    K = 3 rows on matched_k3's channel at b = 2 (4.00)."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
     assert _sup_calls_per_row(monkeypatch, readme, rows) <= 5
@@ -343,6 +343,18 @@ def test_trace_double_root_row_calls(monkeypatch):
     assert readme.bandwidth == 2.0 and trivial_distortion(readme, 1) == 0.25
     calls, raised = _sup_calls(monkeypatch, readme, (0.25,))
     assert not raised and calls <= 10
+
+
+@pytest.mark.parametrize("points", (257, 513, 1025, 2049))
+def test_trace_call_budgets_hold_on_any_first_grid(monkeypatch, points):
+    """The two tests above pass whatever the first grid's size: the probes aim
+    from lo's polished witness, which does not sit on that grid."""
+    import gbcbound.membership as m
+
+    monkeypatch.setattr(m, "GRID_POINTS", points)
+    monkeypatch.setattr(m, "_RAMP", np.arange(points - 2, dtype=float))
+    test_trace_double_root_row_calls(monkeypatch)
+    test_trace_sup_calls_per_row(monkeypatch)
 
 
 def test_trace_rows_at_or_below_matched_bandwidth_take_one_call(monkeypatch):
@@ -459,9 +471,9 @@ def test_readme_trace_member_probes_are_certified(monkeypatch):
 
 
 K3_EXPANSION_ROWS = (
-    "0.01610158388251783", "0.013686864719591298", "0.012227073243195826", "0.011263627660063492",
-    "0.010603150372276614", "0.010147714795993898", "0.009842595940928827", "0.00965567276875265",
-    "0.009568079092610565", "0.009558063189673808",
+    "0.01610158387504021", "0.01368686471903657", "0.012227073242202995", "0.011263627658617674",
+    "0.010603150370036014", "0.010147714794685023", "0.00984259593831986", "0.009655672791891286",
+    "0.009568079115298153", "0.009558063234290003",
 )
 
 
@@ -494,47 +506,47 @@ def _b_gt_1_search_calls():
 
 
 B_GT_1_SEARCH = (
-    '(13.439258039395204, (7.021484324547999e-08, 1.3445120373492106e-17, 0.0), 4403, '
-    '13.439258039395494)',
-    '(13.439229385400862, (7.03448636921916e-08, 1.3639406536747303e-17, 0.0), 4099, '
-    '13.454629198676326)',
-    '(120.31620306359962, (0.9590342002264477, 0.0, 0.0), 4251, 120.31620306360108)',
-    '(120.31620235339173, (0.9566512583879254, 0.0, 0.0), 4099, 120.34893623776111)',
-    '(102.72212051746652, (0.28756694080620465, 0.16495222473199628, 0.02142277552359122, '
-    '5.347580701286308e-08, 0.0), 9401, 102.72212051746833)',
-    '(102.72205248416091, (0.28742169385724947, 0.1641596212668544, 0.021286663804888018, '
-    '5.3226685880566445e-08, 0.0), 8197, 102.8442081103533)',
-    '(106.32879570000927, (26.38923422808301, 0.502342995919527, 0.4526084101313265, '
-    '0.0006652772774491022, 0.0), 9160, 106.32879570001012)',
-    '(106.32879363130303, (26.338152345756566, 0.5001242801652237, 0.4522276551553132, '
-    '0.0006674732925547727, 0.0), 8197, 106.34996624993391)',
-    '(57.99812780969605, (inf, inf, inf, 10.715883557416037, 10.715883557416037, '
-    '0.44292156077809, 0.44292156077809, 0.0), 15396, 57.99812780969658)',
-    '(57.998127804862676, (inf, inf, inf, 10.739682517467601, 10.739682517467601, '
-    '0.442326985796826, 0.442326985796826, 0.0), 14344, 57.99848166010642)',
-    '(100.95941881783756, (10.34146436407527, 10.34146436407527, 10.34146436407527, '
-    '0.07036294894777784, 0.0006570323608526522, 0.0006570323608526522, '
-    '0.0006570323608526522, 0.0), 15607, 100.95941881783993)',
-    '(100.95941247027528, (10.361838802228446, 10.361838802228446, 10.361838802228446, '
-    '0.06985099532553458, 0.0006578400422517884, 0.0006578400422517884, '
-    '0.0006578400422517884, 0.0), 14344, 100.97143667825318)',
-    '(94.98275901485746, (inf, inf, inf, 0.5754896073254465, 0.5754896073254465, '
-    '0.5754896073254465, 0.35080936294092474, 0.35080936294092474, 0.11279659333416513, '
-    '0.009634129197721046, 0.009634129197721046, 0.000670621639497882, 1.454784841481737e-07, '
-    '1.240326596443764e-09, 9.573698568441633e-12, 0.0), 39289, 94.98275901486103)',
-    '(94.98275326256102, (inf, inf, inf, 0.5791688025950437, 0.5791688025950437, '
-    '0.5791688025950437, 0.35183270257874444, 0.35183270257874444, 0.11333428384245249, '
-    '0.009590826252797037, 0.009590826252797037, 0.0006770718504132699, '
-    '1.4471115394431982e-07, 1.2422454881282932e-09, 9.5217189742404e-12, 0.0), 30736, '
-    '94.99848227582576)',
-    '(66.74523459938109, (inf, inf, inf, inf, inf, inf, 2.3706079486597, 2.3706079486597, '
-    '2.3706079486597, 0.2635049385551296, 0.2635049385551296, 0.2635049385551296, '
-    '0.11062621308053944, 0.11062621308053944, 0.11062621308053944, 0.0), 32312, '
-    '66.74523459938476)',
-    '(66.7452345757194, (inf, inf, inf, inf, inf, inf, 2.3746860806524914, '
-    '2.3746860806524914, 2.3746860806524914, 0.2626634445096457, 0.2626634445096457, '
-    '0.2626634445096457, 0.11033472019307305, 0.11033472019307305, 0.11033472019307305, 0.0), '
-    '30736, 66.74559883578881)',
+    '(13.439258039395224, (7.021485262876143e-08, 1.3445124800519256e-17, 0.0), 1393, '
+    '13.439258039395462)',
+    '(13.43925713867855, (7.002276895297484e-08, 1.3428904056887133e-17, 0.0), 1028, '
+    '13.500241756203861)',
+    '(120.31620306359973, (0.9590333476761724, 0.0, 0.0), 1241, 120.31620306360018)',
+    '(120.31620306359459, (0.9590397107464276, 0.0, 0.0), 1028, 120.44230028903227)',
+    '(102.72212051746654, (0.28756698962321364, 0.16495224237971617, 0.021422774262758848, '
+    '5.3475807140339076e-08, 0.0), 3258, 102.72212051746833)',
+    '(102.72212012960493, (0.28747721166318924, 0.164876740047285, 0.02143051709949389, '
+    '5.344625771952768e-08, 0.0), 2054, 103.21066945230466)',
+    '(106.32879570000897, (26.389216573548477, 0.5023437265940913, 0.4526083951104611, '
+    '0.0006652764008451103, 0.0), 3137, 106.3287957000129)',
+    '(106.328795692797, (26.38197553272282, 0.5023343311751133, 0.452613405869839, '
+    '0.0006656480140447632, 0.0), 2054, 106.41633886293528)',
+    '(57.99812780969567, (inf, inf, inf, 10.715894436780312, 10.715894436780312, '
+    '0.4429150385087766, 0.4429150385087766, 0.0), 4750, 57.998127809696854)',
+    '(57.99812780969215, (inf, inf, inf, 10.715894436780312, 10.715894436780312, '
+    '0.4429379180402363, 0.4429379180402363, 0.0), 3593, 57.999377024746394)',
+    '(100.9594188178376, (10.341434126898621, 10.341434126898621, 10.341434126898621, '
+    '0.07036296887268877, 0.0006570332666332859, 0.0006570332666332859, 0.0006570332666332859, '
+    '0.0), 5697, 100.95941881784648)',
+    '(100.95941881674185, (10.340257690839163, 10.340257690839163, 10.340257690839163, '
+    '0.07036807656720212, 0.000656977836774022, 0.000656977836774022, 0.000656977836774022, '
+    '0.0), 3593, 101.01167021694313)',
+    '(94.982759014858, (inf, inf, inf, 0.5754895669407408, 0.5754895669407408, '
+    '0.5754895669407408, 0.3508093258228158, 0.3508093258228158, 0.11279668134846751, '
+    '0.009634136998504673, 0.009634136998504673, 0.000670624192248647, 1.4547874144966784e-07, '
+    '1.2403228499503195e-09, 9.573727113814325e-12, 0.0), 19176, 94.98275901485984)',
+    '(94.98275892315834, (inf, inf, inf, 0.5757219078591521, 0.5757219078591521, '
+    '0.5757219078591521, 0.35075181226019464, 0.35075181226019464, 0.11264938347549708, '
+    '0.009633923637750477, 0.009633923637750477, 0.0006703215367449362, '
+    '1.4518634960309062e-07, 1.238796876430704e-09, 9.555616634616862e-12, 0.0), 7697, '
+    '95.04264588387272)',
+    '(66.74523459938042, (inf, inf, inf, inf, inf, inf, 2.370659709926334, 2.370659709926334, '
+    '2.370659709926334, 0.26350978167916816, 0.26350978167916816, 0.26350978167916816, '
+    '0.11062495298885128, 0.11062495298885128, 0.11062495298885128, 0.0), 11299, '
+    '66.74523459938408)',
+    '(66.74523459936353, (inf, inf, inf, inf, inf, inf, 2.370659709926334, 2.370659709926334, '
+    '2.370659709926334, 0.26350978167916816, 0.26350978167916816, 0.26350978167916816, '
+    '0.11063678703083257, 0.11063678703083257, 0.11063678703083257, 0.0), 7697, '
+    '66.74648166527747)',
 )
 
 
@@ -544,14 +556,13 @@ def test_b_gt_1_search_outputs_are_pinned():
     calls = list(_b_gt_1_search_calls())
     assert tuple(text for _, _, text in calls) == B_GT_1_SEARCH
     for k in (3, 5, 8, 16):
-        assert any(res.iterations > (k - 1) * GRID_POINTS + 1 for j, res, _ in calls if j == k)
+        assert any(res.iterations > (k - 1) * GRID_POINTS + 2 for j, res, _ in calls if j == k)
 
 
 def test_every_round_rebounds_the_cells_open_at_its_start():
     """Every round, the first included, re-bounds the cells open at its
-    start.  In this K = 8 call (near the floors, no target), taking round
-    one's open cells after its lift would move every output (to 21284
-    iterations and sup_upper 94.0629294198877), so the outputs are pinned."""
+    start.  The outputs of this K = 8 call (near the floors, no target)
+    are pinned."""
     sc = BroadcastScenario(19.9006721167769, (
         56.12905297185589, 15.720820962403199, 12.339921320596165, 3.195691256044807,
         0.9549600559260972, 0.49796790865563945, 0.24016314963850396, 0.043835181822297876,
@@ -560,10 +571,27 @@ def test_every_round_rebounds_the_cells_open_at_its_start():
          0.8726184319270892, 7.454312933267315e-06, 7.531777252588529e-07, 0.0006187748281558617)
     res = sup_bound_lhs(sc, d)
     assert repr((res.sup_value, res.argmax_tau.taus, res.iterations, res.sup_upper)) == (
-        "(94.06182097516609, (1.2510611706394394, 1.2510611706394394, 0.09431855650327621, "
-        "0.002703144269219029, 0.002703144269219029, 1.5678928494106973e-05, 0.0, 0.0), 17183, "
-        "94.06182097516806)"
+        "(94.06182097516545, (1.2510616702497903, 1.2510616702497903, 0.09431848447195675, "
+        "0.0027031426863679186, 0.0027031426863679186, 1.567892432308106e-05, 0.0, 0.0), 6537, "
+        "94.06182097516907)"
     )
+
+
+def test_first_pass_witness_is_polished_to_its_parabola_peaks():
+    """At b > 1 the first pass moves its grid witness's entries to their
+    stages' parabola peaks.  On seeded draws at K = 2 and 3, a call that
+    the first pass decides (no target can be reached) comes within 1e-7
+    relative of the refined sup_upper of a call without a target, and its
+    sup_value is the evaluator's value at its witness."""
+    rng = random.Random(5)
+    for i in range(80):
+        k = 2 + i % 2
+        sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.uniform(1.05, 8.0))
+        d = random_distortions(rng, sc)
+        first = sup_bound_lhs(sc, d, target=1e300)
+        assert first.iterations == (k - 1) * GRID_POINTS + 2, (sc, d)  # the first pass decided
+        assert first.sup_value >= sup_bound_lhs(sc, d).sup_upper * (1.0 - 1e-7), (sc, d)
+        assert first.sup_value == _Chain(sc, check_distortions(sc, d)).lhs(first.argmax_tau.taus)
 
 
 def _searched(monkeypatch, call):
