@@ -16,13 +16,13 @@ Regrouped, every factor depends on a single schedule entry:
 
 so lhs = a_1 + c_1 (a_2 + c_2 (... + c_{K-1} a_K)) with a_k = dN_k g_k^(1/b)
 and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h
-at one schedule in Python floats, for the evaluator here; ``_Chain.links``
+at one schedule in Python floats, for the evaluator here; ``_search._links``
 computes a_k and c_k for every free receiver on a whole grid of entries,
-for the supremum search in ``membership``, in the same steps in numpy,
-whose exp and log1p may differ from math's by an ulp.  Each log is one log1p
-of a nonnegative ratio, (N_S - D_k) / (D_k + tau) for g and
-|D_{k+1} - D_k| / (min(D_k, D_{k+1}) + tau) for h, which takes the sign of
-D_{k+1} - D_k; both ratios are exactly 0 at tau = +inf.  An infinite entry
+for the b > 1 supremum, in the same steps in numpy, whose exp and log1p
+may differ from math's by an ulp.  Each log is one log1p of a
+nonnegative ratio, (N_S - D_k) / (D_k + tau) for g and |D_{k+1} - D_k| /
+(min(D_k, D_{k+1}) + tau) for h, which takes the sign of D_{k+1} - D_k;
+both ratios are exactly 0 at tau = +inf.  An infinite entry
 thus contributes g = h = 1, which is the shared-rate limit (all infinite
 entries diverge together) with no separate code path.  Each term is summed
 in the log domain before one exp: the bracket raised to 1/b overflows
@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
-
-import numpy as np
 
 from .core import (
     BroadcastScenario,
@@ -107,7 +104,7 @@ class _Chain:
             self.sign.append(-1.0 if y < x else 1.0)
 
     def rho(self) -> float:
-        """A stage's outward rounding rho = eps (4 Y + 8) (``membership._enclosure``).
+        """A stage's outward rounding rho = eps (4 Y + 8) (``_search._enclosure``).
 
         Y bounds every exponent |log g_k| / b and |log h_k| / b over all
         tau: each is largest at tau = 0, and there the largest is log g at
@@ -146,44 +143,6 @@ class _Chain:
     def lhs(self, taus: Sequence[float]) -> float:
         """Left-hand side at one schedule; a term past the float range makes it +inf."""
         return _total(self.terms(*self.log_factors(taus)))
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """D_k, N_S - D_k, dN_k, base_k, delta_k and sign_k b of the K - 1 free
-        receivers, each as a (K - 1) x 1 column for ``links``."""
-        free = len(self.d) - 1
-        signed = [s * self.b for s in self.sign]
-        return tuple(np.array(v[:free])[:, None]
-                     for v in (self.d, self.gap, self.dn, self.base, self.delta, signed))
-
-    def links(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """The chain's links a_k = dN_k g_k^(1/b) and c_k = h_k^(1/b) on ``grid``.
-
-        Returns a and c for the K - 1 free receivers as (K - 1, M) arrays,
-        row k - 1 for receiver k, and the last link a_K(0).  Both arrays
-        are built in place in one allocation: a fresh temporary at every
-        step, or two allocations that the C allocator can hand back to the
-        system after each pass, cost more than the arithmetic at K = 16.
-        The steps are those of ``log_factors`` and ``terms``, in numpy's
-        exp and log1p, which may differ from math's by an ulp.  Dividing
-        by sign_k b gives exactly log h_k / b.  Entries past the float
-        range are +inf (or 0).
-        """
-        d, gap, dn, base, delta, signed = self._columns
-        a, c = np.empty((2, len(d), len(grid)))
-        np.add(d, grid, out=a)
-        np.divide(gap, a, out=a)
-        np.log1p(a, out=a)
-        np.divide(a, self.b, out=a)
-        np.exp(a, out=a)
-        np.multiply(a, dn, out=a)
-        np.add(base, grid, out=c)
-        np.divide(delta, c, out=c)
-        np.log1p(c, out=c)
-        np.divide(c, signed, out=c)
-        np.exp(c, out=c)
-        last = self.dn[-1] * np.exp(np.log1p(self.gap[-1] / self.d[-1]) / self.b)
-        return a, c, last
 
 
 def _total(terms: Sequence[float]) -> float:

@@ -14,6 +14,10 @@ before it writes anything: an input error leaves no ``--out`` directory
 behind.  One writer, ``_write_outputs``, creates ``--out`` and writes the
 files and their manifest.
 
+Each ``cmd_*`` handler imports the modules that only it runs, so a
+process loads what its command needs: numpy only with ``simulate`` or a
+b > 1 supremum (``membership``, ``trace``, ``verify-theorems``).
+
 +infinity is spelled ``inf`` everywhere: in schedule arguments and in
 JSON payloads (as the string "inf", keeping the output strict JSON).
 
@@ -32,12 +36,8 @@ from pathlib import Path
 
 from . import __version__
 from .bound import DEFAULT_REL_TOL, check_inequality
-from .capacity import boundary_rates, nesting, scenario_from_capacities, split_grid
 from .core import json_safe, load_scenario, trivial_distortion
 from .errors import InfeasibleEverywhere, InputError
-from .membership import in_outer_region, trace_boundary
-from .simulate import SimConfig, run_analog
-from .verify import run_all_checks
 
 __all__ = ["main", "build_parser"]
 
@@ -129,6 +129,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_membership(args) -> int:
+    from .membership import in_outer_region
+
     scenario = load_scenario(args.scenario)
     distortions = _parse_list(args.distortions, "distortions")
     verdict = in_outer_region(scenario, distortions, rel_tol=args.tolerance)
@@ -152,6 +154,8 @@ def cmd_membership(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .membership import trace_boundary
+
     scenario = load_scenario(args.scenario)
     if scenario.num_receivers != 2:
         raise InputError(f"trace needs K = 2 receivers, got K = {scenario.num_receivers}")
@@ -183,6 +187,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify_theorems(args) -> int:
+    from .verify import run_all_checks
+
     results = run_all_checks(trials=args.trials, seed=args.seed)
     payload = {
         "command": "verify-theorems",
@@ -191,13 +197,15 @@ def cmd_verify_theorems(args) -> int:
         "checks": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    if args.trials <= 0:
+    if args.trials == 0:
         payload["warning"] = "zero trials requested: every check passed vacuously"
     _emit(payload)
     return EXIT_OK if payload["all_passed"] else EXIT_VERIFICATION
 
 
 def cmd_figure1(args) -> int:
+    from .capacity import boundary_rates, nesting, scenario_from_capacities, split_grid
+
     bandwidths = _parse_list(args.b, "b")
     scenarios = {b: scenario_from_capacities(args.c1, args.c2, b) for b in bandwidths}
     if len(scenarios) < len(bandwidths):
@@ -265,6 +273,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimConfig, run_analog
+
     scenario = load_scenario(args.scenario)
     cfg = SimConfig(scenario=scenario, samples=args.samples, seed=args.seed)
     report = run_analog(cfg)
@@ -293,6 +303,17 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _trials(text: str) -> int:
+    """``--trials``: a count, an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -340,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify-theorems", parents=[seed], help="run the randomized self-check suites")
-    p.add_argument("--trials", type=int, default=1000, help="sample-count scale for the suites")
+    p.add_argument("--trials", type=_trials, default=1000, help="sample-count scale for the suites, >= 0")
     p.set_defaults(func=cmd_verify_theorems)
 
     p = sub.add_parser("figure1", parents=[out, seed], help="capacity regions at fixed point-to-point capacities")

@@ -11,19 +11,10 @@ value at the step schedule isolating receiver k (the step schedules
 recover the point-to-point constraints), computed in Python floats with
 no grid (``_step_sup``), and that maximum times 1 + rho bounds it.
 
-At b > 1 the functional nests like Horner's rule in factors that each
-depend on one schedule entry (see ``bound``), and the only coupling
-between entries is their order.  So the supremum is a backward recursion
-over one grid of GRID_POINTS tau values holding exact 0 and +inf, a
-chain dynamic program costing O(K M) for M grid points, on links formed
-at once as (K - 1) x M arrays (``bound._Chain.links``) wherever they are
-needed, and kept nowhere; its witness's entries then move to the peaks
-of parabolas through their stages' grid values (``_polish``).  The same
-links bound the supremum cell by cell (``_enclosure``), rounded outward
-by (1 + rho)^K, and a branch-and-bound search (``_Cells``) narrows a
-bracket that leaves the question open.
-Past the float range a stage holds +inf, and NaN where a link underflowed
-to 0; the readback never picks a NaN, so the supremum is +inf there.
+At b > 1 a chain dynamic program on a grid brackets the supremum, and a
+branch-and-bound search narrows a bracket that leaves the question open;
+``_search`` holds all of it, with every array, and ``sup_bound_lhs``
+imports it on its first b > 1 call, so numpy loads only there.
 ``argmax_t`` gives the witness as t = tau / (1 + tau), which maps
 [0, +inf] onto [0, 1].
 
@@ -48,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bound import DEFAULT_REL_TOL, Distortions, _Chain, _step_value, _total, bound_rhs
 from .core import (
     BroadcastScenario,
@@ -68,14 +57,7 @@ __all__ = [
     "trace_boundary",
 ]
 
-GRID_POINTS = 513
-MARGIN = 1e3
 TRACE_WIDTH = 1e-10
-SPLIT = 16  # pieces a refined cell is cut into
-POINT_BUDGET = 1000  # new points over all rounds of one search
-_RAMP = np.arange(GRID_POINTS - 2, dtype=float)
-_CUTS = np.arange(1, SPLIT) / SPLIT
-_ENDS = np.array([[0], [1]])  # a cell's lower and upper end
 
 
 @dataclass(frozen=True)
@@ -91,8 +73,9 @@ class SupResult:
     one per step schedule.  At b > 1 it counts the evaluated points, K - 1
     per point of the first grid and per new point of each search round,
     plus one per witness (the first pass's, its polished one and each
-    round's), so (K - 1) GRID_POINTS + 2 where the first pass decides; the
-    links that the search forms again where it re-bounds are not counted.
+    round's), so (K - 1) GRID_POINTS + 2 where the first pass decides
+    (``_search``); the links that the search forms again where it
+    re-bounds are not counted.
     """
 
     sup_value: float
@@ -116,305 +99,20 @@ class MembershipVerdict:
     tolerance: float = DEFAULT_REL_TOL
 
 
-def _tau_grid(scenario: BroadcastScenario, d: DistortionTuple) -> np.ndarray:
-    """Exact 0, geometric points from min D_k / MARGIN to MARGIN N_S, exact +inf.
-
-    The logs are spaced as numpy's ``linspace`` spaces them, from a cached
-    ramp, which skips that function's own overhead.
-    """
-    lo, hi = math.log(min(d.values) / MARGIN), math.log(MARGIN * scenario.source_var)
-    grid = np.empty(GRID_POINTS)
-    inner = grid[1:-1]
-    np.multiply(_RAMP, (hi - lo) / (GRID_POINTS - 3), out=inner)
-    inner += lo
-    inner[-1] = hi
-    np.exp(inner, out=inner)
-    grid[0], grid[-1] = 0.0, math.inf
-    return grid
-
-
-def _chain_dp(grid: np.ndarray, links: tuple) -> tuple[list[float], list[float], np.ndarray]:
-    """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
-    grid[-1] = +inf), each stage's value there, and every stage's values.
-
-    Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
-    with M_K = a_K(0): each stage is a running maximum over the grid, and
-    the witness is read back from the stages (``_pick``).  ``links`` are
-    ``_Chain.links(grid)``, and the recursion runs in place on their rows.
-    Past the float range a stage can hold +inf, and NaN where an
-    underflowed c_k meets an infinite M_{k+1}; the running maximum skips
-    NaN, and the readback never picks one.  An underflow here is harmless,
-    so it is ignored even under ``_watch``, which watches only the links.
-    """
-    a, c, running = links
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(len(c) - 1, -1, -1):
-            value = np.multiply(c[k], running, out=c[k])
-            np.add(value, a[k], out=value)
-            running = np.fmax.accumulate(value, out=a[k])
-    taus, stages = [], []
-    top = len(grid)
-    for value in c:
-        top = _pick(value[:top]) + 1
-        taus.append(float(grid[top - 1]))
-        stages.append(float(value[top - 1]))
-    return taus + [0.0], stages, c
-
-
-def _watch(underflows: list[bool]) -> np.errstate:
-    """Ignore overflow, division by zero and NaN; record every underflow."""
-    return np.errstate(divide="ignore", over="ignore", invalid="ignore", under="call",
-                       call=lambda *_: underflows.append(True))
-
-
-def _enclosure(a: np.ndarray, c: np.ndarray, last: float) -> np.ndarray:
-    """First-order bounds from the links a, c on a grid x_0 = 0 < ... <
-    x_{M-1} = +inf and a_K(0) = ``last``: row k - 1 holds stage k's bound
-    on each cell [x_i, x_{i+1}], as computed.
-
-    a_k is nonincreasing in tau (N_S >= D_k), c_k is monotone, and the true
-    M_{k+1} is nondecreasing, so every tau in the cell [x_i, x_{i+1}]
-    has a_k(tau) + c_k(tau) M_{k+1}(tau) <= a_k(x_i) + max(c_k(x_i),
-    c_k(x_{i+1})) U_{k+1}(x_{i+1}), where U_{k+1} >= M_{k+1} at the grid
-    points.  U_k(x_j) is the running maximum of these cell bounds below
-    x_j (x_0 lies in the first cell), and U_K = a_K(0).  The last cell
-    ends at +inf, where a_k and c_k = 1 take their exact limits, so
-    U_1(+inf), the largest cell bound of the first stage, bounds the
-    supremum.  The maxima propagate NaN: a 0 * inf cell is never skipped,
-    and the caller maps NaN to +inf.
-
-    Outward rounding (eps = 2^-52; basic operations round to within
-    eps / 2, and exp and log1p are taken to be within 2 ulps, 2 eps).  In
-    a link, N_S - D_k or |D_{k+1} - D_k|, the sum with tau and the ratio
-    put a relative error of at most 3 eps / 2 on the ratio r, which moves
-    log1p(r) by at most that much relatively, since r / (1 + r) <= log1p(r);
-    log1p and the division by b add 2 eps and eps / 2.  So the exponent y
-    = log g / b or log h / b carries a relative error of at most 4 eps,
-    exp turns it into 4 eps |y| and adds 2 eps, and dN_k and its product
-    add eps: each link is within lam = 4 eps (Y + 1) relatively, where Y
-    bounds |y| over all tau, its value at tau = 0.  Each stage's product
-    and sum add eps, and all terms are nonnegative, so stage by stage, a
-    bound computed from a rigorous bound on the next stage is rigorous
-    once scaled by 1 + rho, rho = lam + 4 eps (the spare eps covers
-    second-order terms): a_K(0) (1 + rho) bounds M_K, and U_1 (1 + rho)^K
-    the supremum.  The analysis assumes every result in the normal range:
-    the caller makes the bound +inf on any underflow.
-    """
-    free, size = len(c), c.shape[1] - 1
-    rows = np.empty((free, size))
-    bound = np.full(size, last)  # U_{k+1}(x_1), ..., U_{k+1}(x_{M-1})
-    for k in range(free - 1, -1, -1):
-        cell = rows[k]
-        np.maximum(c[k, :-1], c[k, 1:], out=cell)
-        np.multiply(cell, bound, out=cell)
-        np.add(cell, a[k, :-1], out=cell)
-        if k:  # the first stage needs only its maximum, not a running one
-            np.maximum.accumulate(cell, out=bound)
-    return rows
-
-
-def _splice(old: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``old`` with the block new[..., i, :] inserted before its column at[i] (ascending)."""
-    parts, prev = [], 0
-    for i, col in enumerate(at.tolist()):
-        parts += [old[..., prev:col], new[..., i, :]]
-        prev = col
-    parts.append(old[..., prev:])
-    return np.concatenate(parts, axis=-1)
-
-
-class _Cells:
-    """The branch-and-bound search at b > 1 (``sup_bound_lhs``): a sorted
-    grid x (0 first, +inf last) and each stage's rigorous bound on every
-    cell [x_i, x_{i+1}] (``rows``, row k - 1 for stage k), at first the
-    first grid's first-order bounds.  The links are formed where needed."""
-
-    def __init__(self, chain: _Chain, grid: np.ndarray, rows: np.ndarray, rho: float) -> None:
-        self.chain, self.rho, self.x = chain, rho, grid
-        self.rows = rows * ((1.0 + rho) ** np.arange(len(rows) + 1, 1, -1))[:, None]
-
-    def opened(self, level: float, stages: list[float], tol: float) -> tuple[np.ndarray, list[int]]:
-        """The cells some stage cannot yet close (a mask), and each such stage's highest."""
-        hits = self.rows[0] > level
-        mask, best = hits.copy(), []
-        for k, row in enumerate(self.rows):
-            if not hits.any():
-                break
-            end = len(hits) - int(hits[::-1].argmax())  # past the highest open cell
-            best.append(int(row[:end].argmax()))
-            if k + 1 < len(self.rows):
-                hits = self.rows[k + 1, :end] > stages[k + 1] * tol
-                mask[:end] |= hits
-        return mask, best
-
-    def beside(self, taus: list[float], values: np.ndarray | None) -> tuple[list[int], dict, float | None]:
-        """The cell next to each free entry (a grid point) that bounds its stage
-        higher; or, given the first grid's stage ``values``, both, the peak of
-        a parabola in u through the stage's values there and beside, and the
-        first stage's peak value, a guess at the supremum."""
-        x, rows, cells, peaks, guess = self.x, self.rows, [], {}, None
-        for k, i in enumerate(np.searchsorted(x, taus[:-1]).tolist()):
-            below, above = max(i - 1, 0), min(i, rows.shape[1] - 1)
-            if values is None:
-                cells.append(above if rows[k, above] >= rows[k, below] else below)
-                continue
-            cells += [below, above]
-            if peak := _peak(self.chain.d[k], x, values[k], i):
-                peaks[below if peak[0] < x[i] else above] = peak[0]
-                guess = peak[1] if k == 0 else guess
-        return cells, peaks, guess
-
-    def cut(self, cells: np.ndarray, peaks: dict) -> np.ndarray:
-        """Points that cut ``cells`` into SPLIT pieces each (geometric in tau,
-        but even in tau on [0, x_1] and in 1 / tau on [x, +inf]; the cut
-        nearest a known peak moves onto it)."""
-        lo, hi = self.x[cells], self.x[cells + 1]
-        points = lo[:, None] * (hi / lo)[:, None] ** _CUTS
-        if cells[0] == 0:
-            points[0] = hi[0] * _CUTS
-        if hi[-1] == math.inf:
-            points[-1] = lo[-1] / (1.0 - _CUTS)
-        for row, cell in enumerate(cells.tolist()):
-            if cell in peaks:
-                points[row, min(int((points[row] < peaks[cell]).sum()), SPLIT - 2)] = peaks[cell]
-        return points
-
-    def lift(self, taus: list[float], points: np.ndarray) -> tuple:
-        """The recursion over 0, the free entries of ``taus``, ``points`` and
-        +inf: its witness and stage values."""
-        grid = np.sort(np.concatenate(([0.0], taus[:-1], points.ravel(), [math.inf])))
-        return _chain_dp(grid, self.chain.links(grid))[:2]
-
-    def insert(self, cells: np.ndarray, points: np.ndarray, mask: np.ndarray) -> None:
-        """Put the ``points`` that cut ``cells`` into the grid, each piece with its
-        cell's bounds, and re-bound every piece and every other cell open in ``mask``."""
-        at, mask[cells] = cells + 1, True
-        self.x = _splice(self.x, at, points)
-        self.rows, mask = (_splice(v, at, np.repeat(v[..., cells, None], SPLIT - 1, axis=-1))
-                           for v in (self.rows, mask))
-        self.rebound(np.flatnonzero(mask))
-
-    def rebound(self, cells: np.ndarray) -> None:
-        """Tangent bounds on ``cells`` (ascending) at every stage, deepest
-        first, each kept only where it is below the cell's old bound.
-
-        On [x_i, x_{i+1}] stage k is a_k + c_k M_{k+1}, where M_{k+1}(tau) comes
-        from below x_i, bounded by U_{k+1}(x_i), or from tau_{k+1} <= tau_k in
-        the cell.  Stages k..j at one tau telescope into Phi = A + C V with A =
-        (N_k - N_{j+1}) g_k^(1/b), C = (1 + (D_{j+1} - D_k) u)^(1/b), u = 1 /
-        (D_k + tau) and g_k = 1 + (N_S - D_k) u; at b > 1 Phi is concave in u
-        for V >= 0, so on each half of the cell (width w in u) it lies below
-        the tangent at that half's end, Phi(u_e) + max(+-s_e, 0) w / 2, with
-        the slope s = alpha + gamma V, alpha = (N_S - D_k) A / (g_k b), gamma
-        = (D_{j+1} - D_k) C^(1 - b) / b.  The two tangents of a quadratic meet
-        at the midpoint, so this is second order in w.  If the run's slope at
-        the cell's lower tau end is >= 0 for V up to stage j + 1's bound on
-        the cell, a tau_{j+1} in the cell does best at tau_k, which extends
-        the run, and V = U_{j+1}(x_i) covers the rest; otherwise V =
-        U_{j+1}(x_{i+1}) covers the cell, as M is nondecreasing.  The ratios
-        (N_S - D_k) / g_k and (D_{j+1} - D_k) / C^b are formed as differences
-        times (D_k + tau) / (N_S + tau) and (D_k + tau) / (D_{j+1} + tau), 1 at
-        tau = +inf, where the last cell's width is 1 / (D_k + x).  Rounding: a
-        run of r stages is within r (lam + 2 eps) (``_enclosure``), which
-        (1 + rho)^r covers, and its slope within 2 r rho (alpha + |gamma| V).
-        """
-        chain, rows, rho, free = self.chain, self.rows, self.rho, len(self.rows)
-        taus = self.x[cells + _ENDS]
-        a, c, a_last = chain.links(taus.ravel())
-        a, c = a.reshape(free, *taus.shape), c.reshape(free, *taus.shape)
-        last = taus[1, -1] == math.inf  # then the last cell is [x, +inf]
-        held = [None] * free + [(a_last * (1.0 + rho),) * 3]  # row j's U at the ends, and its bound
-        for k in range(free - 1, -1, -1):
-            d = chain.d[k]
-            near = d + taus
-            to_ns, half = near / (chain.ns + taus), 0.5 * (taus[1] - taus[0]) / near[0] / near[1]
-            if last:
-                to_ns[1, -1], half[-1] = 1.0, 0.5 / near[0, -1]
-            to_ns *= chain.gap[k] / chain.b
-            head, prod, alive, bound = a[k], c[k], True, 0.0
-            for j in range(k, free):  # the run of stages k..j, then row j + 1
-                r = j - k + 1
-                if j > k:
-                    head, prod = head + prod * a[j], prod * c[j]
-                to_next = near / (chain.d[j + 1] + taus)
-                if last:
-                    to_next[1, -1] = 1.0
-                alpha, gamma = head * to_ns, prod * to_next * ((chain.d[j + 1] - d) / chain.b)
-                v_lo, v, v_cell = held[j + 1]
-                if j + 1 < free:
-                    rise = gamma[0] * v_cell
-                    rising = alpha[0] + rise >= (alpha[0] + abs(rise)) * (2 * r * rho)
-                    v = np.where(rising, v_lo, v)
-                rise = gamma * v
-                f, step = head + prod * v, (alpha + rise) * half
-                top = np.maximum(f[1] + np.maximum(step[1], 0.0), f[0] - np.minimum(step[0], 0.0))
-                top += (alpha.sum(axis=0) + abs(rise).sum(axis=0)) * half * (4.0 * r * rho)
-                bound = np.maximum(bound, top * ((1.0 + rho) ** r * alive))
-                if j + 1 == free:
-                    break
-                alive = alive & rising
-                if not alive.any():
-                    break
-            rows[k, cells] = bound = np.minimum(rows[k, cells], bound)
-            if k:  # U_k at the cells' ends: running maxima over the cells below each end
-                start = max(cells[0] - 1, 0)
-                run = np.maximum.accumulate(rows[k, start:cells[-1] + 1])
-                if start:
-                    run = np.maximum(run, rows[k, :start].max())
-                held[k] = run[np.maximum(cells - start - 1, 0)], run[cells - start], bound
-
-
-def _peak(d: float, x: np.ndarray, value: np.ndarray, i: int) -> tuple[float, float] | None:
-    """The peak of the parabola in u = 1 / (d + tau) through a stage's
-    ``value`` at the grid points x[i - 1], x[i] and x[i + 1] (all finite),
-    where x[i] holds the highest of the three: its tau, strictly between
-    the outer two, and its value; None where there is no such peak."""
-    if not (0 < i < len(x) - 2 and value[i] >= max(value[i - 1], value[i + 1])):
-        return None
-    f0, f1, f2 = value[i - 1:i + 2].tolist()
-    u0, u1, u2 = (1.0 / (d + x[i - 1:i + 2])).tolist()
-    s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
-    bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
-    slope = s0 - bend * (u0 - u1)
-    top = u1 - 0.5 * slope / bend if bend < 0.0 else 0.0  # the peak's u
-    tau = 1.0 / top - d if top > 0.0 else math.nan
-    return (tau, f1 - 0.25 * slope * slope / bend) if x[i - 1] < tau < x[i + 1] else None
-
-
-def _polish(d: Sequence[float], grid: np.ndarray, taus: list[float], values: np.ndarray) -> list[float]:
-    """``taus``, a witness on ``grid``, with each free entry moved to its
-    stage's parabola peak (``_peak``) and then lowered where needed to
-    restore the order tau_k >= tau_{k+1}.  A run of equal entries moves
-    with its first: that stage's values already move the whole run."""
-    out = list(taus)
-    for k, i in enumerate(np.searchsorted(grid, taus[:-1]).tolist()):
-        if k and taus[k] == taus[k - 1]:
-            out[k] = out[k - 1]
-            continue
-        if peak := _peak(d[k], grid, values[k], i):
-            out[k] = peak[0]
-        if k:
-            out[k] = min(out[k], out[k - 1])
-    return out
-
-
-def _pick(value: np.ndarray) -> int:
-    """Index of the first maximum of a stage, unless it is +inf or NaN.
-
-    Then the stage overflowed: the last +inf entry, which leaves the
-    widest range to the later entries whose running maximum is what
-    overflowed, or the first maximum among the entries that are not NaN.
-    """
-    i = int(value.argmax())
-    if value[i] < math.inf:
-        return i
-    hits = np.flatnonzero(value == math.inf)
-    return int(hits[-1]) if len(hits) else int(np.nanargmax(value))
-
-
 def _t(tau: float) -> float:
     """Compactified coordinate t = tau / (1 + tau), mapping [0, +inf] onto [0, 1]."""
     return 1.0 if tau == math.inf else tau / (1.0 + tau)
+
+
+def _result(taus: Sequence[float], value: float, iterations: int, upper: float) -> SupResult:
+    """The bracket [``value``, ``upper``] with its witness schedule ``taus``."""
+    return SupResult(
+        sup_value=value,
+        argmax_tau=TauSchedule(tuple(taus)),
+        argmax_t=tuple(_t(tau) for tau in taus[:-1]),
+        iterations=iterations,
+        sup_upper=upper,
+    )
 
 
 def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
@@ -422,15 +120,15 @@ def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
     the step schedule isolating receiver k in closed form (``bound._step_value``).
 
     The witness isolates the first largest, or past the float range the
-    last +inf (``_pick``'s rule).  Rounding (``_enclosure``'s terms): each
-    step value is one link-shaped term N_k (N_S / D_k)^(1/b), within lam =
-    4 eps (Y + 1) relatively, Y the largest exponent log(N_S / D_k) / b (at
-    the smallest D_k), plus one difference N_1 - N_k and one sum, each
-    within eps / 2; all are nonnegative, so it is within lam + eps <= rho =
-    eps (4 Y + 8) (``_Chain.rho``), and the largest times 1 + rho (the
-    spare eps cover that product's rounding) bounds the supremum.
-    ``sup_upper`` is at least ``sup_value``, which the evaluator rounds
-    differently.
+    last +inf (``_search._pick``'s rule).  Rounding (the terms of
+    ``_search._enclosure``): each step value is one link-shaped term N_k
+    (N_S / D_k)^(1/b), within lam = 4 eps (Y + 1) relatively, Y the largest
+    exponent log(N_S / D_k) / b (at the smallest D_k), plus one difference
+    N_1 - N_k and one sum, each within eps / 2; all are nonnegative, so it
+    is within lam + eps <= rho = eps (4 Y + 8) (``_Chain.rho``), and the
+    largest times 1 + rho (the spare eps cover that product's rounding)
+    bounds the supremum.  ``sup_upper`` is at least ``sup_value``, which
+    the evaluator rounds differently.
     """
     count = len(d.values)
     values = [_step_value(scenario, d, k) for k in range(1, count + 1)]
@@ -439,13 +137,7 @@ def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
     taus = [math.inf] * j + [0.0] * (count - j)
     chain = _Chain(scenario, d)
     value = chain.lhs(taus)
-    return SupResult(
-        sup_value=value,
-        argmax_tau=TauSchedule(tuple(taus)),
-        argmax_t=tuple(_t(tau) for tau in taus[:-1]),
-        iterations=count,
-        sup_upper=max(top * (1.0 + chain.rho()), value),
-    )
+    return _result(taus, value, count, max(top * (1.0 + chain.rho()), value))
 
 
 def sup_bound_lhs(
@@ -456,111 +148,27 @@ def sup_bound_lhs(
     At b <= 1 the supremum is the largest of the K step values: with the
     others held, the functional is convex in one entry's u = 1 / (D_k +
     tau), as is a run of equal entries (their factors telescope, as in
-    ``_Cells.rebound``), so moving a schedule's entries one run at a time
-    to 0 or +inf loses nothing, and a schedule on {0, +inf} is a step
-    schedule.  ``_step_sup`` takes the largest in closed form, with K
+    ``_search._Cells.rebound``), so moving a schedule's entries one run at
+    a time to 0 or +inf loses nothing, and a schedule on {0, +inf} is a
+    step schedule.  ``_step_sup`` takes the largest in closed form, with K
     iterations and no grid, links or search: ``sup_upper`` is that
     maximum times 1 + rho, and ``sup_value`` the evaluator's value at the
     step schedule that isolates its receiver.
 
-    At b > 1 the chain dynamic program finds the best schedule on a first
-    grid of GRID_POINTS points that holds 0 and +inf, so the all-zero and
-    the step schedules are always candidates, and the same links bound the
-    supremum from above (``_enclosure``), the first stage's largest cell
-    bound scaled by (1 + rho)^K.  The grid witness is then polished, each
-    entry moved to its stage's parabola peak (``_polish``), and the
-    polished schedule kept if the evaluator confirms a gain: so the lower
-    end, and the witness that ``trace_boundary`` aims from, do not hang on
-    the grid's size.  Unless that bracket decides how the supremum
-    compares with ``target`` (``sup_value > target`` or ``sup_upper <=
-    target``), each round of ``_Cells`` starts from the cells that some
-    stage cannot yet close (``_Cells.opened``; stage 1 is held to
-    max(sup_value (1 + 2 K rho), target), the rounding allowance).  It
-    splits the cells beside the witness's entries (in round one both
-    beside each grid witness entry, with a parabola's peak among the cuts;
-    later the one bounding the stage higher, and each stage's highest open
-    cell).  A round has two steps.
-    The lift reruns the recursion over 0, the witness's entries, the new
-    points and +inf, and keeps its witness if the evaluator confirms a
-    gain.  The re-bound puts the points into the grid and re-bounds the
-    pieces and every cell open at the round's start (``_Cells.insert``).
-    The lift runs first, except in a first round whose parabola guesses a
-    member.  After each step the search stops if a link underflowed (that
-    step's bound is dropped) or the bracket decides; it also stops when a
-    later round finds no cell open (the bracket is then within the
-    allowance) or at POINT_BUDGET new points.  ``sup_value`` is the
-    evaluator's value at exactly ``argmax_tau``: on a decided stop, the
-    lower end there.
+    At b > 1 ``_search.supremum`` runs the chain dynamic program on a first
+    grid that holds 0 and +inf, bounds the supremum from above with the
+    same links, polishes the grid witness, and searches only while that
+    bracket leaves open how the supremum compares with ``target``
+    (``sup_value > target`` or ``sup_upper <= target`` decides).
+    ``sup_value`` is the evaluator's value at exactly ``argmax_tau``: on a
+    decided stop, the lower end there.
     """
     d = check_distortions(scenario, distortions)
     if scenario.bandwidth <= 1.0:
         return _step_sup(scenario, d)
-    chain = _Chain(scenario, d)
-    free = len(d.values) - 1
-    grid = _tau_grid(scenario, d)
-    underflows: list[bool] = []
-    with _watch(underflows):
-        links = chain.links(grid)
-        rows = _enclosure(*links)
-    rho = chain.rho()  # a stage's outward rounding (``_enclosure``)
-    on_grid, stages, values = _chain_dp(grid, links)
-    top = rows[0].max() if free else links[2]  # a_K(0) at K = 1
-    upper = top * (1.0 + rho) ** len(chain.d)
-    upper = float(upper) if not underflows and upper < math.inf else math.inf
-    taus, value, evals = on_grid, chain.lhs(on_grid), free * len(grid) + 1
-    if free:  # the witness's entries at their parabola peaks, kept if the evaluator confirms a gain
-        polished, evals = _polish(chain.d, grid, on_grid, values), evals + 1
-        if polished != taus and (polished_value := chain.lhs(polished)) > value:
-            taus, value = polished, polished_value
-    tol, spent, first = 1.0 + 2.0 * len(chain.d) * rho, 0, True
+    from ._search import supremum  # numpy loads with the first b > 1 call
 
-    def undecided() -> bool:  # the stop test, made after each step of a round
-        return not underflows and (target is None or value <= target < upper)
-
-    def lift() -> None:  # rerun the recursion on the round's points; keep the better witness
-        nonlocal taus, value, stages
-        with _watch(underflows):
-            probe, probe_stages = cells.lift(taus, points)
-        if probe != taus and (probe_value := chain.lhs(probe)) > value:
-            taus, value, stages = probe, probe_value, probe_stages
-
-    def rebound() -> None:  # splice in the round's points; re-bound the pieces and open cells
-        nonlocal upper
-        with _watch(underflows):
-            cells.insert(split, points, mask)
-        upper = upper if underflows else min(upper, float(cells.rows[0].max()))
-
-    cells = (_Cells(chain, grid, rows, rho)  # only where a search can run and is needed
-             if free and upper < math.inf and undecided() else None)
-    while cells and undecided():
-        level = value * tol if target is None else max(value * tol, target)
-        mask, best = cells.opened(level, stages, tol)
-        if not (first or best):  # no cell open
-            break
-        # round one splits just the cells beside each entry: first-order bounds miss its peak's side
-        near, peaks, guess = cells.beside(on_grid, values) if first else cells.beside(taus, None)
-        room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
-        chosen = list(dict.fromkeys(near if first else near + best))[:room]
-        split = np.array(sorted(chosen), dtype=int)
-        if not len(split):
-            break
-        with _watch(underflows):  # the first cell's ratio hi / 0 is discarded
-            points = cells.cut(split, peaks)
-        spent += points.size
-        evals += free * points.size + 1
-        member = first and target is not None and guess is not None and guess <= target
-        for step in (rebound, lift) if member else (lift, rebound):  # a guessed member re-bounds first
-            step()
-            if not undecided():
-                break
-        first = False
-    return SupResult(
-        sup_value=value,
-        argmax_tau=TauSchedule(tuple(taus)),
-        argmax_t=tuple(_t(tau) for tau in taus[:-1]),
-        iterations=evals,
-        sup_upper=upper,
-    )
+    return _result(*supremum(_Chain(scenario, d), target))
 
 
 def in_outer_region(

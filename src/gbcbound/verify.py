@@ -202,9 +202,9 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
     and b > 1 at K = 1-5: D* is a member exactly when b <= 1 or K = 1,
     0.98 D* never is, and min(1.02 D*, N_S) is whenever D* is.  At b < 1
     and K >= 2 the schedule (1, 0, ..., 0) stays below P + N_1 at D* by
-    more than the rounding error of lhs - rhs.  At b > 1 its violation can
-    lie within the verdict's tolerance, DEFAULT_REL_TOL; such a draw skips
-    its D* verdict.
+    more than the rounding error of lhs - rhs.  At b > 1 and K >= 2 D*
+    lies strictly outside: its verdict is taken with no tolerance, and the
+    verdict's witness violates the bound by more than that rounding error.
     """
     result = CheckResult("regime-vs-trivial", 0, 0)
     boxes = max(1, trials // 200)
@@ -220,7 +220,7 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
             verdict = membership.in_outer_region(sc, d)
             _record(result, verdict.member == expected, i, scenario=sc, d=d, expected=expected,
                     margin=verdict.margin)
-    skipped = 0
+    strict = 0
     for i in range(boxes, boxes + max(1, trials // 5)):
         sc = random_scenario(rng, bandwidth=rng.uniform(*_REGIMES[(i - boxes) % 3]))
         k, b, ns = sc.num_receivers, sc.bandwidth, sc.source_var
@@ -229,21 +229,25 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
         probes = [(dstar, expected), (tuple(0.98 * v for v in dstar), False)]
         if expected:
             probes.append((tuple(min(1.02 * v, ns) for v in dstar), True))
-        if k >= 2 and b != 1.0:
-            rhs = bound.bound_rhs(sc)
+        rhs = bound.bound_rhs(sc)
+        if k >= 2 and b < 1.0:
             tau = (1.0,) + (0.0,) * (k - 1)
             margin = bound.eval_lhs(sc, dstar, tau) - rhs
-            if b < 1.0:
-                ok = -margin > _rounding_bound(sc, dstar, tau, rhs, margin)
-                _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
-            elif margin <= bound.DEFAULT_REL_TOL * rhs:
-                skipped += 1
-                probes.pop(0)
+            ok = -margin > _rounding_bound(sc, dstar, tau, rhs, margin)
+            _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
         for d, member in probes:
-            verdict = membership.in_outer_region(sc, d)
-            _record(result, verdict.member == member, i, scenario=sc, d=d, expected=member,
-                    margin=verdict.margin)
-    result.detail = f"{skipped} D* verdicts skipped: violation within tolerance"
+            strictly_out = d is dstar and not expected
+            tol = 0.0 if strictly_out else bound.DEFAULT_REL_TOL
+            verdict = membership.in_outer_region(sc, d, rel_tol=tol)
+            ok, witness = verdict.member == member, {"margin": verdict.margin}
+            if strictly_out:  # the witness's violation exceeds its rounding error
+                tau = verdict.sup.argmax_tau.taus
+                margin = bound.eval_lhs(sc, dstar, tau) - rhs
+                ok = ok and margin > _rounding_bound(sc, dstar, tau, rhs, margin)
+                strict += ok
+                witness = {"tau": tau, "margin": margin}
+            _record(result, ok, i, scenario=sc, d=d, expected=member, **witness)
+    result.detail = f"{strict} D* non-members at b > 1 certified by the witness's violation"
     return result
 
 

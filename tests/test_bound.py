@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbcbound._search import _columns, _links
 from gbcbound.bound import (
     _Chain,
     check_inequality,
@@ -258,14 +259,15 @@ def test_links_within_rounding_allowance_of_reference():
     c_k = h_k^(1/b) for every free receiver on a grid, and a_K(0), lies
     within lam = 4 eps (Y + 1) of its 50-digit value, Y the largest
     exponent log(N_S / D_k) / b: the allowance that ``sup_upper``'s
-    rounding analysis (``membership._enclosure``) takes for a link."""
+    rounding analysis (``_search._enclosure``) takes for a link."""
     rng = random.Random(5)
     grid = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 7), [math.inf]))
     for k in (1, 2, 5, 16):
         sc = random_scenario(rng, k_range=(k, k), min_ratio=1.05)
         d = random_distortions(rng, sc)
         ns, b, noises = sc.source_var, sc.bandwidth, sc.noises + (0.0,)
-        a, c, last = _Chain(sc, check_distortions(sc, d)).links(grid)
+        chain = _Chain(sc, check_distortions(sc, d))
+        a, c, last = _links(chain, _columns(chain), grid)
         assert a.shape == c.shape == (k - 1, len(grid))
         lam = Decimal(4 * math.ulp(1.0) * (math.log(ns / min(d)) / b + 1.0))
         dn = [Decimal(noises[j]) - Decimal(noises[j + 1]) for j in range(k)]

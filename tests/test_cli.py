@@ -381,6 +381,62 @@ def test_readme_trace_csv_is_pinned(capsys, tmp_path):
     assert (out / "trace.csv").read_bytes() == README_TRACE_CSV.encode()
 
 
+# The README's other commands: argv, stdout, and the sha256 of each file written.
+README_RUNS = {
+    "eval": (
+        ("eval", "--scenario", str(SCENARIOS / "matched_k2.json"), "--distortions", "0.5,0.25",
+         "--tau", "1,0"),
+        '{"command": "eval", "distortions": [0.5, 0.25], "extended": false, "lhs": 6.0, '
+        '"rhs": 6.0, "satisfied": true, "slack": 0.0, "tau": [1.0, 0.0], "tolerance": 1e-09}\n',
+        {},
+    ),
+    "eval-inf": (
+        ("eval", "--scenario", str(SCENARIOS / "matched_k2.json"), "--distortions", "0.5,0.25",
+         "--tau", "inf,0"),
+        '{"command": "eval", "distortions": [0.5, 0.25], "extended": true, "lhs": 6.0, '
+        '"rhs": 6.0, "satisfied": true, "slack": 0.0, "tau": ["inf", 0.0], "tolerance": 1e-09}\n',
+        {},
+    ),
+    "figure1": (
+        ("figure1", "--c1", "1", "--c2", "5", "--b", "0.5,1,2", "--samples", "512", "--out", "out/fig"),
+        '{"all_nested": true, "command": "figure1", "outputs": ["out/fig/region_b0.5.csv", '
+        '"out/fig/region_b1.0.csv", "out/fig/region_b2.0.csv", "out/fig/figure1_summary.json", '
+        '"out/fig/figure1_manifest.json"]}\n',
+        {
+            "out/fig/figure1_manifest.json": "8773b467b373b7915f1449d7a65a8139a55e41110d3388462544448eb7c4855f",
+            "out/fig/figure1_summary.json": "30cc78fec54a1493c48ee40dfd702bb5cb9dac56c7c00c396acf273175406612",
+            "out/fig/region_b0.5.csv": "b96c65b12ded0941cd7aa216c494684952449f9886d0cfbd06ac09bfce6252f2",
+            "out/fig/region_b1.0.csv": "bb7181060f91de80f926b589986c3300dd0337779e1e36541a41c4e7f9d765dc",
+            "out/fig/region_b2.0.csv": "6d21a786421f47360ac12f360f558fe72eb2d632f51a0970068c4d14eb3c695a",
+        },
+    ),
+    "simulate": (
+        ("simulate", "--scenario", str(SCENARIOS / "matched_k2.json"), "--samples", "1000000",
+         "--seed", "7"),
+        '{"command": "simulate", "empirical": [0.49935400738738406, 0.2498875900439319], '
+        '"empirical_power": 2.989948226760451, "generator": "philox", '
+        '"power_std_err": 0.004219137177411445, "samples": 1000000, "seed": 7, '
+        '"std_err": [0.0007055644300482037, 0.0003538551620734568], "theoretical": [0.5, 0.25]}\n',
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_RUNS))
+def test_readme_commands_are_pinned(capsys, tmp_path, monkeypatch, name):
+    """The README's eval, figure1 and simulate commands, run from an empty
+    working directory with a relative --out: the bytes of their stdout and
+    the sha256 of every file they write.  With ``MEMBERSHIP_STDOUT`` and
+    ``README_TRACE_CSV`` these pin every README command but verify-theorems."""
+    argv, stdout, files = README_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == stdout
+    written = (p for p in tmp_path.rglob("*") if p.is_file())
+    assert {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == files
+
+
 def test_trace_invalid_grid(capsys, expansion, tmp_path):
     code, payload = run_cli(
         capsys,
@@ -432,6 +488,14 @@ def test_verify_theorems_zero_trials_warns(capsys):
     assert code == 0
     validate_payload(payload, "verify.schema.json")
     assert "warning" in payload
+
+
+def test_verify_theorems_negative_trials_is_an_input_error(capsys, monkeypatch):
+    """--trials -1 exits 2 with InputError, from the parser, before the
+    self-checks are imported; it used to pass vacuously with exit 0."""
+    monkeypatch.setitem(sys.modules, "gbcbound.verify", None)  # importing it would raise
+    payload = _run_input_error(capsys, ["verify-theorems", "--trials", "-1"])
+    assert payload["error"] == "InputError" and "--trials" in payload["message"]
 
 
 FIGURE1_SHA256 = {
@@ -564,9 +628,11 @@ def test_tolerance_is_applied(capsys):
         ("trace", "--scenario", "not_json.json", "--d1-grid", "0.25:0.3:3", "--out", "D"),
         ("trace", "--scenario", "{expansion}", "--d1-grid", "0.25:0.3:3"),
         ("figure1", "--c1", "1", "--c2", "5", "--b", "1"),
+        ("verify-theorems", "--trials", "-1"),
     ],
     ids=["list-entry", "list-empty", "grid-parts", "grid-count", "grid-above-ns",
-         "grid-at-zero", "no-scenario", "scenario-not-json", "trace-no-out", "figure1-no-out"],
+         "grid-at-zero", "no-scenario", "scenario-not-json", "trace-no-out", "figure1-no-out",
+         "negative-trials"],
 )
 def test_input_errors_write_nothing(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -596,6 +662,7 @@ FIGURE1_ARGV = ("figure1", "--c1", "1", "--c2", "5", "--b", "1")
         ("verify-theorems", "--trials", "1", "--scenario", MATCHED),
         ("verify-theorems", "--trials", "1", "--tolerance", "1e-9"),
         ("verify-theorems", "--trials", "1", "--out", "D"),
+        ("verify-theorems", "--trials", "-1"),
         (*FIGURE1_ARGV, "--out", "D", "--scenario", MATCHED),
         (*FIGURE1_ARGV, "--out", "D", "--tolerance", "1e-9"),
         ("simulate", "--scenario", MATCHED, "--samples", "8", "--tolerance", "1e-9", "--out", "D"),
@@ -604,7 +671,8 @@ FIGURE1_ARGV = ("figure1", "--c1", "1", "--c2", "5", "--b", "1")
         ("simulate", "--scenario", MATCHED, "--samples", "8", "--out", ""),
     ],
     ids=["no-subcommand", "eval-no-tau", "samples-not-int", "tolerance-not-number", "eval-out",
-         "membership-out", "verify-scenario", "verify-tolerance", "verify-out", "figure1-scenario",
+         "membership-out", "verify-scenario", "verify-tolerance", "verify-out", "verify-negative-trials",
+         "figure1-scenario",
          "figure1-tolerance", "simulate-tolerance", "trace-out-empty", "figure1-out-empty",
          "simulate-out-empty"],
 )
@@ -707,16 +775,55 @@ def test_simulate_rejects_bandwidth_mismatch(capsys, expansion):
     assert payload["error"] == "BandwidthNotOne"
 
 
-def test_console_entry_point():
-    # the child imports the same package as this suite, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this suite, installed or not."""
     package_root = str(Path(gbcbound.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "gbcbound", "--version"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "gbcbound", "--version"], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0
     assert "gbcbound" in proc.stdout
+
+
+# Runs main(argv) in a fresh interpreter, then writes whether numpy was loaded to stderr.
+_NUMPY_PROBE = """
+import sys
+from gbcbound.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stderr.write(str("numpy" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (EVAL_ARGV, False),
+        (("figure1", "--c1", "1", "--c2", "5", "--b", "0.5,1,2", "--samples", "512", "--out", "fig"), False),
+        (("membership", "--scenario", MATCHED, "--distortions", "0.6,0.3"), False),
+        (("trace", "--scenario", MATCHED, "--d1-grid", "0.5:1:5", "--out", "trace"), False),
+        (("--version",), False),
+        (("verify-theorems", "--trials", "-1"), False),
+        (("membership", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--distortions", "0.25,0.0625"),
+         True),
+    ],
+    ids=["eval", "figure1", "membership-b-le-1", "trace-b-le-1", "version", "input-error",
+         "membership-b-gt-1"],
+)
+def test_commands_load_numpy_only_for_a_grid(tmp_path, argv, loads_numpy):
+    """Each command imports only what it runs: eval, figure1, a b <= 1
+    membership or trace, --version and an input error run in a process
+    that never loads numpy; a b > 1 supremum loads it with its search."""
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=_child_env())
+    assert proc.stderr == str(loads_numpy), proc.stderr
 
 
 # The options each subcommand takes (dests), as README's CLI table lists them.

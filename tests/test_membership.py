@@ -23,12 +23,10 @@ from gbcbound.core import (
     trivial_distortions,
 )
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
+from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links
 from gbcbound.membership import (
-    GRID_POINTS,
-    POINT_BUDGET,
     TRACE_WIDTH,
     SupResult,
-    _chain_dp,
     in_outer_region,
     sup_bound_lhs,
     trace_boundary,
@@ -139,7 +137,7 @@ def test_chain_dp_matches_exhaustive_enumeration():
                 chain = _Chain(sc, check_distortions(sc, random_distortions(rng, sc)))
                 best = max(chain.lhs(taus + (0.0,)) for taus in
                            itertools.combinations_with_replacement(grid[::-1].tolist(), k - 1))
-                got = chain.lhs(_chain_dp(grid, chain.links(grid))[0])
+                got = chain.lhs(_chain_dp(grid, _links(chain, _columns(chain), grid))[0])
                 assert got == pytest.approx(best, rel=1e-12, abs=0.0), (sc, chain.d)
 
 
@@ -349,10 +347,10 @@ def test_trace_double_root_row_calls(monkeypatch):
 def test_trace_call_budgets_hold_on_any_first_grid(monkeypatch, points):
     """The two tests above pass whatever the first grid's size: the probes aim
     from lo's polished witness, which does not sit on that grid."""
-    import gbcbound.membership as m
+    import gbcbound._search as search
 
-    monkeypatch.setattr(m, "GRID_POINTS", points)
-    monkeypatch.setattr(m, "_RAMP", np.arange(points - 2, dtype=float))
+    monkeypatch.setattr(search, "GRID_POINTS", points)
+    monkeypatch.setattr(search, "_RAMP", np.arange(points - 2, dtype=float))
     test_trace_double_root_row_calls(monkeypatch)
     test_trace_sup_calls_per_row(monkeypatch)
 
@@ -394,11 +392,10 @@ def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatc
     bounds the supremum, so every member probe of a boundary row is
     certified with K iterations, the row at D_1 = D_1* included, with no
     grid, link, recursion, enclosure or search."""
-    import gbcbound.membership as m
+    import gbcbound._search as search
 
-    for name in ("_tau_grid", "_chain_dp", "_enclosure", "_Cells"):
-        monkeypatch.setattr(m, name, _refuse)
-    monkeypatch.setattr(m._Chain, "links", _refuse)
+    for name in ("_tau_grid", "_links", "_chain_dp", "_enclosure", "_Cells"):
+        monkeypatch.setattr(search, name, _refuse)
     grids = []
     for name in ("compression_k2", "matched_k2"):
         sc = load_scenario(SCENARIOS / f"{name}.json")
@@ -596,16 +593,16 @@ def test_first_pass_witness_is_polished_to_its_parabola_peaks():
 
 def _searched(monkeypatch, call):
     """``call()``'s result, and the rounds of the search it ran."""
-    import gbcbound.membership as m
+    import gbcbound._search as search
 
-    real, rounds = m._Cells.cut, []
+    real, rounds = search._Cells.cut, []
 
     def counted(*args, **kwargs):
         rounds.append(1)
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(m._Cells, "cut", counted)
+        patch.setattr(search._Cells, "cut", counted)
         result = call()
     return result, len(rounds)
 

@@ -16,13 +16,8 @@ import numpy as np
 
 from gbcbound.bound import eval_lhs, reduced_bound_value
 from gbcbound.core import BroadcastScenario, trivial_distortion
-from gbcbound.membership import (
-    GRID_POINTS,
-    POINT_BUDGET,
-    in_outer_region,
-    sup_bound_lhs,
-    trace_boundary,
-)
+from gbcbound._search import GRID_POINTS, POINT_BUDGET
+from gbcbound.membership import in_outer_region, sup_bound_lhs, trace_boundary
 from gbcbound.verify import _rounding_bound, random_distortions, random_scenario
 
 GRID = [0.0] + [10.0 ** e for e in range(-3, 4)] + [math.inf]
@@ -83,19 +78,19 @@ def _bandwidth(rng):
 
 
 def _assert_bounds(sc, d, schedules):
-    import gbcbound.membership as m
+    import gbcbound._search as search
 
-    real, rounds = m._Cells.cut, []
+    real, rounds = search._Cells.cut, []
 
     def counted(*args, **kwargs):
         rounds.append(1)
         return real(*args, **kwargs)
 
-    m._Cells.cut = counted
+    search._Cells.cut = counted
     try:
         res = sup_bound_lhs(sc, d)
     finally:
-        m._Cells.cut = real
+        search._Cells.cut = real
     k = sc.num_receivers
     assert res.iterations <= (k - 1) * (GRID_POINTS + POINT_BUDGET) + len(rounds) + 1
     assert res.sup_value <= res.sup_upper
@@ -278,12 +273,13 @@ def _ulps(got, exact):
 
 
 def test_exp_and_log1p_are_within_two_ulps():
-    """The rounding allowance rho = eps (4 Y + 8) (``membership._enclosure``)
-    takes exp and log1p to be within 2 ulps: numpy's, on arrays as the links
-    call them, and math's, as the evaluator (``bound._Chain.lhs``) and the
-    b <= 1 step values (``membership._step_sup``) call them.  exp at 5000 seeded y, 4000 of them on
-    [-40, 40] and the rest on [-700, 700]; log1p at r = 0 and 4999 r
-    log-uniform on [1e-12, 1e12]; all against 50-digit decimals."""
+    """The rounding allowance rho = eps (4 Y + 8) (``_search._enclosure``)
+    takes exp and log1p to be within 2 ulps: numpy's, on arrays as the
+    links (``_search._links``) call them, and math's, as the evaluator
+    (``bound._Chain.lhs``) and the b <= 1 step values
+    (``membership._step_sup``) call them.  exp at 5000 seeded y, 4000 of
+    them on [-40, 40] and the rest on [-700, 700]; log1p at r = 0 and 4999
+    r log-uniform on [1e-12, 1e12]; all against 50-digit decimals."""
     rng = random.Random(61)
     ys = [rng.uniform(-40.0, 40.0) for _ in range(4000)] + [rng.uniform(-700.0, 700.0) for _ in range(1000)]
     rs = [0.0] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(4999)]

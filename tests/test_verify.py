@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 from gbcbound import verify
+from gbcbound.core import trivial_distortions
 from gbcbound.verify import CHECK_NAMES, run_all_checks
 
 
@@ -86,3 +87,46 @@ def test_forced_bug_flipped_membership_is_caught(monkeypatch):
     result = verify._check_regime_vs_trivial(random.Random(1), 30)
     assert not result.passed
     assert len(result.examples) == 3 and all("expected" in e for e in result.examples)
+
+
+def test_regime_vs_trivial_takes_every_strict_verdict(monkeypatch):
+    """At seeds 0-49 (1000 trials) regime-vs-trivial passes, and every b > 1,
+    K >= 2 draw (each probes 0.98 D*) takes its D* verdict with no
+    tolerance, certified by its witness's violation: no draw is skipped."""
+    import gbcbound.membership as membership_mod
+
+    real, calls = membership_mod.in_outer_region, []
+
+    def recorded(scenario, distortions, rel_tol=1e-9):
+        if scenario.bandwidth > 1.0 and scenario.num_receivers >= 2:
+            dstar = trivial_distortions(scenario).values
+            if tuple(distortions) == dstar:
+                calls.append(("dstar", rel_tol))
+            elif tuple(distortions) == tuple(0.98 * v for v in dstar):
+                calls.append(("draw", rel_tol))
+        return real(scenario, distortions, rel_tol=rel_tol)
+
+    monkeypatch.setattr(membership_mod, "in_outer_region", recorded)
+    for seed in range(50):
+        calls.clear()
+        result = verify._check_regime_vs_trivial(random.Random(f"{seed}:regime-vs-trivial"), 1000)
+        assert result.passed, (seed, result.examples)
+        draws = calls.count(("draw", 1e-9))
+        assert draws and calls.count(("dstar", 0.0)) == draws == len(calls) // 2, seed
+        assert result.detail.startswith(f"{draws} D* non-members"), (seed, result.detail)
+
+
+def test_forced_bug_without_strict_dstar_violation_is_caught(monkeypatch):
+    """An lhs capped at P + N_1 leaves no witness violating the bound at D*,
+    which fails regime-vs-trivial on its b > 1 draws."""
+    import gbcbound.bound as bound_mod
+
+    real = bound_mod.eval_lhs
+
+    def capped(scenario, distortions, tau):
+        return min(real(scenario, distortions, tau), bound_mod.bound_rhs(scenario))
+
+    monkeypatch.setattr(bound_mod, "eval_lhs", capped)
+    result = verify._check_regime_vs_trivial(random.Random(1), 300)
+    assert not result.passed and result.detail.startswith("0 D* non-members")
+    assert all(e["expected"] is False and e["margin"] == 0.0 for e in result.examples)
