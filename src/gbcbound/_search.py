@@ -1,8 +1,8 @@
-"""The schedule supremum at b > 1: grid, chain dynamic program, enclosure and search.
+"""The schedule supremum at b > 1, K >= 2: grid, dynamic program, enclosure, search.
 
-``membership.sup_bound_lhs`` imports this module on its first b > 1 call,
-so numpy loads only where a grid is made; at b <= 1 the supremum is the
-closed form of ``membership._step_sup``.
+``membership.sup_bound_lhs`` imports this module on its first such call,
+so numpy loads only where a grid is made; at b <= 1 or K = 1 the
+supremum is the closed form of ``membership._step_sup``.
 
 At b > 1 the functional nests like Horner's rule in factors that each
 depend on one schedule entry (see ``bound``), and the only coupling
@@ -375,7 +375,7 @@ def _pick(value: np.ndarray) -> int:
 
 
 def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, int, float]:
-    """The b > 1 bracket of ``membership.sup_bound_lhs`` at ``chain``'s D:
+    """The b > 1, K >= 2 bracket of ``membership.sup_bound_lhs`` at ``chain``'s D:
     the witness schedule, its value (the lower end), the evaluated points
     (``SupResult.iterations``) and the rigorous upper end.
 
@@ -416,14 +416,12 @@ def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, i
         rows = _enclosure(*links)
     rho = chain.rho()  # a stage's outward rounding (``_enclosure``)
     on_grid, stages, values = _chain_dp(grid, links)
-    top = rows[0].max() if free else links[2]  # a_K(0) at K = 1
-    upper = top * (1.0 + rho) ** len(chain.d)
+    upper = rows[0].max() * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
-    taus, value, evals = on_grid, chain.lhs(on_grid), free * len(grid) + 1
-    if free:  # the witness's entries at their parabola peaks, kept if the evaluator confirms a gain
-        polished, evals = _polish(chain.d, grid, on_grid, values), evals + 1
-        if polished != taus and (polished_value := chain.lhs(polished)) > value:
-            taus, value = polished, polished_value
+    taus, value, evals = on_grid, chain.lhs(on_grid), free * len(grid) + 2
+    polished = _polish(chain.d, grid, on_grid, values)  # kept if the evaluator confirms a gain
+    if polished != taus and (polished_value := chain.lhs(polished)) > value:
+        taus, value = polished, polished_value
     tol, spent, first = 1.0 + 2.0 * len(chain.d) * rho, 0, True
 
     def undecided() -> bool:  # the stop test, made after each step of a round
@@ -442,8 +440,7 @@ def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, i
             cells.insert(split, points, mask)
         upper = upper if underflows else min(upper, float(cells.rows[0].max()))
 
-    cells = (_Cells(chain, columns, grid, rows, rho)  # only where a search can run and is needed
-             if free and upper < math.inf and undecided() else None)
+    cells = _Cells(chain, columns, grid, rows, rho) if upper < math.inf and undecided() else None
     while cells and undecided():
         level = value * tol if target is None else max(value * tol, target)
         mask, best = cells.opened(level, stages, tol)

@@ -16,7 +16,7 @@ files and their manifest.
 
 Each ``cmd_*`` handler imports the modules that only it runs, so a
 process loads what its command needs: numpy only with ``simulate`` or a
-b > 1 supremum (``membership``, ``trace``, ``verify-theorems``).
+b > 1, K >= 2 supremum (``membership``, ``trace``, ``verify-theorems``).
 
 +infinity is spelled ``inf`` everywhere: in schedule arguments and in
 JSON payloads (as the string "inf", keeping the output strict JSON).

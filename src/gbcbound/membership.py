@@ -4,17 +4,17 @@ A tuple D belongs to the region iff lhs(D, tau) <= P + N_1 for *every*
 admissible schedule, so membership reduces to maximizing the functional
 over the schedule set {0 = tau_K <= ... <= tau_1 <= +inf}.
 
-The supremum is bracketed as [sup_value, sup_upper].  At b <= 1 the
-bound degenerates to the trivial one (the paper's result): the supremum
+The supremum is bracketed as [sup_value, sup_upper].  At b <= 1 (the
+paper's result) and at K = 1 the bound is the trivial one: the supremum
 is max_k of the closed form (N_1 - N_k) + N_k (N_S / D_k)^(1/b), the
 value at the step schedule isolating receiver k (the step schedules
 recover the point-to-point constraints), computed in Python floats with
 no grid (``_step_sup``), and that maximum times 1 + rho bounds it.
 
-At b > 1 a chain dynamic program on a grid brackets the supremum, and a
+Otherwise a chain dynamic program on a grid brackets the supremum, and a
 branch-and-bound search narrows a bracket that leaves the question open;
 ``_search`` holds all of it, with every array, and ``sup_bound_lhs``
-imports it on its first b > 1 call, so numpy loads only there.
+imports it on its first call there, so numpy loads only there.
 ``argmax_t`` gives the witness as t = tau / (1 + tau), which maps
 [0, +inf] onto [0, 1].
 
@@ -69,13 +69,13 @@ class SupResult:
     float range; ``sup_upper`` is a rigorous upper bound, +inf where the
     float range does not suffice.  ``argmax_tau`` lives on the
     compactified closure: entries may be +inf when the maximum is
-    approached along a diverging schedule.  ``iterations`` is K at b <= 1,
-    one per step schedule.  At b > 1 it counts the evaluated points, K - 1
-    per point of the first grid and per new point of each search round,
-    plus one per witness (the first pass's, its polished one and each
-    round's), so (K - 1) GRID_POINTS + 2 where the first pass decides
-    (``_search``); the links that the search forms again where it
-    re-bounds are not counted.
+    approached along a diverging schedule.  ``iterations`` is K at b <= 1
+    or K = 1, one per step schedule.  Otherwise it counts the evaluated
+    points, K - 1 per point of the first grid and per new point of each
+    search round, plus one per witness (the first pass's, its polished
+    one and each round's), so (K - 1) GRID_POINTS + 2 where the first
+    pass decides (``_search``); the links that the search forms again
+    where it re-bounds are not counted.
     """
 
     sup_value: float
@@ -88,7 +88,8 @@ class SupResult:
 @dataclass(frozen=True)
 class MembershipVerdict:
     """``member`` is the tolerant verdict sup <= (P + N_1)(1 + tolerance);
-    ``certified`` says whether the bracket decided it (``in_outer_region``).
+    ``certified`` says whether the bracket decided it (``in_outer_region``),
+    so a certified member may exceed P + N_1 by up to tolerance (P + N_1).
     """
 
     member: bool
@@ -116,8 +117,8 @@ def _result(taus: Sequence[float], value: float, iterations: int, upper: float) 
 
 
 def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
-    """The supremum at b <= 1: the largest of the K step values, the bound at
-    the step schedule isolating receiver k in closed form (``bound._step_value``).
+    """The supremum at b <= 1 or K = 1: the largest of the K step values,
+    each the bound at a step schedule in closed form (``bound._step_value``).
 
     The witness isolates the first largest, or past the float range the
     last +inf (``_search._pick``'s rule).  Rounding (the terms of
@@ -145,9 +146,10 @@ def sup_bound_lhs(
 ) -> SupResult:
     """Bracket the functional's supremum over all admissible schedules.
 
-    At b <= 1 the supremum is the largest of the K step values: with the
-    others held, the functional is convex in one entry's u = 1 / (D_k +
-    tau), as is a run of equal entries (their factors telescope, as in
+    At K = 1 the only schedule is tau_1 = 0, a step schedule.  At b <= 1
+    the supremum is the largest of the K step values: with the others
+    held, the functional is convex in one entry's u = 1 / (D_k + tau), as
+    is a run of equal entries (their factors telescope, as in
     ``_search._Cells.rebound``), so moving a schedule's entries one run at
     a time to 0 or +inf loses nothing, and a schedule on {0, +inf} is a
     step schedule.  ``_step_sup`` takes the largest in closed form, with K
@@ -155,18 +157,18 @@ def sup_bound_lhs(
     maximum times 1 + rho, and ``sup_value`` the evaluator's value at the
     step schedule that isolates its receiver.
 
-    At b > 1 ``_search.supremum`` runs the chain dynamic program on a first
-    grid that holds 0 and +inf, bounds the supremum from above with the
-    same links, polishes the grid witness, and searches only while that
-    bracket leaves open how the supremum compares with ``target``
-    (``sup_value > target`` or ``sup_upper <= target`` decides).
-    ``sup_value`` is the evaluator's value at exactly ``argmax_tau``: on a
-    decided stop, the lower end there.
+    At b > 1 with K >= 2 ``_search.supremum`` runs the chain dynamic
+    program on a first grid that holds 0 and +inf, bounds the supremum
+    from above with the same links, polishes the grid witness, and
+    searches only while that bracket leaves open how the supremum compares
+    with ``target`` (``sup_value > target`` or ``sup_upper <= target``
+    decides).  ``sup_value`` is the evaluator's value at exactly
+    ``argmax_tau``: on a decided stop, the lower end there.
     """
     d = check_distortions(scenario, distortions)
-    if scenario.bandwidth <= 1.0:
+    if scenario.bandwidth <= 1.0 or scenario.num_receivers == 1:
         return _step_sup(scenario, d)
-    from ._search import supremum  # numpy loads with the first b > 1 call
+    from ._search import supremum  # numpy loads with the first search
 
     return _result(*supremum(_Chain(scenario, d), target))
 
@@ -184,7 +186,8 @@ def in_outer_region(
     (non-member, violated at ``argmax_tau``), and the search stops there.
     Otherwise (the bracket within the rounding floor, or the point budget
     spent) it is the tolerant verdict on ``sup_value``, and ``certified``
-    is False.
+    is False.  A certified member may thus exceed P + N_1 by up to
+    rel_tol (P + N_1); rel_tol = 0 decides the bound itself.
     """
     rhs = bound_rhs(scenario)
     threshold = rhs * (1.0 + rel_tol)
@@ -255,7 +258,7 @@ class _Witness:
         v = math.log1p(self.tau / self.ref) + u
         return self.tau / math.expm1(v) if v > 0.0 else math.nan
 
-    def reach(self, target: float, lo: float, anchor: tuple[float, float], limit: float) -> float:
+    def reach(self, target: float, lo: float, anchor: tuple[float, float]) -> float:
         """Predicted boundary: where the curve plus gamma / 2 (D_K - lo)^2 first
         falls to ``target``.
 
@@ -265,7 +268,7 @@ class _Witness:
         steps from the curve's own root climb the convex model from below.
         A model whose minimum stays above the target (a double root, where
         the curve only grazes it) predicts its minimizer.  Without a usable
-        gamma, or past ``limit``, the prediction is the curve's root.
+        gamma the prediction is the curve's root.
         """
         root = self.root(target)
         x_a, value_a = anchor
@@ -282,8 +285,6 @@ class _Witness:
                 return x if last is None else last[0] - last[1] * (x - last[0]) / (slope - last[1])
             step = excess / -slope
             last, x = (x, slope), x + step
-            if x >= limit:
-                return root
             if step <= 0.25 * TRACE_WIDTH:
                 return x
 
@@ -310,20 +311,19 @@ def trace_boundary(
     shows), and never below the root, so most probes are non-members that
     climb toward the boundary faster than Newton's method.  Once the
     prediction lies within TRACE_WIDTH / 2 of lo, the probe at
-    lo + TRACE_WIDTH / 2 closes the bracket from above; once hi lies
-    within TRACE_WIDTH of the root, the probe at the root closes it from
-    below.  A root off the bracket by more than TRACE_WIDTH (rounding can
-    put a converged root just outside), or three probes in a row that fail
-    to halve a bracket whose hi is a member, give a bisection step
-    instead.  lo starts at D_K* / 2, which the step schedule
-    (+inf, ..., +inf, 0) already excludes, so that schedule is the first
-    witness.  A probe that would close the bracket (hi a member and
-    hi - x <= TRACE_WIDTH, or the D_K = N_S probe below) is first tested
-    against lo's witness (``_Witness.violates``); if that schedule already
-    violates the bound at x, x is a certified non-member and takes no
-    supremum call.  Only a closing probe is skipped, so the result is the
-    one the supremum calls would give, unless a supremum would call x a
-    member where a known schedule violates the bound.
+    lo + TRACE_WIDTH / 2 closes the bracket from above.  A root off the
+    bracket by more than TRACE_WIDTH (rounding can put a converged root
+    just outside), or three probes in a row that fail to halve a bracket
+    whose hi is a member, give a bisection step instead.  lo starts at
+    D_K* / 2, which the step schedule (+inf, ..., +inf, 0) already
+    excludes, so that schedule is the first witness.  A probe that would
+    close the bracket (hi a member and hi - x <= TRACE_WIDTH, or the
+    D_K = N_S probe below) is first tested against lo's witness
+    (``_Witness.violates``); if that schedule already violates the bound
+    at x, x is a certified non-member and takes no supremum call.  Only a
+    closing probe is skipped, so the result is the one the supremum calls
+    would give, unless a supremum would call x a member where a known
+    schedule violates the bound.
 
     hi starts at N_S, which is probed only when needed: a member probe
     below N_S shows that N_S is a member too.  N_S is probed when lo's
@@ -356,10 +356,8 @@ def trace_boundary(
             x = hi  # N_S, not yet probed
         elif bisect:
             x = 0.5 * (lo + hi)
-        elif member_hi and hi - root <= TRACE_WIDTH:
-            x = max(lo + 0.5 * TRACE_WIDTH, min(root, hi - 0.5 * TRACE_WIDTH))
         else:
-            aim = witness.reach(target, lo, anchor, hi) if anchor else root
+            aim = witness.reach(target, lo, anchor) if anchor else root
             if aim - lo <= 0.5 * TRACE_WIDTH:
                 x = lo + 0.5 * TRACE_WIDTH
             else:

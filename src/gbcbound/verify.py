@@ -26,6 +26,7 @@ from .core import (
     step_schedule,
     trivial_distortions,
 )
+from .errors import InputError
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES", "random_scenario"]
 
@@ -530,10 +531,12 @@ def run_all_checks(trials: int = 1000, seed: int = 42) -> list[CheckResult]:
 
     trials = 0 yields a vacuous pass (every check reports zero trials).
     """
+    if trials < 0:  # the CLI rejects it first (``cli._trials``)
+        raise InputError(f"trials must be >= 0, got {trials}")
     results = []
     for name, fn in _CHECKS:
         rng = random.Random(f"{seed}:{name}")
-        if trials <= 0:
+        if trials == 0:
             results.append(CheckResult(name, 0, 0, detail="vacuous: zero trials"))
         else:
             results.append(fn(rng, trials))

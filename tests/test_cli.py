@@ -811,16 +811,20 @@ sys.stderr.write(str("numpy" in sys.modules))
         (("trace", "--scenario", MATCHED, "--d1-grid", "0.5:1:5", "--out", "trace"), False),
         (("--version",), False),
         (("verify-theorems", "--trials", "-1"), False),
+        (("membership", "--scenario", "k1.json", "--distortions", "0.0625"), False),
         (("membership", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--distortions", "0.25,0.0625"),
          True),
     ],
     ids=["eval", "figure1", "membership-b-le-1", "trace-b-le-1", "version", "input-error",
-         "membership-b-gt-1"],
+         "membership-k1-b-gt-1", "membership-b-gt-1"],
 )
 def test_commands_load_numpy_only_for_a_grid(tmp_path, argv, loads_numpy):
     """Each command imports only what it runs: eval, figure1, a b <= 1
-    membership or trace, --version and an input error run in a process
-    that never loads numpy; a b > 1 supremum loads it with its search."""
+    membership or trace, a K = 1 membership at b = 2, --version and an
+    input error run in a process that never loads numpy; a supremum at
+    b > 1 and K >= 2 loads it with its search."""
+    (tmp_path / "k1.json").write_text(json.dumps(
+        {"power": 3.0, "noises": [1.0], "bandwidth": 2.0, "source_var": 1.0}))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True,
                           cwd=tmp_path, env=_child_env())
     assert proc.stderr == str(loads_numpy), proc.stderr

@@ -31,7 +31,7 @@ from gbcbound.membership import (
     sup_bound_lhs,
     trace_boundary,
 )
-from gbcbound.verify import random_distortions, random_scenario, random_schedule
+from gbcbound.verify import _rounding_bound, random_distortions, random_scenario, random_schedule
 
 S_MATCHED = BroadcastScenario(3, [3, 1], 1)
 S_EXPAND = BroadcastScenario(3, [3, 1], 2)
@@ -198,6 +198,26 @@ def test_membership_single_receiver():
     assert in_outer_region(sc, (dstar,)).member
     assert in_outer_region(sc, (min(dstar * 1.5, 1.0),)).member
     assert not in_outer_region(sc, (dstar * 0.9,)).member
+
+
+def test_certified_member_may_exceed_the_bound_within_the_tolerance():
+    """A certified member is certified against (P + N_1)(1 + rel_tol), not
+    against P + N_1.  At this D* just past b = 1 the default verdict is a
+    certified member, yet its witness violates the bound by about 5e-10
+    relative, far beyond the witness's rounding error; with rel_tol = 0
+    the same witness makes it a certified non-member."""
+    sc = BroadcastScenario(0.012668976785852444, (73.77720305135256, 43.56944509380377),
+                           1.201627803993418)
+    d, rhs = trivial_distortions(sc), bound_rhs(sc)
+    tolerant = in_outer_region(sc, d)
+    assert tolerant.member and tolerant.certified
+    strict = in_outer_region(sc, d, rel_tol=0.0)
+    assert not strict.member and strict.certified
+    for verdict in (tolerant, strict):
+        taus = verdict.sup.argmax_tau.taus
+        excess = eval_lhs(sc, d, taus) - rhs
+        assert excess > _rounding_bound(sc, d.values, taus, rhs, excess)
+        assert excess <= DEFAULT_REL_TOL * rhs
 
 
 def test_membership_rejects_bad_distortions():
@@ -384,7 +404,7 @@ def _member_probes(monkeypatch, sc, prefixes):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the b <= 1 supremum is the largest closed-form step value")
+    raise AssertionError("the supremum at b <= 1 or K = 1 is the largest closed-form step value")
 
 
 def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
@@ -410,6 +430,28 @@ def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatc
         threshold = bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL)
         for v in probes:
             assert v.sup.sup_upper <= threshold and v.sup.iterations == sc.num_receivers
+
+
+def test_single_receiver_supremum_is_the_closed_form_at_any_bandwidth(monkeypatch):
+    """At K = 1 the only schedule is tau_1 = 0, so at every b the supremum
+    is its closed-form value, with one iteration and no grid or search:
+    sup_bound_lhs, in_outer_region and trace_boundary never call into
+    ``_search``."""
+    import gbcbound._search as search
+
+    for name in ("supremum", "_tau_grid", "_links", "_chain_dp", "_enclosure", "_Cells"):
+        monkeypatch.setattr(search, name, _refuse)
+    for b in (0.5, 1.0, 1.01, 2.0, 8.0):
+        sc = BroadcastScenario(3.0, (1.0,), b)
+        floor = trivial_distortion(sc, 1)
+        for d in (0.5 * floor, floor, 0.5 * (floor + 1.0), 1.0):
+            sup = sup_bound_lhs(sc, (d,))
+            assert sup.argmax_tau.taus == (0.0,) and sup.iterations == 1
+            assert sup.sup_value == eval_lhs(sc, (d,), (0.0,)) <= sup.sup_upper
+            assert sup.sup_value == pytest.approx(reduced_bound_value(sc, (d,), 1), rel=1e-15)
+            assert in_outer_region(sc, (d,)).member == (d >= floor)
+        shifted = sc.source_var * (sc.noises[0] / (bound_rhs(sc) * (1.0 + DEFAULT_REL_TOL))) ** b
+        assert trace_boundary(sc, ()) == pytest.approx(shifted, abs=TRACE_WIDTH)
 
 
 def _rounding_floor(sc, d):
@@ -678,6 +720,86 @@ def test_trace_bisects_when_no_witness_root_is_usable(monkeypatch):
         calls, raised = _sup_calls(monkeypatch, sc, prefix)
         assert not raised and calls <= 40, (sc, calls)
         dk = trace_boundary(sc, prefix)
+        assert in_outer_region(sc, prefix + (dk,)).member, sc
+        assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, sc
+        assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, sc
+
+
+def _forced_row(monkeypatch, sc, prefix, root=None, reach=None):
+    """One trace_boundary row with ``_Witness.root`` replaced by root(lo) and
+    ``_Witness.reach`` by reach(lo, hi) once a member is known, each where
+    given; returns the result, its supremum calls, and each probe as
+    (lo, hi, x), the bracket before it."""
+    import gbcbound.membership as m
+
+    bracket = {"lo": 0.5 * trivial_distortion(sc, sc.num_receivers), "hi": sc.source_var, "member": False}
+    probes, calls = [], 0
+    real_verdict, real_violates = m.in_outer_region, m._Witness.violates
+    real_root, real_reach = m._Witness.root, m._Witness.reach
+
+    def verdict(scenario, d, rel_tol):
+        nonlocal calls
+        calls += 1
+        assert calls <= 150, f"trace_boundary loops on {sc}, prefix {prefix}"
+        probes.append((bracket["lo"], bracket["hi"], d[-1]))
+        v = real_verdict(scenario, d, rel_tol=rel_tol)
+        if v.member:
+            bracket.update(hi=d[-1], member=True)
+        else:
+            bracket["lo"] = d[-1]
+        return v
+
+    def violates(self, scenario, d, target):
+        probes.append((bracket["lo"], bracket["hi"], d.values[-1]))
+        out = real_violates(self, scenario, d, target)
+        if out:
+            bracket["lo"] = d.values[-1]
+        return out
+
+    def forced_root(self, target):
+        return root(bracket["lo"]) if root and bracket["member"] else real_root(self, target)
+
+    def forced_reach(self, target, lo, anchor):
+        return reach(lo, bracket["hi"]) if reach and bracket["member"] else real_reach(self, target, lo, anchor)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "in_outer_region", verdict)
+        patch.setattr(m._Witness, "violates", violates)
+        patch.setattr(m._Witness, "root", forced_root)
+        patch.setattr(m._Witness, "reach", forced_reach)
+        result = trace_boundary(sc, prefix)
+    return result, calls, probes
+
+
+_FORCED_ROWS = ((S_EXPAND, (0.3,)), (load_scenario(SCENARIOS / "expansion_k2.json"), (0.28,)),
+                (BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0), (0.3, 0.1)))
+_W = TRACE_WIDTH
+# each path's forced root(lo) and reach(lo, hi), and the probe (lo, hi) -> x that shows it was taken
+_SAFETY_PATHS = {
+    "stall": (lambda lo: lo + 0.5 * _W, lambda lo, hi: lo + 0.5 * _W, lambda lo, hi: 0.5 * (lo + hi)),
+    "floor": (lambda lo: lo - 0.5 * _W, lambda lo, hi: lo + 0.6 * _W, lambda lo, hi: lo + 0.25 * _W),
+    "beyond-hi": (None, lambda lo, hi: 2.0 * hi, lambda lo, hi: hi - 0.5 * _W),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SAFETY_PATHS))
+def test_trace_safety_paths_end_with_the_contract(monkeypatch, path):
+    """Paths no traffic reaches, forced: roots that crawl just above lo once a
+    member is known, so three probes in a row fail to halve the bracket
+    and a bisection step follows ("stall"); a root just below lo with an
+    aim within 3 TRACE_WIDTH / 4 of it, so the probe takes the
+    lo + TRACE_WIDTH / 4 floor ("floor"); and an aim beyond hi, which the
+    clamp holds at hi - TRACE_WIDTH / 2 ("beyond-hi").  From the first
+    member on, at least every fourth probe halves the bracket, so each row
+    ends within 100 supremum calls (about 4 per halving of a bracket some
+    1e-5 wide); it probes strictly inside its bracket, returns a member
+    whose D_K - TRACE_WIDTH is not one, and agrees with plain bisection."""
+    root, reach, mark = _SAFETY_PATHS[path]
+    for sc, prefix in _FORCED_ROWS:
+        dk, calls, probes = _forced_row(monkeypatch, sc, prefix, root, reach)
+        assert calls <= 100, (sc, calls)
+        assert any(x == mark(lo, hi) for lo, hi, x in probes), sc
+        assert all(lo < x < hi for lo, hi, x in probes), sc
         assert in_outer_region(sc, prefix + (dk,)).member, sc
         assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, sc
         assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, sc

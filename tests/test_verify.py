@@ -1,8 +1,11 @@
 import dataclasses
 import random
 
+import pytest
+
 from gbcbound import verify
 from gbcbound.core import trivial_distortions
+from gbcbound.errors import InputError
 from gbcbound.verify import CHECK_NAMES, run_all_checks
 
 
@@ -27,6 +30,11 @@ def test_zero_trials_is_vacuous():
     for r in results:
         assert r.passed and r.trials == 0
         assert "vacuous" in r.detail
+
+
+def test_negative_trials_are_rejected():
+    with pytest.raises(InputError):
+        run_all_checks(trials=-5, seed=42)
 
 
 def test_forced_bug_is_caught(monkeypatch):
