@@ -107,9 +107,7 @@ class BroadcastScenario:
     def delta_noise(self, k: int) -> float:
         """N_k - N_{k+1} for k < K, and N_K for k = K (1-based k)."""
         self._check_index(k)
-        if k < self.num_receivers:
-            return self.noises[k - 1] - self.noises[k]
-        return self.noises[-1]
+        return self._delta_noises[k - 1]
 
     def delta_noises(self) -> tuple[float, ...]:
         """``delta_noise(k)`` for k = 1..K."""

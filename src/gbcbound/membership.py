@@ -22,15 +22,15 @@ imports it on its first call there, so numpy loads only there.
 root-finding on the supremum, which is convex and nonincreasing in D_K.
 Each probe aims just below the boundary that lo's witness predicts: the
 closed-form root of the witness's own curve in D_K, corrected by the
-curvature that an earlier probe shows.  A probe that would close the
-bracket costs no supremum call when lo's witness already violates the
-bound there.  A row takes 4 to 5 supremum calls at b > 1 (4.64 on the
-README grid, 4.00 on K = 3 rows at b = 2) and 1 at b <= 1.  D_K = N_S
-is probed only when no member has been found and lo's witness cannot
-reach the bound below it, so a feasible row never pays for that check;
-an infeasible prefix costs 1 call at b <= 1 and 1 to 5 at b > 1 (1.6 on
-average over the random prefixes measured).  Everything here is
-reentrant.
+curvature that an earlier probe shows.  Every probe is first tested
+against lo's witness, and costs no supremum call when that schedule
+already violates the bound there.  A row takes 4 to 5 supremum calls at
+b > 1 (4.44 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
+b <= 1.  D_K = N_S is probed only when no member has been found and lo's
+witness cannot reach the bound below it, so a feasible row never pays for
+that check; an infeasible prefix costs 1 call at b <= 1 and 1 to 5 at
+b > 1 (1.6 on average over the random prefixes measured).  Everything
+here is reentrant.
 """
 
 from __future__ import annotations
@@ -300,7 +300,12 @@ def trace_boundary(
     so it carries the tolerance's shift: at b <= 1 it is
     N_S (N_K / (P + N_K + rel_tol (P + N_1)))^b, just below the
     point-to-point optimum D_K*.  The result is a member, and
-    D_K,min - TRACE_WIDTH is not.
+    D_K,min - TRACE_WIDTH is not.  TRACE_WIDTH is absolute, so that
+    contract says nothing about a boundary far below 1e-10: at
+    P = 95.67240021999338, N = (13.820243397254648, 0.01807419458336848),
+    b = 4.788951757166499 and D_1 = 0.002493537296150577 the result is
+    2.5e-11, about 10^7 times D_2* = 1.47e-18, while D_2 = 1e-17 is a
+    certified member and 3e-18 a certified non-member.
 
     The search keeps a bracket (lo, hi] with lo a non-member and hi a
     member.  D_K enters only the last term of the chain, so the supremum
@@ -309,21 +314,18 @@ def trace_boundary(
     Each probe aims just below the predicted boundary (``_Witness.reach``:
     the root, corrected by the curvature that hi, or the probe before lo,
     shows), and never below the root, so most probes are non-members that
-    climb toward the boundary faster than Newton's method.  Once the
-    prediction lies within TRACE_WIDTH / 2 of lo, the probe at
-    lo + TRACE_WIDTH / 2 closes the bracket from above.  A root off the
+    climb toward the boundary faster than Newton's method.  A root off the
     bracket by more than TRACE_WIDTH (rounding can put a converged root
     just outside), or three probes in a row that fail to halve a bracket
     whose hi is a member, give a bisection step instead.  lo starts at
     D_K* / 2, which the step schedule (+inf, ..., +inf, 0) already
-    excludes, so that schedule is the first witness.  A probe that would
-    close the bracket (hi a member and hi - x <= TRACE_WIDTH, or the
-    D_K = N_S probe below) is first tested against lo's witness
-    (``_Witness.violates``); if that schedule already violates the bound
-    at x, x is a certified non-member and takes no supremum call.  Only a
-    closing probe is skipped, so the result is the one the supremum calls
-    would give, unless a supremum would call x a member where a known
-    schedule violates the bound.
+    excludes, so that schedule is the first witness.  Every probe is
+    first tested against lo's witness (``_Witness.violates``); if that
+    schedule already violates the bound at x, x is a certified non-member
+    and takes no supremum call, and lo moves to x with the same witness.
+    So the result is the one the supremum calls would give, unless a
+    supremum would call x a member where a known schedule violates the
+    bound.
 
     hi starts at N_S, which is probed only when needed: a member probe
     below N_S shows that N_S is a member too.  N_S is probed when lo's
@@ -358,16 +360,13 @@ def trace_boundary(
             x = 0.5 * (lo + hi)
         else:
             aim = witness.reach(target, lo, anchor) if anchor else root
-            if aim - lo <= 0.5 * TRACE_WIDTH:
-                x = lo + 0.5 * TRACE_WIDTH
-            else:
-                x = max(lo + 0.25 * TRACE_WIDTH, aim - 0.5 * TRACE_WIDTH, root + 0.25 * TRACE_WIDTH)
+            x = max(lo + 0.25 * TRACE_WIDTH, aim - 0.5 * TRACE_WIDTH, root + 0.25 * TRACE_WIDTH)
             x = min(x, hi - 0.5 * TRACE_WIDTH) if member_hi else min(x, hi)
-        closes = hi - x <= TRACE_WIDTH if member_hi else x == hi
-        if closes and witness.violates(scenario, DistortionTuple(fixed_vals + (x,)), target):
+        d = DistortionTuple(fixed_vals + (x,))
+        if witness.violates(scenario, d, target):
             verdict = None  # lo's witness already excludes x
         else:
-            verdict = in_outer_region(scenario, fixed_vals + (x,), rel_tol=rel_tol)
+            verdict = in_outer_region(scenario, d, rel_tol=rel_tol)
         if verdict and verdict.member:
             hi, member_hi, anchor = x, True, (x, verdict.sup.sup_value)
         elif x == hi and not member_hi:
@@ -375,7 +374,7 @@ def trace_boundary(
                 f"no feasible D_{k_total} up to N_S = {hi} for fixed prefix {fixed_vals}"
             )
         elif verdict is None:
-            lo = x  # hi - x <= TRACE_WIDTH: the bracket is closed
+            lo, lo_value = x, None  # the witness excludes x too; its supremum is not known
         else:
             taus = verdict.sup.argmax_tau.taus
             if not member_hi and lo_value is not None:

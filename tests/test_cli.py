@@ -348,16 +348,16 @@ README_TRACE_CSV = (
     '0.275,0.0723266340276355,0.0625,0.009826634027635506\r\n'
     '0.28,0.07077594837418635,0.0625,0.008275948374186354\r\n'
     '0.285,0.06948518358292675,0.0625,0.0069851835829267545\r\n'
-    '0.29,0.06839514159896302,0.0625,0.005895141598963025\r\n'
-    '0.295,0.06746531644833409,0.0625,0.0049653164483340895\r\n'
-    '0.3,0.0666666664494774,0.0625,0.004166666449477399\r\n'
-    '0.305,0.06597761023924198,0.0625,0.0034776102392419794\r\n'
-    '0.31,0.06538164957382134,0.0625,0.0028816495738213377\r\n'
-    '0.315,0.06486587927477357,0.0625,0.0023658792747735663\r\n'
-    '0.32,0.06442001137368177,0.0625,0.0019200113736817653\r\n'
-    '0.325,0.06403571317662782,0.0625,0.0015357131766278176\r\n'
-    '0.33,0.06370614376221252,0.0625,0.001206143762212522\r\n'
-    '0.335,0.06342562170734059,0.0625,0.0009256217073405903\r\n'
+    '0.29,0.06839514157395994,0.0625,0.005895141573959942\r\n'
+    '0.295,0.06746531642333149,0.0625,0.004965316423331492\r\n'
+    '0.3,0.06666666642447225,0.0625,0.0041666664244722484\r\n'
+    '0.305,0.06597761021424033,0.0625,0.003477610214240326\r\n'
+    '0.31,0.06538164954882072,0.0625,0.002881649548820725\r\n'
+    '0.315,0.06486587921881713,0.0625,0.0023658792188171324\r\n'
+    '0.32,0.06442001135171271,0.0625,0.0019200113517127138\r\n'
+    '0.325,0.06403571317235872,0.0625,0.0015357131723587186\r\n'
+    '0.33,0.06370614377335983,0.0625,0.0012061437733598274\r\n'
+    '0.335,0.06342562168593972,0.0625,0.0009256216859397232\r\n'
     '0.34,0.06318938099575037,0.0625,0.0006893809957503744\r\n'
     '0.345,0.06299338899207867,0.0625,0.0004933889920786666\r\n'
     '0.35,0.06283420740257845,0.0625,0.00033420740257844583\r\n'

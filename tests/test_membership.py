@@ -339,10 +339,10 @@ def _sup_calls_per_row(monkeypatch, sc, prefixes):
 
 
 def test_trace_sup_calls_per_row(monkeypatch):
-    """Root-finding with a curvature-corrected aim, and a closing probe
-    that lo's witness already excludes, take 4 to 5 supremum calls per
-    row where bisection took 36: the README's trace grid (4.64), and
-    K = 3 rows on matched_k3's channel at b = 2 (4.00)."""
+    """Root-finding with a curvature-corrected aim, and no supremum call
+    for a probe that lo's witness already excludes, take 4 to 5 supremum
+    calls per row where bisection took 36: the README's trace grid
+    (4.44), and K = 3 rows on matched_k3's channel at b = 2 (4.00)."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
     assert _sup_calls_per_row(monkeypatch, readme, rows) <= 5
@@ -511,8 +511,8 @@ def test_readme_trace_member_probes_are_certified(monkeypatch):
 
 K3_EXPANSION_ROWS = (
     "0.01610158387504021", "0.01368686471903657", "0.012227073242202995", "0.011263627658617674",
-    "0.010603150370036014", "0.010147714794685023", "0.00984259593831986", "0.009655672791891286",
-    "0.009568079115298153", "0.009558063234290003",
+    "0.010603150370036014", "0.010147714794685023", "0.00984259593831986", "0.009655672766869662",
+    "0.009568079090237528", "0.00955806320926426",
 )
 
 
@@ -528,6 +528,25 @@ def test_k3_expansion_boundary_members_are_certified(monkeypatch):
     probes = _member_probes(monkeypatch, sc, prefixes)
     assert len(probes) >= 10 and 2 * sum(v.certified for v in probes) >= len(probes)
     assert tuple(repr(trace_boundary(sc, prefix)) for prefix in prefixes) == K3_EXPANSION_ROWS
+
+
+def test_pinned_trace_rows_hold_the_contract():
+    """Every row behind ``K3_EXPANSION_ROWS`` and the README's trace CSV (at
+    the CLI's own D_1 grid) is a certified member, D_K,min - TRACE_WIDTH a
+    certified non-member, and the row agrees with plain bisection; none of
+    this reads the pins."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    rows = [(readme, (0.37 if i == 24 else 0.25 + (0.37 - 0.25) * i / 24,)) for i in range(25)]
+    sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
+    f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
+    d2 = f2 * (sc.source_var / f2) ** 0.15
+    rows += [(sc, (f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2)) for i in range(10)]
+    for sc, prefix in rows:
+        dk = trace_boundary(sc, prefix)
+        member, below = in_outer_region(sc, prefix + (dk,)), in_outer_region(sc, prefix + (dk - TRACE_WIDTH,))
+        assert member.member and member.certified, (sc, prefix)
+        assert not below.member and below.certified, (sc, prefix)
+        assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, (sc, prefix)
 
 
 def _b_gt_1_search_calls():
@@ -728,32 +747,33 @@ def test_trace_bisects_when_no_witness_root_is_usable(monkeypatch):
 def _forced_row(monkeypatch, sc, prefix, root=None, reach=None):
     """One trace_boundary row with ``_Witness.root`` replaced by root(lo) and
     ``_Witness.reach`` by reach(lo, hi) once a member is known, each where
-    given; returns the result, its supremum calls, and each probe as
-    (lo, hi, x), the bracket before it."""
+    given; returns the result, the probes that took a supremum call, and
+    those that lo's witness excluded with none, each as (lo, hi, x), the
+    bracket before it."""
     import gbcbound.membership as m
 
     bracket = {"lo": 0.5 * trivial_distortion(sc, sc.num_receivers), "hi": sc.source_var, "member": False}
-    probes, calls = [], 0
+    probes, screened = [], []
     real_verdict, real_violates = m.in_outer_region, m._Witness.violates
     real_root, real_reach = m._Witness.root, m._Witness.reach
 
     def verdict(scenario, d, rel_tol):
-        nonlocal calls
-        calls += 1
-        assert calls <= 150, f"trace_boundary loops on {sc}, prefix {prefix}"
-        probes.append((bracket["lo"], bracket["hi"], d[-1]))
+        assert len(probes) < 150, f"trace_boundary loops on {sc}, prefix {prefix}"
+        *_, x = d
+        probes.append((bracket["lo"], bracket["hi"], x))
         v = real_verdict(scenario, d, rel_tol=rel_tol)
         if v.member:
-            bracket.update(hi=d[-1], member=True)
+            bracket.update(hi=x, member=True)
         else:
-            bracket["lo"] = d[-1]
+            bracket["lo"] = x
         return v
 
     def violates(self, scenario, d, target):
-        probes.append((bracket["lo"], bracket["hi"], d.values[-1]))
         out = real_violates(self, scenario, d, target)
+        *_, x = d
         if out:
-            bracket["lo"] = d.values[-1]
+            screened.append((bracket["lo"], bracket["hi"], x))
+            bracket["lo"] = x
         return out
 
     def forced_root(self, target):
@@ -768,7 +788,7 @@ def _forced_row(monkeypatch, sc, prefix, root=None, reach=None):
         patch.setattr(m._Witness, "root", forced_root)
         patch.setattr(m._Witness, "reach", forced_reach)
         result = trace_boundary(sc, prefix)
-    return result, calls, probes
+    return result, probes, screened
 
 
 _FORCED_ROWS = ((S_EXPAND, (0.3,)), (load_scenario(SCENARIOS / "expansion_k2.json"), (0.28,)),
@@ -796,10 +816,30 @@ def test_trace_safety_paths_end_with_the_contract(monkeypatch, path):
     whose D_K - TRACE_WIDTH is not one, and agrees with plain bisection."""
     root, reach, mark = _SAFETY_PATHS[path]
     for sc, prefix in _FORCED_ROWS:
-        dk, calls, probes = _forced_row(monkeypatch, sc, prefix, root, reach)
-        assert calls <= 100, (sc, calls)
-        assert any(x == mark(lo, hi) for lo, hi, x in probes), sc
-        assert all(lo < x < hi for lo, hi, x in probes), sc
+        dk, probes, screened = _forced_row(monkeypatch, sc, prefix, root, reach)
+        assert len(probes) <= 100, (sc, len(probes))
+        assert any(x == mark(lo, hi) for lo, hi, x in probes + screened), sc
+        assert all(lo < x < hi for lo, hi, x in probes + screened), sc
+        assert in_outer_region(sc, prefix + (dk,)).member, sc
+        assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, sc
+        assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, sc
+
+
+def test_trace_screens_every_probe_with_lo_witness(monkeypatch):
+    """A probe that lo's witness already excludes is a certified non-member
+    whether or not it closes the bracket.  With every witness root
+    under-reported by 3 TRACE_WIDTH, the first probes land below the true
+    root while hi is still N_S, unprobed: lo's witness excludes them, none
+    takes a supremum call, and the row still ends with the contract and
+    agrees with plain bisection."""
+    import gbcbound.membership as m
+
+    real_root = m._Witness.root
+    monkeypatch.setattr(m._Witness, "root", lambda self, target: real_root(self, target) - 3.0 * TRACE_WIDTH)
+    for sc, prefix in _FORCED_ROWS:
+        dk, probes, screened = _forced_row(monkeypatch, sc, prefix)
+        assert any(hi - x > TRACE_WIDTH for lo, hi, x in screened), sc
+        assert not {x for _, _, x in screened} & {x for _, _, x in probes}, sc
         assert in_outer_region(sc, prefix + (dk,)).member, sc
         assert not in_outer_region(sc, prefix + (dk - TRACE_WIDTH,)).member, sc
         assert abs(dk - _bisected_boundary(sc, prefix)) <= TRACE_WIDTH, sc
