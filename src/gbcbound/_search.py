@@ -7,9 +7,10 @@ supremum is the closed form of ``membership._step_sup``.
 At b > 1 the functional nests like Horner's rule in factors that each
 depend on one schedule entry (see ``bound``), and the only coupling
 between entries is their order.  So the supremum is a backward recursion
-over one grid of GRID_POINTS tau values holding exact 0 and +inf, a
-chain dynamic program costing O(K M) for M grid points, on links formed
-at once as (K - 1) x M arrays (``_links``) wherever they are needed, and
+over one grid of tau values holding exact 0 and +inf (GRID_POINTS of
+them, or the grid a trace row kept from its last probe), a chain
+dynamic program costing O(K M) for M grid points, on links formed at
+once as (K - 1) x M arrays (``_links``) wherever they are needed, and
 kept nowhere; its witness's entries then move to the peaks of parabolas
 through their stages' grid values (``_polish``).  The same links bound
 the supremum cell by cell (``_enclosure``), rounded outward by
@@ -330,11 +331,15 @@ def _peak(d: float, x: np.ndarray, value: np.ndarray, i: int) -> tuple[float, fl
     """The peak of the parabola in u = 1 / (d + tau) through a stage's
     ``value`` at the grid points x[i - 1], x[i] and x[i + 1] (all finite),
     where x[i] holds the highest of the three: its tau, strictly between
-    the outer two, and its value; None where there is no such peak."""
+    the outer two, and its value; None where there is no such peak, or
+    where two of the u round to one float (a refined grid, as a trace row
+    keeps, can hold points that close)."""
     if not (0 < i < len(x) - 2 and value[i] >= max(value[i - 1], value[i + 1])):
         return None
     f0, f1, f2 = value[i - 1:i + 2].tolist()
     u0, u1, u2 = (1.0 / (d + x[i - 1:i + 2])).tolist()
+    if not u0 > u1 > u2:
+        return None
     s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
     bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
     slope = s0 - bend * (u0 - u1)
@@ -374,18 +379,19 @@ def _pick(value: np.ndarray) -> int:
     return int(hits[-1]) if len(hits) else int(np.nanargmax(value))
 
 
-def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, int, float]:
+def supremum(chain: _Chain, target: float | None,
+             kept: list | None = None) -> tuple[list[float], float, int, float]:
     """The b > 1, K >= 2 bracket of ``membership.sup_bound_lhs`` at ``chain``'s D:
     the witness schedule, its value (the lower end), the evaluated points
     (``SupResult.iterations``) and the rigorous upper end.
 
-    The chain dynamic program finds the best schedule on a first grid of
-    GRID_POINTS points that holds 0 and +inf, so the all-zero and the step
-    schedules are always candidates, and the same links bound the supremum
-    from above (``_enclosure``), the first stage's largest cell bound
-    scaled by (1 + rho)^K.  The grid witness is then polished, each entry
-    moved to its stage's parabola peak (``_polish``), and the polished
-    schedule kept if the evaluator confirms a gain: so the lower end, and
+    The chain dynamic program finds the best schedule on a first grid that
+    holds 0 and +inf, so the all-zero and the step schedules are always
+    candidates, and the same links bound the supremum from above
+    (``_enclosure``), the first stage's largest cell bound scaled by
+    (1 + rho)^K.  The grid witness is then polished, each entry moved to
+    its stage's parabola peak (``_polish``), and the polished schedule
+    kept if the evaluator confirms a gain: so the lower end, and
     the witness that ``trace_boundary`` aims from, do not hang on the
     grid's size.  Unless that bracket decides how the supremum compares
     with ``target`` (``value > target`` or ``upper <= target``), each round
@@ -406,9 +412,19 @@ def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, i
     allowance) or at POINT_BUDGET new points.  The value is the
     evaluator's at exactly the witness: on a decided stop, the lower end
     there.
+
+    The first grid is ``_tau_grid``'s GRID_POINTS points, unless ``kept``
+    holds a grid of at most GRID_POINTS + POINT_BUDGET points: then the
+    search starts from that one.  Either way, a ``kept`` list is left
+    holding the search's final grid alone (``_Cells.x``, or the first grid
+    where the first pass decides).  ``trace_boundary`` so hands each probe
+    of a row the final grid of the probe before it, already fine where
+    the witness's entries sit; the enclosure, the recursion, the polish
+    and the tangent bounds hold on any sorted grid that holds exact 0 and
+    +inf.
     """
     free = len(chain.d) - 1
-    grid = _tau_grid(chain)
+    grid = kept[0] if kept and len(kept[0]) <= GRID_POINTS + POINT_BUDGET else _tau_grid(chain)
     columns = _columns(chain)
     underflows: list[bool] = []
     with _watch(underflows):
@@ -463,4 +479,6 @@ def supremum(chain: _Chain, target: float | None) -> tuple[list[float], float, i
             if not undecided():
                 break
         first = False
+    if kept is not None:
+        kept[:] = [cells.x if cells else grid]
     return taus, value, evals, upper

@@ -25,12 +25,14 @@ closed-form root of the witness's own curve in D_K, corrected by the
 curvature that an earlier probe shows.  Every probe is first tested
 against lo's witness, and costs no supremum call when that schedule
 already violates the bound there.  A row takes 4 to 5 supremum calls at
-b > 1 (4.44 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
-b <= 1.  D_K = N_S is probed only when no member has been found and lo's
-witness cannot reach the bound below it, so a feasible row never pays for
-that check; an infeasible prefix costs 1 call at b <= 1 and 1 to 5 at
-b > 1 (1.6 on average over the random prefixes measured).  Everything
-here is reentrant.
+b > 1 (4.40 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
+b <= 1.  Within a row, each b > 1 search after the first starts from the
+final grid of the one before it, so most member probes certify in one
+search round.  D_K = N_S is probed only when no member has been found
+and lo's witness cannot reach the bound below it, so a feasible row
+never pays for that check; an infeasible prefix costs 1 call at b <= 1
+and 1 to 5 at b > 1 (1.6 on average over the random prefixes measured).
+Everything here is reentrant.
 """
 
 from __future__ import annotations
@@ -71,11 +73,13 @@ class SupResult:
     compactified closure: entries may be +inf when the maximum is
     approached along a diverging schedule.  ``iterations`` is K at b <= 1
     or K = 1, one per step schedule.  Otherwise it counts the evaluated
-    points, K - 1 per point of the first grid and per new point of each
-    search round, plus one per witness (the first pass's, its polished
-    one and each round's), so (K - 1) GRID_POINTS + 2 where the first
-    pass decides (``_search``); the links that the search forms again
-    where it re-bounds are not counted.
+    points, K - 1 per point of the grid the call starts from and per new
+    point of each search round, plus one per witness (the first pass's,
+    its polished one and each round's), so (K - 1) GRID_POINTS + 2 where
+    the first pass decides on a fresh first grid (``_search``); a trace
+    probe starts from its row's kept grid and counts that grid's points.
+    The links that the search forms again where it re-bounds are not
+    counted.
     """
 
     sup_value: float
@@ -142,7 +146,11 @@ def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
 
 
 def sup_bound_lhs(
-    scenario: BroadcastScenario, distortions: Distortions, *, target: float | None = None
+    scenario: BroadcastScenario,
+    distortions: Distortions,
+    *,
+    target: float | None = None,
+    _grid: list | None = None,
 ) -> SupResult:
     """Bracket the functional's supremum over all admissible schedules.
 
@@ -163,20 +171,24 @@ def sup_bound_lhs(
     searches only while that bracket leaves open how the supremum compares
     with ``target`` (``sup_value > target`` or ``sup_upper <= target``
     decides).  ``sup_value`` is the evaluator's value at exactly
-    ``argmax_tau``: on a decided stop, the lower end there.
+    ``argmax_tau``: on a decided stop, the lower end there.  ``_grid`` is
+    ``trace_boundary``'s hand-off: a list whose grid, if it holds one, the
+    search starts from, and where it leaves its final grid (``_search``).
     """
     d = check_distortions(scenario, distortions)
     if scenario.bandwidth <= 1.0 or scenario.num_receivers == 1:
         return _step_sup(scenario, d)
     from ._search import supremum  # numpy loads with the first search
 
-    return _result(*supremum(_Chain(scenario, d), target))
+    return _result(*supremum(_Chain(scenario, d), target, _grid))
 
 
 def in_outer_region(
     scenario: BroadcastScenario,
     distortions: Distortions,
     rel_tol: float = DEFAULT_REL_TOL,
+    *,
+    _grid: list | None = None,
 ) -> MembershipVerdict:
     """Does D satisfy the whole inequality family (sup <= P + N_1)?
 
@@ -187,11 +199,12 @@ def in_outer_region(
     Otherwise (the bracket within the rounding floor, or the point budget
     spent) it is the tolerant verdict on ``sup_value``, and ``certified``
     is False.  A certified member may thus exceed P + N_1 by up to
-    rel_tol (P + N_1); rel_tol = 0 decides the bound itself.
+    rel_tol (P + N_1); rel_tol = 0 decides the bound itself.  ``_grid``
+    passes on to ``sup_bound_lhs``.
     """
     rhs = bound_rhs(scenario)
     threshold = rhs * (1.0 + rel_tol)
-    sup = sup_bound_lhs(scenario, distortions, target=threshold)
+    sup = sup_bound_lhs(scenario, distortions, target=threshold, _grid=_grid)
     margin = rhs - sup.sup_value
     member = sup.sup_value <= threshold
     certified = sup.sup_upper <= threshold or sup.sup_value > threshold
@@ -336,6 +349,15 @@ def trace_boundary(
     lie below N_S for a few probes first.  A b <= 1 row takes 1: a member
     probe just above the step schedule's root, then a closing probe just
     below it that the step schedule excludes.
+
+    Between the probes of a row only D_K moves, so at b > 1 each supremum
+    call after the row's first starts from the final grid of the one
+    before it (``in_outer_region``'s ``_grid``, a list local to this
+    call): that grid is already fine where the witness's entries sit, and
+    most member probes then certify in one search round, not two.  Each
+    row starts from a fresh first grid, and so does a probe whose kept
+    grid has grown past GRID_POINTS + POINT_BUDGET points (``_search``), so
+    rows do not depend on one another or on their order.
     """
     k_total = scenario.num_receivers
     fixed_vals = tuple(float(x) for x in fixed)
@@ -347,6 +369,7 @@ def trace_boundary(
     target = bound_rhs(scenario) * (1.0 + rel_tol)
     chain = _Chain(scenario, DistortionTuple(fixed_vals + (hi,)))
     witness = _Witness(chain, (math.inf,) * (k_total - 1) + (0.0,))
+    grid: list = []  # the last b > 1 search's final grid, where the next one starts
     member_hi = False
     lo_value = anchor = None  # sup_value at lo once probed; (D_K, sup_value) for reach
     stalled = 0  # probes in a row that failed to halve a bracket with a member hi
@@ -366,7 +389,7 @@ def trace_boundary(
         if witness.violates(scenario, d, target):
             verdict = None  # lo's witness already excludes x
         else:
-            verdict = in_outer_region(scenario, d, rel_tol=rel_tol)
+            verdict = in_outer_region(scenario, d, rel_tol=rel_tol, _grid=grid)
         if verdict and verdict.member:
             hi, member_hi, anchor = x, True, (x, verdict.sup.sup_value)
         elif x == hi and not member_hi:

@@ -340,31 +340,31 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
 
 README_TRACE_CSV = (
     'D1,D2_min,D2_trivial,gap\r\n'
-    '0.25,0.09999430797850574,0.0625,0.03749430797850574\r\n'
-    '0.255,0.08474433180696443,0.0625,0.022244331806964432\r\n'
-    '0.26,0.07987506612533538,0.0625,0.017375066125335376\r\n'
-    '0.265,0.07664180702763983,0.0625,0.014141807027639827\r\n'
-    '0.27,0.07422943925513106,0.0625,0.011729439255131063\r\n'
-    '0.275,0.0723266340276355,0.0625,0.009826634027635506\r\n'
-    '0.28,0.07077594837418635,0.0625,0.008275948374186354\r\n'
-    '0.285,0.06948518358292675,0.0625,0.0069851835829267545\r\n'
-    '0.29,0.06839514157395994,0.0625,0.005895141573959942\r\n'
-    '0.295,0.06746531642333149,0.0625,0.004965316423331492\r\n'
-    '0.3,0.06666666642447225,0.0625,0.0041666664244722484\r\n'
-    '0.305,0.06597761021424033,0.0625,0.003477610214240326\r\n'
-    '0.31,0.06538164954882072,0.0625,0.002881649548820725\r\n'
-    '0.315,0.06486587921881713,0.0625,0.0023658792188171324\r\n'
-    '0.32,0.06442001135171271,0.0625,0.0019200113517127138\r\n'
-    '0.325,0.06403571317235872,0.0625,0.0015357131723587186\r\n'
-    '0.33,0.06370614377335983,0.0625,0.0012061437733598274\r\n'
-    '0.335,0.06342562168593972,0.0625,0.0009256216859397232\r\n'
-    '0.34,0.06318938099575037,0.0625,0.0006893809957503744\r\n'
-    '0.345,0.06299338899207867,0.0625,0.0004933889920786666\r\n'
-    '0.35,0.06283420740257845,0.0625,0.00033420740257844583\r\n'
-    '0.355,0.06270888536701362,0.0625,0.00020888536701361982\r\n'
-    '0.36,0.0626148756545299,0.0625,0.00011487565452990289\r\n'
-    '0.365,0.06254996835634828,0.0625,4.996835634828167e-05\r\n'
-    '0.37,0.06251223783057466,0.0625,1.2237830574662878e-05\r\n'
+    '0.25,0.09999430797872148,0.0625,0.03749430797872148\r\n'
+    '0.255,0.08474433181119546,0.0625,0.022244331811195464\r\n'
+    '0.26,0.07987506612604488,0.0625,0.017375066126044877\r\n'
+    '0.265,0.07664180702808158,0.0625,0.014141807028081585\r\n'
+    '0.27,0.07422943925518782,0.0625,0.011729439255187823\r\n'
+    '0.275,0.07232663402765589,0.0625,0.009826634027655892\r\n'
+    '0.28,0.07077594837419725,0.0625,0.008275948374197248\r\n'
+    '0.285,0.06948518358293634,0.0625,0.006985183582936344\r\n'
+    '0.29,0.06839514157400603,0.0625,0.00589514157400603\r\n'
+    '0.295,0.06746531642347303,0.0625,0.004965316423473032\r\n'
+    '0.3,0.06666666642499997,0.0625,0.004166666424999965\r\n'
+    '0.305,0.06597761021440395,0.0625,0.003477610214403945\r\n'
+    '0.31,0.06538164954937428,0.0625,0.002881649549374282\r\n'
+    '0.315,0.06486587921915044,0.0625,0.002365879219150435\r\n'
+    '0.32,0.06442001133451226,0.0625,0.0019200113345122644\r\n'
+    '0.325,0.06403571317268743,0.0625,0.001535713172687428\r\n'
+    '0.33,0.06370614377354504,0.0625,0.0012061437735450403\r\n'
+    '0.335,0.06342562168600624,0.0625,0.0009256216860062394\r\n'
+    '0.34,0.06318938099558964,0.0625,0.0006893809955896418\r\n'
+    '0.345,0.06299338899194944,0.0625,0.0004933889919494366\r\n'
+    '0.35,0.06283420740255509,0.0625,0.0003342074025550895\r\n'
+    '0.355,0.06270888536701635,0.0625,0.00020888536701635374\r\n'
+    '0.36,0.06261487565452986,0.0625,0.00011487565452986126\r\n'
+    '0.365,0.06254996835634838,0.0625,4.996835634837882e-05\r\n'
+    '0.37,0.06251223783057462,0.0625,1.2237830574621245e-05\r\n'
 )
 
 

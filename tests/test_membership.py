@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from gbcbound.core import (
     trivial_distortions,
 )
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
-from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links
+from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links, _peak
 from gbcbound.membership import (
     TRACE_WIDTH,
     SupResult,
@@ -37,6 +38,7 @@ S_MATCHED = BroadcastScenario(3, [3, 1], 1)
 S_EXPAND = BroadcastScenario(3, [3, 1], 2)
 S_COMPRESS = BroadcastScenario(3, [3, 1], 0.5)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+README_ROWS = [(0.25 + 0.12 * i / 24,) for i in range(25)]  # the README's trace grid, as D_1 prefixes
 
 
 def _regimes(rng):
@@ -342,10 +344,9 @@ def test_trace_sup_calls_per_row(monkeypatch):
     """Root-finding with a curvature-corrected aim, and no supremum call
     for a probe that lo's witness already excludes, take 4 to 5 supremum
     calls per row where bisection took 36: the README's trace grid
-    (4.44), and K = 3 rows on matched_k3's channel at b = 2 (4.00)."""
+    (4.40), and K = 3 rows on matched_k3's channel at b = 2 (4.00)."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    rows = [(0.25 + 0.12 * i / 24,) for i in range(25)]
-    assert _sup_calls_per_row(monkeypatch, readme, rows) <= 5
+    assert _sup_calls_per_row(monkeypatch, readme, README_ROWS) <= 5
     ch = load_scenario(SCENARIOS / "matched_k3.json")
     sc = BroadcastScenario(ch.power, ch.noises, 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
@@ -386,8 +387,8 @@ def test_trace_rows_at_or_below_matched_bandwidth_take_one_call(monkeypatch):
             assert _sup_calls(monkeypatch, sc, (f1 * (sc.source_var / f1) ** u,)) == (1, False)
 
 
-def _member_probes(monkeypatch, sc, prefixes):
-    """The member verdicts of the trace_boundary rows' in_outer_region calls."""
+def _probe_verdicts(monkeypatch, sc, prefixes):
+    """The verdicts of the trace_boundary rows' in_outer_region calls."""
     import gbcbound.membership as m
 
     real, verdicts = m.in_outer_region, []
@@ -400,7 +401,12 @@ def _member_probes(monkeypatch, sc, prefixes):
         patch.setattr(m, "in_outer_region", recorded)
         for prefix in prefixes:
             trace_boundary(sc, prefix)
-    return [v for v in verdicts if v.member]
+    return verdicts
+
+
+def _member_probes(monkeypatch, sc, prefixes):
+    """The member verdicts of the trace_boundary rows' in_outer_region calls."""
+    return [v for v in _probe_verdicts(monkeypatch, sc, prefixes) if v.member]
 
 
 def _refuse(*args, **kwargs):
@@ -496,37 +502,133 @@ def test_b_le_1_sup_upper_is_the_rounded_step_value():
 
 def test_readme_trace_member_probes_are_certified(monkeypatch):
     """At b = 2 the excess over the threshold lies in interior cells, which
-    the search splits and re-bounds with tangent bounds: every member probe
-    of the README trace is certified, or lies within the rounding floor of
-    the threshold and is reported undecided."""
+    the search splits and re-bounds with tangent bounds: every probe of the
+    README trace is certified, its member probes among them."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    probes = _member_probes(monkeypatch, readme, [(0.25 + 0.12 * i / 24,) for i in range(25)])
+    probes = _probe_verdicts(monkeypatch, readme, README_ROWS)
+    assert sum(v.member for v in probes) >= 25 and all(v.certified for v in probes)
+
+
+def test_boundary_trace_round_probes_are_certified(monkeypatch):
+    """Every b > 1 probe of seed 501's first boundary-trace round, drawn as
+    the benchmark draws it (25 rows at b = 2 and 25 K = 3 rows), is
+    certified, members and non-members alike."""
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    trace = workloads.BoundaryTrace(501, workloads.Context(root=SCENARIOS.parent, tmp="out"))
+    rows = [(op.meta["sc"], op.meta["prefix"]) for op in trace._first if op.meta["sc"].bandwidth > 1.0]
+    assert len(rows) == 50
+    for sc, prefix in rows:
+        probes = _probe_verdicts(monkeypatch, sc, [prefix])
+        assert probes and all(v.certified for v in probes), (sc, prefix)
+
+
+def _first_grids(monkeypatch, sc, prefixes):
+    """Each row's trace_boundary result, and the first grids (``_search._tau_grid``) it built."""
+    import gbcbound._search as search
+
+    real, built, rows = search._tau_grid, [], {}
+
+    def counted(chain):
+        built[-1] += 1
+        return real(chain)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_tau_grid", counted)
+        for prefix in prefixes:
+            built.append(0)
+            rows[prefix] = trace_boundary(sc, prefix), built[-1]
+    return rows
+
+
+def test_trace_row_reuses_its_grid(monkeypatch):
+    """Each b > 1 search of a trace row after the first starts from the final
+    grid of the one before it: a README row (4 to 8 supremum calls) builds
+    one first grid, however many probes it makes."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    for prefix, (_, built) in _first_grids(monkeypatch, readme, README_ROWS).items():
+        assert built == 1, prefix
+
+
+def test_trace_rows_do_not_depend_on_their_order(monkeypatch):
+    """No grid leaks from one row into the next: the README grid traced
+    forward, in reverse and shuffled gives bit-identical rows, each from
+    one first grid of its own."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    shuffled = list(README_ROWS)
+    random.Random(30).shuffle(shuffled)
+    forward = _first_grids(monkeypatch, readme, README_ROWS)
+    assert set(built for _, built in forward.values()) == {1}
+    for order in (README_ROWS[::-1], shuffled):
+        assert _first_grids(monkeypatch, readme, order) == forward
+
+
+def test_trace_counters_see_every_search(monkeypatch):
+    """``_sup_calls`` and ``_probe_verdicts`` see every b > 1 search a README
+    row runs, so the call budgets and the certification tests above hold
+    on every probe, not on a path that skips the counters."""
+    import gbcbound._search as search
+
+    real, runs = search.supremum, []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "supremum", counted)
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    calls = sum(_sup_calls(monkeypatch, readme, prefix)[0] for prefix in README_ROWS)
+    searches = len(runs)
+    runs.clear()
+    probes = _probe_verdicts(monkeypatch, readme, README_ROWS)
+    assert calls == searches == len(probes) == len(runs) > len(README_ROWS)
+
+
+def test_sup_bound_lhs_grid_hand_off():
+    """``_grid`` is a private hand-off: an empty list gives the same result
+    as none and is left holding the search's final grid (sorted, from 0 to
+    +inf); a later call starts from that grid, all of whose points it
+    evaluates, and certifies its member; and a grid past GRID_POINTS +
+    POINT_BUDGET points is dropped for a fresh first grid."""
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
     threshold = bound_rhs(readme) * (1.0 + DEFAULT_REL_TOL)
-    assert len(probes) >= 25
-    for v in probes:
-        if not v.certified:
-            assert threshold - v.sup.sup_value <= 2.0 * threshold * _rounding_floor(readme, (0.25, 0.1))
-    assert sum(v.certified for v in probes) >= len(probes) - 1
+    kept = []
+    fresh = sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold)
+    assert sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold, _grid=kept) == fresh
+    (grid,) = kept
+    assert grid[0] == 0.0 and grid[-1] == math.inf and np.all(np.diff(grid) >= 0.0)
+    assert len(grid) > GRID_POINTS  # the search ran and refined it
+    member = sup_bound_lhs(readme, (0.3, 0.0666666666), target=threshold, _grid=kept)
+    assert member.sup_upper <= threshold and member.iterations >= len(grid) + 2
+    wide = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, GRID_POINTS + POINT_BUDGET - 1), [math.inf]))
+    assert sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold, _grid=[wide]) == fresh
+
+
+def test_peak_skips_points_closer_than_a_float():
+    """A kept grid can hold neighbours whose u = 1 / (d + tau) round to one
+    float: the parabola through them has no peak."""
+    x = np.array([0.0, 1.0, math.nextafter(1.0, 2.0), 2.0, math.inf])
+    assert _peak(1e3, x, np.array([1.0, 2.0, 3.0, 2.0, 1.0]), 2) is None
 
 
 K3_EXPANSION_ROWS = (
-    "0.01610158387504021", "0.01368686471903657", "0.012227073242202995", "0.011263627658617674",
-    "0.010603150370036014", "0.010147714794685023", "0.00984259593831986", "0.009655672766869662",
-    "0.009568079090237528", "0.00955806320926426",
+    "0.01610158387532549", "0.013686864719587358", "0.012227073243200968", "0.011263627660067627",
+    "0.010603150372277976", "0.010147714796001071", "0.00984259594093746", "0.009655672768756996",
+    "0.009568079092611715", "0.00955806321198813",
 )
 
 
 def test_k3_expansion_boundary_members_are_certified(monkeypatch):
     """K = 3 at b = 2 (P = 3, N = (3, 1, 0.3)), D_2 = D_2* (N_S / D_2*)^0.15:
-    at least half of the member probes of a 10-row trace are certified, and
-    each row's D_3,min is pinned to its repr.  On this grid both the
+    every member probe of a 10-row trace is certified, and each row's
+    D_3,min is pinned to its repr.  On this grid both the
     run-extended tangent bounds and the lifted recursion act at K = 3."""
     sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
     f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
     d2 = f2 * (sc.source_var / f2) ** 0.15
     prefixes = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2) for i in range(10)]
     probes = _member_probes(monkeypatch, sc, prefixes)
-    assert len(probes) >= 10 and 2 * sum(v.certified for v in probes) >= len(probes)
+    assert len(probes) >= 10 and all(v.certified for v in probes)
     assert tuple(repr(trace_boundary(sc, prefix)) for prefix in prefixes) == K3_EXPANSION_ROWS
 
 
@@ -757,11 +859,11 @@ def _forced_row(monkeypatch, sc, prefix, root=None, reach=None):
     real_verdict, real_violates = m.in_outer_region, m._Witness.violates
     real_root, real_reach = m._Witness.root, m._Witness.reach
 
-    def verdict(scenario, d, rel_tol):
+    def verdict(scenario, d, rel_tol, **kwargs):
         assert len(probes) < 150, f"trace_boundary loops on {sc}, prefix {prefix}"
         *_, x = d
         probes.append((bracket["lo"], bracket["hi"], x))
-        v = real_verdict(scenario, d, rel_tol=rel_tol)
+        v = real_verdict(scenario, d, rel_tol=rel_tol, **kwargs)
         if v.member:
             bracket.update(hi=x, member=True)
         else:
