@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-9
+_EPS = math.ulp(1.0)
 
 Distortions = Union[DistortionTuple, Sequence[float]]
 Schedule = Union[TauSchedule, Sequence[float]]
@@ -112,7 +113,7 @@ class _Chain:
         and each ratio's rounding is monotone.
         """
         low = min(self.d)
-        return math.ulp(1.0) * (4.0 * math.log1p((self.ns - low) / low) / self.b + 8.0)
+        return _EPS * (4.0 * math.log1p((self.ns - low) / low) / self.b + 8.0)
 
     def log_factors(self, taus: Sequence[float]) -> tuple[list[float], list[float]]:
         """log g_k(tau_k) and log h_k(tau_k) at one schedule.
@@ -143,6 +144,37 @@ class _Chain:
     def lhs(self, taus: Sequence[float]) -> float:
         """Left-hand side at one schedule; a term past the float range makes it +inf."""
         return _total(self.terms(*self.log_factors(taus)))
+
+    def lhs_error(self, taus: Sequence[float]) -> tuple[float, float]:
+        """``lhs`` at one schedule, and a bound e on its rounding error.
+
+        eps = 2^-52; operations round within eps / 2, log1p and exp within
+        4 ulps (tier-1 measures 2).  Each ratio's 3 eps / 2 moves its log1p
+        at most that much relatively (r / (1 + r) <= log1p(r)), so a log
+        factor l is within 5.5 eps |l|, and term k's exponent, k of them
+        summed over b, within dy_k = eps (5.5 + k / 2) L_k / b, L_k their
+        absolute sum.  exp, dN_k and the fsum add (4.5 + K / 2) eps, so lhs
+        is within E = 2 sum_k T_k (expm1(dy_k) + (4.5 + K / 2) eps); the 2
+        covers T_k and this sum as computed, and second-order terms.  e = E
+        + 4 eps (value + E) also covers comparing value -+ e with a threshold
+        of at most three roundings from exact floats, (P + N_1)(1 + rel_tol):
+        those and the rounding of value -+ e move it under 2 eps (1 + 4 eps)
+        (value + e).  So value - e > threshold shows the exact lhs above the
+        exact threshold, and value + e < threshold below it.  +inf: e = 0.
+        """
+        log_g, log_h = self.log_factors(taus)
+        terms = self.terms(log_g, log_h)
+        value = _total(terms)
+        if value == math.inf:
+            return value, 0.0
+        expm1, scale = math.expm1, _EPS / self.b
+        spread, size, weight = 0.0, 0.0, 5.5  # size: sum of |log h_j| over j < k; weight: 5.5 + k / 2
+        for term, g, h in zip(terms, log_g, log_h):  # log g >= 0
+            weight += 0.5
+            spread += term * expm1(weight * scale * (g + size))
+            size += abs(h)
+        error = 2.0 * (spread + (4.5 + len(terms) / 2) * _EPS * value)
+        return value, error + 4.0 * _EPS * (value + error)
 
 
 def _total(terms: Sequence[float]) -> float:
@@ -183,14 +215,14 @@ def reduced_bound_value(
     as ``eval_lhs`` is at that schedule.
     """
     scenario._check_index(k)
-    return _step_value(scenario, check_distortions(scenario, distortions), k)
+    return _step_value(scenario, check_distortions(scenario, distortions).values, k)
 
 
-def _step_value(scenario: BroadcastScenario, d: DistortionTuple, k: int) -> float:
+def _step_value(scenario: BroadcastScenario, d: Sequence[float], k: int) -> float:
     """``reduced_bound_value`` on validated inputs, in Python floats: one
     log1p of (N_S - D_k) / D_k, as ``_Chain`` forms log g, one exp, one
     difference and one sum."""
-    dk, nk = d.values[k - 1], scenario.noises[k - 1]
+    dk, nk = d[k - 1], scenario.noises[k - 1]
     try:
         growth = math.exp(math.log1p((scenario.source_var - dk) / dk) / scenario.bandwidth)
     except OverflowError:

@@ -92,7 +92,7 @@ class SupResult:
 @dataclass(frozen=True)
 class MembershipVerdict:
     """``member`` is the tolerant verdict sup <= (P + N_1)(1 + tolerance);
-    ``certified`` says whether the bracket decided it (``in_outer_region``),
+    ``certified`` says it holds in exact arithmetic (``in_outer_region``),
     so a certified member may exceed P + N_1 by up to tolerance (P + N_1).
     """
 
@@ -120,7 +120,7 @@ def _result(taus: Sequence[float], value: float, iterations: int, upper: float) 
     )
 
 
-def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
+def _step_sup(scenario: BroadcastScenario, chain: _Chain) -> SupResult:
     """The supremum at b <= 1 or K = 1: the largest of the K step values,
     each the bound at a step schedule in closed form (``bound._step_value``).
 
@@ -135,12 +135,11 @@ def _step_sup(scenario: BroadcastScenario, d: DistortionTuple) -> SupResult:
     bounds the supremum.  ``sup_upper`` is at least ``sup_value``, which
     the evaluator rounds differently.
     """
-    count = len(d.values)
-    values = [_step_value(scenario, d, k) for k in range(1, count + 1)]
+    count = len(chain.d)
+    values = [_step_value(scenario, chain.d, k) for k in range(1, count + 1)]
     top = max(values)
     j = values.index(top) if top < math.inf else count - 1 - values[::-1].index(top)
     taus = [math.inf] * j + [0.0] * (count - j)
-    chain = _Chain(scenario, d)
     value = chain.lhs(taus)
     return _result(taus, value, count, max(top * (1.0 + chain.rho()), value))
 
@@ -151,6 +150,7 @@ def sup_bound_lhs(
     *,
     target: float | None = None,
     _grid: list | None = None,
+    _chain: _Chain | None = None,
 ) -> SupResult:
     """Bracket the functional's supremum over all admissible schedules.
 
@@ -174,13 +174,14 @@ def sup_bound_lhs(
     ``argmax_tau``: on a decided stop, the lower end there.  ``_grid`` is
     ``trace_boundary``'s hand-off: a list whose grid, if it holds one, the
     search starts from, and where it leaves its final grid (``_search``).
+    ``_chain``, if given, is the validated functional at D (``in_outer_region``'s).
     """
-    d = check_distortions(scenario, distortions)
+    chain = _chain or _Chain(scenario, check_distortions(scenario, distortions))
     if scenario.bandwidth <= 1.0 or scenario.num_receivers == 1:
-        return _step_sup(scenario, d)
+        return _step_sup(scenario, chain)
     from ._search import supremum  # numpy loads with the first search
 
-    return _result(*supremum(_Chain(scenario, d), target, _grid))
+    return _result(*supremum(chain, target, _grid))
 
 
 def in_outer_region(
@@ -192,24 +193,27 @@ def in_outer_region(
 ) -> MembershipVerdict:
     """Does D satisfy the whole inequality family (sup <= P + N_1)?
 
-    The verdict compares the supremum with the threshold
-    (P + N_1)(1 + rel_tol).  It is certified when the bracket decides:
-    ``sup_upper`` <= threshold (member) or ``sup_value`` > threshold
-    (non-member, violated at ``argmax_tau``), and the search stops there.
-    Otherwise (the bracket within the rounding floor, or the point budget
-    spent) it is the tolerant verdict on ``sup_value``, and ``certified``
-    is False.  A certified member may thus exceed P + N_1 by up to
-    rel_tol (P + N_1); rel_tol = 0 decides the bound itself.  ``_grid``
-    passes on to ``sup_bound_lhs``.
+    The verdict compares the supremum with the threshold (P + N_1)(1 +
+    rel_tol); the search stops once its bracket decides.  It is certified
+    when ``sup_upper`` <= threshold (member) or ``sup_value`` minus its
+    rounding bound at ``argmax_tau`` (``_Chain.lhs_error``) > threshold
+    (non-member); otherwise it is the tolerant verdict on ``sup_value``.
+    A certified member may thus exceed P + N_1 by up to rel_tol (P + N_1);
+    rel_tol = 0 decides the bound itself.  ``_grid`` goes to ``sup_bound_lhs``.
     """
     rhs = bound_rhs(scenario)
     threshold = rhs * (1.0 + rel_tol)
-    sup = sup_bound_lhs(scenario, distortions, target=threshold, _grid=_grid)
-    margin = rhs - sup.sup_value
+    chain = _Chain(scenario, check_distortions(scenario, distortions))
+    sup = sup_bound_lhs(scenario, distortions, target=threshold, _grid=_grid, _chain=chain)
     member = sup.sup_value <= threshold
-    certified = sup.sup_upper <= threshold or sup.sup_value > threshold
-    return MembershipVerdict(member=member, certified=certified, sup=sup, margin=margin, rhs=rhs,
-                             tolerance=rel_tol)
+    certified = sup.sup_upper <= threshold if member else _above(chain, sup.argmax_tau.taus, threshold)
+    return MembershipVerdict(member, certified, sup, rhs - sup.sup_value, rhs, rel_tol)
+
+
+def _above(chain: _Chain, taus: Sequence[float], threshold: float) -> bool:
+    """lhs at ``taus`` above ``threshold`` in exact arithmetic (``_Chain.lhs_error``)?"""
+    value, error = chain.lhs_error(taus)
+    return value - error > threshold
 
 
 class _Witness:
@@ -242,11 +246,9 @@ class _Witness:
 
     def violates(self, scenario: BroadcastScenario, d: DistortionTuple, target: float) -> bool:
         """Does the schedule put lhs above ``target`` at D, whose last entry
-        is the probe?  The curve screens in closed form; the evaluator at D
-        decides, so a True certifies D a non-member as ``in_outer_region``
-        would.
-        """
-        return self.value(d.values[-1]) > target and _Chain(scenario, d).lhs(self.taus) > target
+        is the probe?  The curve screens in closed form; ``_above`` decides,
+        so a True certifies D a non-member as ``in_outer_region`` would."""
+        return self.value(d.values[-1]) > target and _above(_Chain(scenario, d), self.taus, target)
 
     def slope(self, x: float) -> float:
         last = self.value(x) - self.head
@@ -334,11 +336,11 @@ def trace_boundary(
     D_K* / 2, which the step schedule (+inf, ..., +inf, 0) already
     excludes, so that schedule is the first witness.  Every probe is
     first tested against lo's witness (``_Witness.violates``); if that
-    schedule already violates the bound at x, x is a certified non-member
-    and takes no supremum call, and lo moves to x with the same witness.
-    So the result is the one the supremum calls would give, unless a
-    supremum would call x a member where a known schedule violates the
-    bound.
+    schedule violates the bound at x by more than its rounding bound, x is
+    a certified non-member and takes no supremum call, and lo moves to x
+    with the same witness.  So the result is the one the supremum calls
+    would give, unless a supremum would call x a member where a known
+    schedule violates the bound.
 
     hi starts at N_S, which is probed only when needed: a member probe
     below N_S shows that N_S is a member too.  N_S is probed when lo's

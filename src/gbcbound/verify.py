@@ -21,7 +21,6 @@ from . import bound, capacity, membership, minkowski
 from .core import (
     BroadcastScenario,
     TauSchedule,
-    check_distortions,
     json_safe,
     step_schedule,
     trivial_distortions,
@@ -33,7 +32,6 @@ __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES", "random_scenario"]
 _LOG_LO = math.log(1e-2)
 _LOG_HI = math.log(1e2)
 _MIN_NOISE_RATIO = 1.2
-_EPS = math.ulp(1.0)
 _EXAMPLES = 3
 _PS = (0.2, 0.5, 0.9, 1.5, 2.0, 4.0)
 
@@ -143,51 +141,21 @@ def _check_compression_bound(rng: random.Random, trials: int) -> CheckResult:
     return result
 
 
-def _rounding_bound(sc: BroadcastScenario, d: tuple[float, ...], tau: tuple[float, ...],
-                    rhs: float, margin: float) -> float:
-    """Forward bound on the rounding error of ``margin`` = eval_lhs - ``rhs``.
-
-    Unit roundoff is eps / 2 (eps = 2^-52), and log1p and exp are taken to
-    be within 4 ulps (4 eps relative).  Each ratio of ``bound._Chain``
-    carries 3 eps / 2 from its difference, sum and quotient, which moves
-    its log1p by at most that much relatively (r / (1 + r) <= log1p(r)),
-    so each log factor l is within 5.5 eps |l|.  Term k sums k of them
-    (k - 1 additions, eps / 2 of at most L_k, the sum of their absolute
-    values) and divides by b, so its exponent is within dy_k = eps (5.5 +
-    k / 2) L_k / b.  exp adds 4 eps, dN_k eps / 2 and the sum of K
-    nonnegative products at most K eps / 2 (math.fsum rounds it once), so
-    term T_k is within rel_k = expm1(dy_k) + (4.5 + K / 2) eps.  The bound
-    is 2 sum_k T_k rel_k (the factor 2 covers T_k being itself computed
-    and second-order terms), plus eps (rhs + |margin|) for rhs = P + N_1
-    and the subtraction.
-    """
-    chain = bound._Chain(sc, check_distortions(sc, d))
-    log_g, log_h = chain.log_factors(tau)
-    parts, size_h = [], 0.0  # size_h: the sum of |log h_j| over j < k
-    for k, (term, g, h) in enumerate(zip(chain.terms(log_g, log_h), log_g, log_h), 1):
-        dy = _EPS * (5.5 + k / 2) * (abs(g) + size_h) / sc.bandwidth
-        parts.append(term * (math.expm1(dy) + (4.5 + len(tau) / 2) * _EPS))
-        size_h += abs(h)
-    return 2.0 * bound._total(parts) + _EPS * (rhs + abs(margin))
-
-
 def _check_expansion_strict(rng: random.Random, trials: int) -> CheckResult:
     """b > 1, K >= 2: the schedule (1, 0, ..., 0) strictly violates the bound at the trivial point.
 
     The violation is strict for every scenario, but it scales with the
-    worst receiver's SNR (relative margins down to about 1e-10), so the
-    computed lhs - rhs must exceed a forward bound on its rounding error
-    rather than a fixed relative margin.
+    worst receiver's SNR (relative margins down to about 1e-10), so lhs
+    minus its rounding bound (``bound._Chain.lhs_error``) must exceed rhs.
     """
     result = CheckResult("expansion-strict-violation", 0, 0)
     for i in range(trials):
         sc = random_scenario(rng, k_range=(2, 5), bandwidth=rng.uniform(1.05, 8.0))
-        dstar = trivial_distortions(sc).values
+        dstar = trivial_distortions(sc)
         rhs = bound.bound_rhs(sc)
         tau = (1.0,) + (0.0,) * (sc.num_receivers - 1)
-        margin = bound.eval_lhs(sc, dstar, tau) - rhs
-        ok = margin > _rounding_bound(sc, dstar, tau, rhs, margin)
-        _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+        lhs, error = bound._Chain(sc, dstar).lhs_error(tau)
+        _record(result, lhs - error > rhs, i, scenario=sc, d=dstar.values, tau=tau, margin=lhs - rhs)
     return result
 
 
@@ -203,9 +171,9 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
     and b > 1 at K = 1-5: D* is a member exactly when b <= 1 or K = 1,
     0.98 D* never is, and min(1.02 D*, N_S) is whenever D* is.  At b < 1
     and K >= 2 the schedule (1, 0, ..., 0) stays below P + N_1 at D* by
-    more than the rounding error of lhs - rhs.  At b > 1 and K >= 2 D*
-    lies strictly outside: its verdict is taken with no tolerance, and the
-    verdict's witness violates the bound by more than that rounding error.
+    more than lhs's rounding error (``bound._Chain.lhs_error``).  At b > 1
+    and K >= 2 D* lies strictly outside: with no tolerance, its verdict is
+    a certified non-member, its witness beyond that rounding error.
     """
     result = CheckResult("regime-vs-trivial", 0, 0)
     boxes = max(1, trials // 200)
@@ -225,7 +193,7 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
     for i in range(boxes, boxes + max(1, trials // 5)):
         sc = random_scenario(rng, bandwidth=rng.uniform(*_REGIMES[(i - boxes) % 3]))
         k, b, ns = sc.num_receivers, sc.bandwidth, sc.source_var
-        dstar = trivial_distortions(sc).values
+        dstar = (star := trivial_distortions(sc)).values
         expected = b <= 1.0 or k == 1
         probes = [(dstar, expected), (tuple(0.98 * v for v in dstar), False)]
         if expected:
@@ -233,20 +201,17 @@ def _check_regime_vs_trivial(rng: random.Random, trials: int) -> CheckResult:
         rhs = bound.bound_rhs(sc)
         if k >= 2 and b < 1.0:
             tau = (1.0,) + (0.0,) * (k - 1)
-            margin = bound.eval_lhs(sc, dstar, tau) - rhs
-            ok = -margin > _rounding_bound(sc, dstar, tau, rhs, margin)
-            _record(result, ok, i, scenario=sc, d=dstar, tau=tau, margin=margin)
+            lhs, error = bound._Chain(sc, star).lhs_error(tau)
+            _record(result, lhs + error < rhs, i, scenario=sc, d=dstar, tau=tau, margin=lhs - rhs)
         for d, member in probes:
             strictly_out = d is dstar and not expected
             tol = 0.0 if strictly_out else bound.DEFAULT_REL_TOL
             verdict = membership.in_outer_region(sc, d, rel_tol=tol)
             ok, witness = verdict.member == member, {"margin": verdict.margin}
-            if strictly_out:  # the witness's violation exceeds its rounding error
-                tau = verdict.sup.argmax_tau.taus
-                margin = bound.eval_lhs(sc, dstar, tau) - rhs
-                ok = ok and margin > _rounding_bound(sc, dstar, tau, rhs, margin)
+            if strictly_out:  # a certified non-member: the witness's violation exceeds its rounding error
+                ok = ok and verdict.certified
                 strict += ok
-                witness = {"tau": tau, "margin": margin}
+                witness = {"tau": verdict.sup.argmax_tau.taus, "margin": verdict.sup.sup_value - rhs}
             _record(result, ok, i, scenario=sc, d=d, expected=member, **witness)
     result.detail = f"{strict} D* non-members at b > 1 certified by the witness's violation"
     return result

@@ -187,6 +187,25 @@ def test_membership_payload_past_float_range(capsys, tmp_path):
     assert float(payload["sup_value"]) <= float(payload["sup_upper"])
 
 
+def test_membership_at_tolerance_0_certifies_no_rounding_noise(capsys, tmp_path):
+    """At b = 1 this D lies within the evaluator's rounding of the bound: the
+    exact supremum, max_k (N_1 - N_k) + N_k N_S / D_k, is P + N_1 - 6.9e-18,
+    so D is a member, while the evaluator puts its witness 4.4e-16 above
+    P + N_1.  At --tolerance 0 that is the tolerant verdict "not a member",
+    and it must not be certified."""
+    path = tmp_path / "b1.json"
+    path.write_text(json.dumps({"power": 2.0886268427041093, "bandwidth": 1,
+                                "noises": [1.562146897937667, 0.4579745822910527, 0.011112964972015565]}))
+    code, payload = run_cli(
+        capsys, "membership", "--scenario", str(path), "--tolerance", "0",
+        "--distortions", "0.427894744762532,0.17983755832223441,0.0052925438339499675",
+    )
+    assert code == 0
+    validate_payload(payload, "membership.schema.json")
+    assert payload["member"] is False and payload["certified"] is False
+    assert payload["margin"] == -4.440892098500626e-16
+
+
 def test_membership_single_user(capsys, tmp_path):
     path = tmp_path / "k1.json"
     path.write_text(json.dumps({"power": 1, "noises": [1], "bandwidth": 2}))

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,12 @@ from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _li
 from gbcbound.membership import (
     TRACE_WIDTH,
     SupResult,
+    _Witness,
     in_outer_region,
     sup_bound_lhs,
     trace_boundary,
 )
-from gbcbound.verify import _rounding_bound, random_distortions, random_scenario, random_schedule
+from gbcbound.verify import random_distortions, random_scenario, random_schedule
 
 S_MATCHED = BroadcastScenario(3, [3, 1], 1)
 S_EXPAND = BroadcastScenario(3, [3, 1], 2)
@@ -216,10 +218,81 @@ def test_certified_member_may_exceed_the_bound_within_the_tolerance():
     strict = in_outer_region(sc, d, rel_tol=0.0)
     assert not strict.member and strict.certified
     for verdict in (tolerant, strict):
-        taus = verdict.sup.argmax_tau.taus
-        excess = eval_lhs(sc, d, taus) - rhs
-        assert excess > _rounding_bound(sc, d.values, taus, rhs, excess)
-        assert excess <= DEFAULT_REL_TOL * rhs
+        lhs, error = _Chain(sc, d).lhs_error(verdict.sup.argmax_tau.taus)
+        assert lhs - error > rhs
+        assert lhs - rhs <= DEFAULT_REL_TOL * rhs
+
+
+def _b1_certified_verdicts():
+    """4000 seeded b = 1 points near D*, each with its verdict at rel_tol = 0
+    and the exact verdict: (certified members, certified non-members, wrong
+    certified verdicts).
+
+    D_k = D_k* (1 + s r u_k), with s drawn from {-1, 0, 1}, r log-uniform on
+    [1e-16, 1e-11] and u_k uniform on [0, 1], so the points straddle the
+    boundary within a few thousand ulps.  At b = 1 each step value (N_1 -
+    N_k) + N_k N_S / D_k is rational in the float inputs, and the supremum
+    is their maximum, so ``Fraction`` decides each point exactly.
+    """
+    rng, counts = random.Random(3), [0, 0, 0]
+    for _ in range(4000):
+        sc = random_scenario(rng, bandwidth=1.0)
+        s, r = rng.choice((-1, 0, 1)), 10.0 ** rng.uniform(-16.0, -11.0)
+        d = tuple(v * (1.0 + s * r * rng.random()) for v in trivial_distortions(sc).values)
+        verdict = in_outer_region(sc, d, rel_tol=0.0)
+        if not verdict.certified:
+            continue
+        n1, ns = Fraction(sc.noises[0]), Fraction(sc.source_var)
+        sup = max(n1 - Fraction(n) + Fraction(n) * ns / Fraction(x) for n, x in zip(sc.noises, d))
+        counts[not verdict.member] += 1
+        counts[2] += verdict.member != (sup <= Fraction(sc.power) + n1)
+    return counts
+
+
+def test_certified_verdicts_at_matched_bandwidth_hold_in_exact_arithmetic():
+    """At b = 1 D* lies on the boundary, where rounding decides the tolerant
+    verdict: no certified verdict near it is wrong in exact arithmetic, and
+    both kinds are certified often enough for that to say something."""
+    members, non_members, wrong = _b1_certified_verdicts()
+    assert wrong == 0 and members >= 100 and non_members >= 100, (members, non_members, wrong)
+
+
+def test_certified_verdicts_without_the_rounding_bound_go_wrong(monkeypatch):
+    """The same points with lhs's rounding bound patched to 0: some
+    certified non-member is a member in exact arithmetic."""
+    monkeypatch.setattr(_Chain, "lhs_error", lambda self, taus: (self.lhs(taus), 0.0))
+    assert _b1_certified_verdicts()[2] > 0
+
+
+def test_witness_violation_is_certified_only_beyond_rounding():
+    """At b = 1 the step schedule (+inf, +inf, 0) puts the evaluator 4.4e-16
+    above P + N_1 at this D, where the exact supremum is 6.9e-18 below it
+    (the CLI pin at --tolerance 0): it does not certify D a non-member."""
+    sc = BroadcastScenario(2.0886268427041093, (1.562146897937667, 0.4579745822910527,
+                                                0.011112964972015565), 1.0)
+    d = check_distortions(sc, (0.427894744762532, 0.17983755832223441, 0.0052925438339499675))
+    witness = _Witness(_Chain(sc, d), (math.inf, math.inf, 0.0))
+    assert witness.value(d.values[-1]) > bound_rhs(sc)
+    assert not witness.violates(sc, d, bound_rhs(sc))
+
+
+def test_readme_rows_at_tolerance_0_hold_the_contract():
+    """Traced with rel_tol = 0, every README row is a member and D_K,min -
+    TRACE_WIDTH a certified non-member, except the double root at D_1 =
+    D_1* = 0.25.  There the exact boundary is D_2 = 0.1 (the all-zero
+    schedule gives P + N_1 exactly, and its slope in tau_1 changes sign
+    there), and the supremum's excess 2e-9 below it is under the rounding
+    floor, so neither verdict is certified."""
+    sc = load_scenario(SCENARIOS / "expansion_k2.json")
+    for (d1,) in README_ROWS:
+        dk = trace_boundary(sc, (d1,), rel_tol=0.0)
+        member = in_outer_region(sc, (d1, dk), rel_tol=0.0)
+        below = in_outer_region(sc, (d1, dk - TRACE_WIDTH), rel_tol=0.0)
+        assert member.member, d1
+        if d1 == 0.25:
+            assert 0.1 - 3e-9 < dk < 0.1 and not (member.certified or below.certified)
+        else:
+            assert member.certified and not below.member and below.certified, d1
 
 
 def test_membership_rejects_bad_distortions():

@@ -14,11 +14,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from gbcbound.bound import eval_lhs, reduced_bound_value
-from gbcbound.core import BroadcastScenario, trivial_distortion
+from gbcbound.bound import _Chain, eval_lhs, reduced_bound_value
+from gbcbound.core import BroadcastScenario, check_distortions, trivial_distortion
 from gbcbound._search import GRID_POINTS, POINT_BUDGET
 from gbcbound.membership import in_outer_region, sup_bound_lhs, trace_boundary
-from gbcbound.verify import _rounding_bound, random_distortions, random_scenario
+from gbcbound.verify import random_distortions, random_scenario
 
 GRID = [0.0] + [10.0 ** e for e in range(-3, 4)] + [math.inf]
 
@@ -249,22 +249,34 @@ def test_b_le_1_sup_upper_forms_no_link():
 
 
 def test_evaluator_within_its_rounding_bound_of_reference():
-    """``eval_lhs`` lies within ``verify._rounding_bound`` of the 50-digit
-    value on 300 seeded draws: K up to 16, b log-uniform on [1e-3, 10],
-    exponents log(N_S / D_k) / b up to 600, and schedules whose entries
-    mix 0, +inf and values log-uniform on [1e-6, 1e6]."""
+    """``_Chain.lhs_error`` bounds the evaluator's distance from the 50-digit
+    value on 600 seeded draws: K up to 16, b log-uniform on [1e-3, 10],
+    exponents log(N_S / D_k) / b up to 600, and up to 50 on the last 300
+    draws.  At each draw it is checked at
+    a schedule whose entries mix 0, +inf and values log-uniform on [1e-6,
+    1e6], and at the witness of the verdict at rel_tol = 0, a step schedule
+    at b <= 1 and the search's at b > 1.  The bound is tight as well as
+    safe: under 1e-10 of lhs wherever ``_Chain.rho``'s Y, which bounds every
+    exponent |log g_k| / b and |log h_k| / b, is at most 50."""
     rng = random.Random(89)
-    for i in range(300):
-        k = (1, 2, 3, 5, 8, 16)[i % 6]
+    tight = {False: 0, True: 0}  # bounds checked for tightness, at b <= 1 and at b > 1
+    for i in range(600):
+        k, top = (1, 2, 3, 5, 8, 16)[i % 6], 600.0 if i < 300 else 50.0
         b = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
         sc = random_scenario(rng, k_range=(k, k), bandwidth=b, min_ratio=1.05 if k >= 8 else 1.2)
-        d = tuple(sc.source_var * math.exp(-min(b * rng.uniform(0.0, 600.0), 700.0)) for _ in range(k))
+        d = tuple(sc.source_var * math.exp(-min(b * rng.uniform(0.0, top), 700.0)) for _ in range(k))
         free = (rng.choice((0.0, math.inf, 10.0 ** rng.uniform(-6.0, 6.0))) for _ in range(k - 1))
         taus = tuple(sorted(free, reverse=True)) + (0.0,)
-        value = eval_lhs(sc, d, taus)
-        assert math.isfinite(value), (sc, d, taus)
-        error = abs(Decimal(value) - lhs_reference(sc, d, taus))
-        assert error <= Decimal(_rounding_bound(sc, d, taus, 0.0, value)), (sc, d, taus)
+        chain = _Chain(sc, check_distortions(sc, d))
+        y = math.log1p((sc.source_var - min(d)) / min(d)) / b
+        for schedule in (taus, in_outer_region(sc, d, rel_tol=0.0).sup.argmax_tau.taus):
+            value, error = chain.lhs_error(schedule)
+            assert math.isfinite(value) and value == eval_lhs(sc, d, schedule), (sc, d, schedule)
+            assert abs(Decimal(value) - lhs_reference(sc, d, schedule)) <= Decimal(error), (sc, d, schedule)
+            if y <= 50.0:
+                assert error <= 1e-10 * value, (sc, d, schedule, error / value)
+                tight[b > 1.0] += 1
+    assert min(tight.values()) >= 100, tight
 
 
 def _ulps(got, exact):

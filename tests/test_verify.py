@@ -51,16 +51,31 @@ def test_forced_bug_is_caught(monkeypatch):
     assert not results["matched-equality"].passed
 
 
+def _cap_evaluator(monkeypatch):
+    """Cap the evaluator (``bound._Chain``, as bound, membership and verify
+    reach it) at P + N_1: ``lhs`` and ``lhs_error`` never exceed the bound."""
+    import gbcbound.bound as bound_mod
+    import gbcbound.membership as membership_mod
+
+    class Capped(bound_mod._Chain):
+        def __init__(self, scenario, d):
+            super().__init__(scenario, d)
+            self.cap = bound_mod.bound_rhs(scenario)
+
+        def lhs(self, taus):
+            return min(super().lhs(taus), self.cap)
+
+        def lhs_error(self, taus):
+            value, error = super().lhs_error(taus)
+            return min(value, self.cap), error
+
+    for module in (bound_mod, membership_mod):
+        monkeypatch.setattr(module, "_Chain", Capped)
+
+
 def test_forced_bug_without_strict_violation_is_caught(monkeypatch):
     """A bound that never exceeds P + N_1 at tau = (1, 0, ...) fails expansion-strict."""
-    import gbcbound.bound as bound_mod
-
-    real = bound_mod.eval_lhs
-
-    def capped(scenario, distortions, tau):
-        return min(real(scenario, distortions, tau), bound_mod.bound_rhs(scenario))
-
-    monkeypatch.setattr(bound_mod, "eval_lhs", capped)
+    _cap_evaluator(monkeypatch)
     result = verify._check_expansion_strict(random.Random(1), 30)
     assert result.failures == result.trials == 30
     assert len(result.examples) == 3 and [e["draw"] for e in result.examples] == [0, 1, 2]
@@ -127,14 +142,7 @@ def test_regime_vs_trivial_takes_every_strict_verdict(monkeypatch):
 def test_forced_bug_without_strict_dstar_violation_is_caught(monkeypatch):
     """An lhs capped at P + N_1 leaves no witness violating the bound at D*,
     which fails regime-vs-trivial on its b > 1 draws."""
-    import gbcbound.bound as bound_mod
-
-    real = bound_mod.eval_lhs
-
-    def capped(scenario, distortions, tau):
-        return min(real(scenario, distortions, tau), bound_mod.bound_rhs(scenario))
-
-    monkeypatch.setattr(bound_mod, "eval_lhs", capped)
+    _cap_evaluator(monkeypatch)
     result = verify._check_regime_vs_trivial(random.Random(1), 300)
     assert not result.passed and result.detail.startswith("0 D* non-members")
     assert all(e["expected"] is False and e["margin"] == 0.0 for e in result.examples)
