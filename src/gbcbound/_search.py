@@ -1,8 +1,10 @@
-"""The schedule supremum at b > 1, K >= 2: grid, dynamic program, enclosure, search.
+"""The schedule supremum at b > 1, K >= 3: grid, dynamic program, enclosure, search.
 
 ``membership.sup_bound_lhs`` imports this module on its first such call,
 so numpy loads only where a grid is made; at b <= 1 or K = 1 the
-supremum is the closed form of ``membership._step_sup``.
+supremum is the closed form of ``membership._step_sup``, and at K = 2 that
+of ``membership._pair_sup``.  ``supremum`` still runs at K = 2 when called
+directly, and the tests check the closed form against it there.
 
 At b > 1 the functional nests like Horner's rule in factors that each
 depend on one schedule entry (see ``bound``), and the only coupling
@@ -381,7 +383,7 @@ def _pick(value: np.ndarray) -> int:
 
 def supremum(chain: _Chain, target: float | None,
              kept: list | None = None) -> tuple[list[float], float, int, float]:
-    """The b > 1, K >= 2 bracket of ``membership.sup_bound_lhs`` at ``chain``'s D:
+    """The b > 1, K >= 3 bracket of ``membership.sup_bound_lhs`` at ``chain``'s D:
     the witness schedule, its value (the lower end), the evaluated points
     (``SupResult.iterations``) and the rigorous upper end.
 

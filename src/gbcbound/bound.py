@@ -18,7 +18,7 @@ so lhs = a_1 + c_1 (a_2 + c_2 (... + c_{K-1} a_K)) with a_k = dN_k g_k^(1/b)
 and c_j = h_j^(1/b) > 0.  ``_Chain.log_factors`` computes log g and log h
 at one schedule in Python floats, for the evaluator here; ``_search._links``
 computes a_k and c_k for every free receiver on a whole grid of entries,
-for the b > 1 supremum, in the same steps in numpy, whose exp and log1p
+for the b > 1, K >= 3 supremum, in the same steps in numpy, whose exp and log1p
 may differ from math's by an ulp.  Each log is one log1p of a
 nonnegative ratio, (N_S - D_k) / (D_k + tau) for g and |D_{k+1} - D_k| /
 (min(D_k, D_{k+1}) + tau) for h, which takes the sign of D_{k+1} - D_k;
@@ -162,11 +162,15 @@ class _Chain:
         (value + e).  So value - e > threshold shows the exact lhs above the
         exact threshold, and value + e < threshold below it.  +inf: e = 0.
         """
+        return self.rounding(taus)[:2]
+
+    def rounding(self, taus: Sequence[float]) -> tuple[float, float, list[float]]:
+        """``lhs_error``'s value and bound at one schedule, with the terms."""
         log_g, log_h = self.log_factors(taus)
         terms = self.terms(log_g, log_h)
         value = _total(terms)
         if value == math.inf:
-            return value, 0.0
+            return value, 0.0, terms
         expm1, scale = math.expm1, _EPS / self.b
         spread, size, weight = 0.0, 0.0, 5.5  # size: sum of |log h_j| over j < k; weight: 5.5 + k / 2
         for term, g, h in zip(terms, log_g, log_h):  # log g >= 0
@@ -174,7 +178,7 @@ class _Chain:
             spread += term * expm1(weight * scale * (g + size))
             size += abs(h)
         error = 2.0 * (spread + (4.5 + len(terms) / 2) * _EPS * value)
-        return value, error + 4.0 * _EPS * (value + error)
+        return value, error + 4.0 * _EPS * (value + error), terms
 
 
 def _total(terms: Sequence[float]) -> float:

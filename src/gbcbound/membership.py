@@ -9,12 +9,17 @@ paper's result) and at K = 1 the bound is the trivial one: the supremum
 is max_k of the closed form (N_1 - N_k) + N_k (N_S / D_k)^(1/b), the
 value at the step schedule isolating receiver k (the step schedules
 recover the point-to-point constraints), computed in Python floats with
-no grid (``_step_sup``), and that maximum times 1 + rho bounds it.
+no grid (``_step_sup``), and that maximum times 1 + rho bounds it.  At
+b > 1 and K = 2 the functional is concave in u = 1 / (D_1 + tau_1), so the
+supremum is its one clamped stationary point, again in closed form with
+no grid (``_pair_sup``), and one tangent there, with the curvature on each
+side, bounds it from above.
 
-Otherwise a chain dynamic program on a grid brackets the supremum, and a
-branch-and-bound search narrows a bracket that leaves the question open;
-``_search`` holds all of it, with every array, and ``sup_bound_lhs``
-imports it on its first call there, so numpy loads only there.
+At b > 1 with K >= 3 a chain dynamic program on a grid brackets the
+supremum, and a branch-and-bound search narrows a bracket that leaves the
+question open; ``_search`` holds all of it, with every array, and
+``sup_bound_lhs`` imports it on its first call there, so numpy loads only
+there.
 ``argmax_t`` gives the witness as t = tau / (1 + tau), which maps
 [0, +inf] onto [0, 1].
 
@@ -25,10 +30,10 @@ closed-form root of the witness's own curve in D_K, corrected by the
 curvature that an earlier probe shows.  Every probe is first tested
 against lo's witness, and costs no supremum call when that schedule
 already violates the bound there.  A row takes 4 to 5 supremum calls at
-b > 1 (4.40 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
-b <= 1.  Within a row, each b > 1 search after the first starts from the
-final grid of the one before it, so most member probes certify in one
-search round.  D_K = N_S is probed only when no member has been found
+b > 1 (4.36 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
+b <= 1.  Within a K >= 3 row, each b > 1 search after the first starts
+from the final grid of the one before it, so most member probes certify
+in one search round.  D_K = N_S is probed only when no member has been found
 and lo's witness cannot reach the bound below it, so a feasible row
 never pays for that check; an infeasible prefix costs 1 call at b <= 1
 and 1 to 5 at b > 1 (1.6 on average over the random prefixes measured).
@@ -38,10 +43,11 @@ Everything here is reentrant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bound import DEFAULT_REL_TOL, Distortions, _Chain, _step_value, _total, bound_rhs
+from .bound import _EPS, DEFAULT_REL_TOL, Distortions, _Chain, _step_value, _total, bound_rhs
 from .core import (
     BroadcastScenario,
     DistortionTuple,
@@ -60,6 +66,7 @@ __all__ = [
 ]
 
 TRACE_WIDTH = 1e-10
+_NORMAL = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -72,14 +79,16 @@ class SupResult:
     float range does not suffice.  ``argmax_tau`` lives on the
     compactified closure: entries may be +inf when the maximum is
     approached along a diverging schedule.  ``iterations`` is K at b <= 1
-    or K = 1, one per step schedule.  Otherwise it counts the evaluated
-    points, K - 1 per point of the grid the call starts from and per new
-    point of each search round, plus one per witness (the first pass's,
-    its polished one and each round's), so (K - 1) GRID_POINTS + 2 where
-    the first pass decides on a fresh first grid (``_search``); a trace
-    probe starts from its row's kept grid and counts that grid's points.
-    The links that the search forms again where it re-bounds are not
-    counted.
+    or K = 1, one per step schedule, and 1 at b > 1 and K = 2, the one
+    schedule the closed form evaluates (2 where its value overflows and
+    (+inf, 0) is evaluated too, ``_pair_sup``).  At K >= 3 it counts the
+    evaluated points, K - 1 per point of the grid the call starts from and
+    per new point of each search round, plus one per witness (the first
+    pass's, its polished one and each round's), so (K - 1) GRID_POINTS + 2
+    where the first pass decides on a fresh first grid (``_search``); a
+    trace probe starts from its row's kept grid and counts that grid's
+    points.  The links that the search forms again where it re-bounds are
+    not counted.
     """
 
     sup_value: float
@@ -144,6 +153,120 @@ def _step_sup(scenario: BroadcastScenario, chain: _Chain) -> SupResult:
     return _result(taus, value, count, max(top * (1.0 + chain.rho()), value))
 
 
+def _turn(chain: _Chain) -> float:
+    """tau_1 where the K = 2 functional's slope in u vanishes, clamped to
+    [0, +inf]: ``_pair_sup``'s witness at D_2 < D_1.
+
+    log r = b / (1 - b) log(-beta / alpha) is formed from the logs of its
+    factors, so no product over- or underflows; g / h = r at tau_1 = (N_S -
+    r D_2) / (r - 1), here (N_S / r - D_2) / (1 - 1 / r), so r itself is
+    never formed.
+    """
+    d2, ns, b = chain.d[1], chain.ns, chain.b
+    if chain.gap[0] == 0.0:  # alpha = 0 at D_1 = N_S: f falls all the way
+        return math.inf
+    top = math.log1p((ns - d2) / d2)  # log(N_S / D_2), g / h at tau_1 = 0
+    log = math.log
+    log_r = b / (1.0 - b) * (log(chain.dn[1]) + top / b + log(chain.delta[0])
+                             - log(chain.dn[0]) - log(chain.gap[0]))
+    if log_r <= 0.0:
+        return math.inf
+    if log_r >= top:
+        return 0.0
+    return max((ns * math.exp(-log_r) - d2) / -math.expm1(-log_r), 0.0)
+
+
+def _rise(slope: float, span: float, bend: float) -> float:
+    """The most a concave function can rise from a point over a distance
+    ``span``, where its slope is at most ``slope`` and its curvature at
+    least ``bend``: 0 if the slope is not positive, else min(slope span,
+    slope^2 / (2 bend)), the peak of slope t - bend t^2 / 2."""
+    if not slope > 0.0:
+        return 0.0
+    return min(slope * span, slope / bend * slope / 2.0) if bend >= _NORMAL else slope * span
+
+
+def _square(x: float) -> float:
+    """x^2, or 0 where it falls below the normal range (no relative rounding bound there)."""
+    return x * x if x * x >= _NORMAL else 0.0
+
+
+def _pair_sup(chain: _Chain) -> SupResult:
+    """The supremum at b > 1 and K = 2 in closed form, with no grid and no
+    search.
+
+    In u = 1 / (D_1 + tau_1) on [0, 1 / D_1] the functional is f(u) = T_1 +
+    T_2, T_1 = dN_1 g^(1/b) and T_2 = N_2 (N_S / D_2)^(1/b) h^(1/b), where g =
+    1 + (N_S - D_1) u and h = 1 + (D_2 - D_1) u are affine and positive, so
+    at b > 1 both terms are concave in u.  Its slope is f' = a + c, with a =
+    (N_S - D_1) T_1 / (b g) >= 0 and c = (D_2 - D_1) T_2 / (b h).  If D_2 >=
+    D_1, f is nondecreasing and the witness is tau_1 = 0.  Otherwise f' = 0
+    where g / h = r = (-beta / alpha)^(b / (1 - b)), alpha = dN_1 (N_S - D_1)
+    and beta = N_2 (N_S / D_2)^(1/b) (D_2 - D_1), that is at u = (r - 1) /
+    ((N_S - D_1) - r (D_2 - D_1)).  g / h rises from 1 at u = 0 to N_S / D_2
+    at u = 1 / D_1, so r clamped to that range gives the witness (``_turn``).
+    h is never formed as 1 + (D_2 - D_1) u, which rounds to 0 at D_2 << D_1:
+    the terms are the evaluator's at (tau_1, 0), with h = (D_2 + tau_1) /
+    (D_1 + tau_1), and ``sup_value`` is its value there.
+
+    ``sup_upper`` adds the most f can rise on either side of the witness
+    (``_rise``): at a distance t in u, f <= f(u) + f'(u) t - bend t^2 / 2,
+    with bend a lower bound on |f''| = (1 - 1/b) (a (N_S - D_1) / g + c (D_2 -
+    D_1) / h) on that side.  At D_2 < D_1 the first part, T_1 ((N_S - D_1) /
+    g)^2 (1 - 1/b) / b, falls as u grows and the second, T_2 ((D_2 - D_1) /
+    h)^2 (1 - 1/b) / b, as u falls, but each only through its 1 / g^2 or 1 /
+    h^2, since T_1 grows with u and T_2 falls; so each side's bend takes
+    the witness's terms, with g or h at that side's far end (g = N_S / D_1
+    above, h = 1 below).  At D_2 >= D_1 the witness is the top end and f'
+    >= 0 there, so nothing is added.
+    ``iterations`` counts the schedules evaluated: the witness, and (+inf,
+    0) too where the witness's value overflows.
+
+    Rounding (``_Chain.lhs_error``'s model): f at the witness is within the
+    evaluator's error bound.  Term k is within expm1(dy_k) + 5.5 eps
+    relatively (dy_k its exponent's rounding, as in ``lhs_error``, then exp,
+    dN_k and the sum), and at K = 2 dy_k <= 13 eps Y (Y bounds each |log g|
+    / b and |log h| / b, ``_Chain.rho``); a and c add 3.5 eps to that and
+    their sum eps / 2, so the slack 8 rho (|a| + |c|), rho = eps (4 Y + 8),
+    at least twice (|a| + |c|) (13 eps Y + 10 eps), bounds the slope's
+    error, the 2 covering second-order terms as in ``lhs_error``.  bend is
+    likewise within 13 eps Y + 14 eps < 4 rho, and (1 - 4 rho) bend is below
+    the exact one.  The rise and the sums round within 5 eps, which the last
+    factor 1 + 8 eps covers.  Past the float range, of the witness's value
+    or of f' and its slack, ``sup_upper`` is +inf; if the value overflowed,
+    ``sup_value`` is +inf too, at the larger tau_1 of the witness and +inf
+    whose value overflows (``_search._pick`` picks the last +inf).
+    """
+    (d1, d2), ns, b = chain.d, chain.ns, chain.b
+    tau = 0.0 if d2 >= d1 else _turn(chain)
+    taus = [tau, 0.0]
+    value, error, (t_1, t_2) = chain.rounding(taus)
+    if value == math.inf:
+        ends = [math.inf, 0.0]
+        if tau < math.inf and chain.lhs(ends) == math.inf:
+            return _result(ends, value, 2, value)
+        return _result(taus, value, 1 + (tau < math.inf), value)
+    gap, step = chain.gap[0], d2 - d1
+    if tau == math.inf:  # u = 0, where (D_1 + tau_1) / (N_S + tau_1) -> 1
+        w_g = w_h = 1.0
+        up, down = 1.0 / d1, 0.0
+    else:
+        near = d1 + tau
+        w_g, w_h = near / (ns + tau), near / (d2 + tau)  # 1 / g and 1 / h
+        up, down = tau / near / d1, 1.0 / near  # the spans in u above and below
+    a, c = gap * t_1 * w_g / b, step * t_2 * w_h / b
+    rho = chain.rho()
+    slack = 8.0 * rho * (a + abs(c))
+    if not slack < math.inf or any(0.0 < x < _NORMAL for x in (w_g, w_h, up, down, a, abs(c))):
+        return _result(taus, value, 1, math.inf)
+    scale = (b - 1.0) / (b * b) * (1.0 - 4.0 * rho) if d2 < d1 else 0.0
+    bend_up = scale * (t_1 * _square(gap / ns * d1) + t_2 * _square(step * w_h))
+    bend_down = scale * (t_1 * _square(gap * w_g) + t_2 * _square(step))
+    rise = max(_rise(a + c + slack, up, bend_up), _rise(slack - a - c, down, bend_down))
+    upper = (value + error + rise) * (1.0 + 8.0 * _EPS)
+    return _result(taus, value, 1, upper if upper < math.inf else math.inf)
+
+
 def sup_bound_lhs(
     scenario: BroadcastScenario,
     distortions: Distortions,
@@ -165,7 +288,14 @@ def sup_bound_lhs(
     maximum times 1 + rho, and ``sup_value`` the evaluator's value at the
     step schedule that isolates its receiver.
 
-    At b > 1 with K >= 2 ``_search.supremum`` runs the chain dynamic
+    At b > 1 with K = 2 the functional is concave in u = 1 / (D_1 + tau_1),
+    and ``_pair_sup`` takes its clamped stationary point in closed form, one
+    schedule evaluated with no grid and no search, whatever the target; its
+    bracket lies within the rounding allowance 2 K rho on the draws measured,
+    so it decides every verdict outside the rounding floor.  ``_search`` is
+    not imported there, and ``_grid`` stays as it is.
+
+    At b > 1 with K >= 3 ``_search.supremum`` runs the chain dynamic
     program on a first grid that holds 0 and +inf, bounds the supremum
     from above with the same links, polishes the grid witness, and
     searches only while that bracket leaves open how the supremum compares
@@ -179,6 +309,8 @@ def sup_bound_lhs(
     chain = _chain or _Chain(scenario, check_distortions(scenario, distortions))
     if scenario.bandwidth <= 1.0 or scenario.num_receivers == 1:
         return _step_sup(scenario, chain)
+    if scenario.num_receivers == 2:
+        return _pair_sup(chain)
     from ._search import supremum  # numpy loads with the first search
 
     return _result(*supremum(chain, target, _grid))
@@ -352,9 +484,9 @@ def trace_boundary(
     probe just above the step schedule's root, then a closing probe just
     below it that the step schedule excludes.
 
-    Between the probes of a row only D_K moves, so at b > 1 each supremum
-    call after the row's first starts from the final grid of the one
-    before it (``in_outer_region``'s ``_grid``, a list local to this
+    Between the probes of a row only D_K moves, so at b > 1 and K >= 3
+    each supremum call after the row's first starts from the final grid of
+    the one before it (``in_outer_region``'s ``_grid``, a list local to this
     call): that grid is already fine where the witness's entries sit, and
     most member probes then certify in one search round, not two.  Each
     row starts from a fresh first grid, and so does a probe whose kept

@@ -226,9 +226,9 @@ MEMBERSHIP_STDOUT = {
         '"distortions": [0.75, 0.5], "iterations": 2, "margin": 0.0, "member": true, '
         '"rhs": 6.0, "sup_upper": 6.000000000000019, "sup_value": 6.0, "tolerance": 1e-09}\n',
     ("expansion_k2.json", "0.25,0.0625"):
-        '{"argmax_t": [0.19999999999999996], "argmax_tau": [0.24999999999999994, 0.0], "certified": true, '
-        '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 515, '
-        '"margin": -0.32455532033675816, "member": false, "rhs": 6.0, "sup_upper": 6.3399448002422245, '
+        '{"argmax_t": [0.19999999999999993], "argmax_tau": [0.24999999999999992, 0.0], "certified": true, '
+        '"command": "membership", "distortions": [0.25, 0.0625], "iterations": 1, '
+        '"margin": -0.32455532033675816, "member": false, "rhs": 6.0, "sup_upper": 6.32455532033681, '
         '"sup_value": 6.324555320336758, "tolerance": 1e-09}\n',
 }
 
@@ -237,11 +237,11 @@ MEMBERSHIP_STDOUT = {
 def test_membership_stdout_is_pinned(capsys, name, distortions):
     """The payload's bytes.  At b <= 1 the supremum is the largest of the
     K = 2 closed-form step values (iterations 2, no grid), and sup_upper is
-    that value times 1 + rho.  At the README's b = 2 point the first pass
-    on the 513-point first grid decides (513 iterations for the grid, one
-    for its witness and one for the polished witness): its witness
-    violates the bound, and sup_upper is the first-order enclosure's
-    maximum rounded outward by (1 + rho)^K."""
+    that value times 1 + rho.  At the README's b = 2 point it is the K = 2
+    closed form (iterations 1, the one schedule evaluated): its witness,
+    the stationary point tau_1 = 0.25, violates the bound, and sup_upper
+    adds the rounding allowance and the most the functional can rise
+    beside the witness."""
     assert main(["membership", "--scenario", str(SCENARIOS / name), "--distortions", distortions]) == 0
     assert capsys.readouterr().out == MEMBERSHIP_STDOUT[name, distortions]
 
@@ -359,31 +359,31 @@ def test_trace_byte_reproducible(capsys, expansion, tmp_path):
 
 README_TRACE_CSV = (
     'D1,D2_min,D2_trivial,gap\r\n'
-    '0.25,0.09999430797872148,0.0625,0.03749430797872148\r\n'
-    '0.255,0.08474433181119546,0.0625,0.022244331811195464\r\n'
-    '0.26,0.07987506612604488,0.0625,0.017375066126044877\r\n'
-    '0.265,0.07664180702808158,0.0625,0.014141807028081585\r\n'
-    '0.27,0.07422943925518782,0.0625,0.011729439255187823\r\n'
-    '0.275,0.07232663402765589,0.0625,0.009826634027655892\r\n'
-    '0.28,0.07077594837419725,0.0625,0.008275948374197248\r\n'
-    '0.285,0.06948518358293634,0.0625,0.006985183582936344\r\n'
-    '0.29,0.06839514157400603,0.0625,0.00589514157400603\r\n'
-    '0.295,0.06746531642347303,0.0625,0.004965316423473032\r\n'
-    '0.3,0.06666666642499997,0.0625,0.004166666424999965\r\n'
+    '0.25,0.09999430797878349,0.0625,0.03749430797878349\r\n'
+    '0.255,0.08474433181122373,0.0625,0.022244331811223733\r\n'
+    '0.26,0.07987506612604552,0.0625,0.017375066126045516\r\n'
+    '0.265,0.0766418070280816,0.0625,0.014141807028081599\r\n'
+    '0.27,0.07422943925518787,0.0625,0.011729439255187865\r\n'
+    '0.275,0.07232663402765592,0.0625,0.00982663402765592\r\n'
+    '0.28,0.07077594837419728,0.0625,0.008275948374197276\r\n'
+    '0.285,0.06948518358293636,0.0625,0.006985183582936358\r\n'
+    '0.29,0.06839514157400602,0.0625,0.005895141574006016\r\n'
+    '0.295,0.06746531642347305,0.0625,0.004965316423473046\r\n'
+    '0.3,0.066666666425,0.0625,0.004166666425000007\r\n'
     '0.305,0.06597761021440395,0.0625,0.003477610214403945\r\n'
-    '0.31,0.06538164954937428,0.0625,0.002881649549374282\r\n'
-    '0.315,0.06486587921915044,0.0625,0.002365879219150435\r\n'
-    '0.32,0.06442001133451226,0.0625,0.0019200113345122644\r\n'
-    '0.325,0.06403571317268743,0.0625,0.001535713172687428\r\n'
-    '0.33,0.06370614377354504,0.0625,0.0012061437735450403\r\n'
-    '0.335,0.06342562168600624,0.0625,0.0009256216860062394\r\n'
-    '0.34,0.06318938099558964,0.0625,0.0006893809955896418\r\n'
-    '0.345,0.06299338899194944,0.0625,0.0004933889919494366\r\n'
-    '0.35,0.06283420740255509,0.0625,0.0003342074025550895\r\n'
-    '0.355,0.06270888536701635,0.0625,0.00020888536701635374\r\n'
-    '0.36,0.06261487565452986,0.0625,0.00011487565452986126\r\n'
-    '0.365,0.06254996835634838,0.0625,4.996835634837882e-05\r\n'
-    '0.37,0.06251223783057462,0.0625,1.2237830574621245e-05\r\n'
+    '0.31,0.06538164954937432,0.0625,0.002881649549374324\r\n'
+    '0.315,0.06486587921218619,0.0625,0.0023658792121861866\r\n'
+    '0.32,0.06442001135194063,0.0625,0.0019200113519406287\r\n'
+    '0.325,0.0640357131727911,0.0625,0.001535713172791095\r\n'
+    '0.33,0.0637061437737182,0.0625,0.0012061437737181935\r\n'
+    '0.335,0.06342562168604327,0.0625,0.0009256216860432653\r\n'
+    '0.34,0.06318938099331295,0.0625,0.0006893809933129491\r\n'
+    '0.345,0.06299338899134603,0.0625,0.0004933889913460304\r\n'
+    '0.35,0.06283420740236782,0.0625,0.00033420740236782265\r\n'
+    '0.355,0.0627088853669931,0.0625,0.00020888536699309457\r\n'
+    '0.36,0.06261487565452563,0.0625,0.00011487565452562853\r\n'
+    '0.365,0.0625499683563487,0.0625,4.9968356348698006e-05\r\n'
+    '0.37,0.06251223783057486,0.0625,1.2237830574857167e-05\r\n'
 )
 
 
@@ -809,7 +809,7 @@ def test_console_entry_point():
     assert "gbcbound" in proc.stdout
 
 
-# Runs main(argv) in a fresh interpreter, then writes whether numpy was loaded to stderr.
+# Runs main(argv) in a fresh interpreter, then writes whether numpy and the grid search were loaded to stderr.
 _NUMPY_PROBE = """
 import sys
 from gbcbound.cli import main
@@ -817,7 +817,7 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-sys.stderr.write(str("numpy" in sys.modules))
+sys.stderr.write(str(["numpy" in sys.modules, "gbcbound._search" in sys.modules]))
 """
 
 
@@ -832,21 +832,26 @@ sys.stderr.write(str("numpy" in sys.modules))
         (("verify-theorems", "--trials", "-1"), False),
         (("membership", "--scenario", "k1.json", "--distortions", "0.0625"), False),
         (("membership", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--distortions", "0.25,0.0625"),
+         False),
+        (("trace", "--scenario", str(SCENARIOS / "expansion_k2.json"), "--d1-grid", "0.25:0.37:25",
+          "--out", "trace"), False),
+        (("membership", "--scenario", str(SCENARIOS / "expansion_k3.json"), "--distortions", "0.5,0.3,0.2"),
          True),
     ],
     ids=["eval", "figure1", "membership-b-le-1", "trace-b-le-1", "version", "input-error",
-         "membership-k1-b-gt-1", "membership-b-gt-1"],
+         "membership-k1-b-gt-1", "membership-b-gt-1", "trace-b-gt-1", "membership-k3-b-gt-1"],
 )
 def test_commands_load_numpy_only_for_a_grid(tmp_path, argv, loads_numpy):
     """Each command imports only what it runs: eval, figure1, a b <= 1
-    membership or trace, a K = 1 membership at b = 2, --version and an
-    input error run in a process that never loads numpy; a supremum at
-    b > 1 and K >= 2 loads it with its search."""
+    membership or trace, a K = 1 or K = 2 membership and the README trace
+    at b = 2, --version and an input error run in a process that loads
+    neither numpy nor the grid search (``gbcbound._search``); a supremum at
+    b > 1 and K >= 3 loads both."""
     (tmp_path / "k1.json").write_text(json.dumps(
         {"power": 3.0, "noises": [1.0], "bandwidth": 2.0, "source_var": 1.0}))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True,
                           cwd=tmp_path, env=_child_env())
-    assert proc.stderr == str(loads_numpy), proc.stderr
+    assert proc.stderr == str([loads_numpy, loads_numpy]), proc.stderr
 
 
 # The options each subcommand takes (dests), as README's CLI table lists them.

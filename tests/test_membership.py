@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -25,7 +26,7 @@ from gbcbound.core import (
     trivial_distortions,
 )
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
-from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links, _peak
+from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links, _peak, supremum
 from gbcbound.membership import (
     TRACE_WIDTH,
     SupResult,
@@ -41,6 +42,17 @@ S_EXPAND = BroadcastScenario(3, [3, 1], 2)
 S_COMPRESS = BroadcastScenario(3, [3, 1], 0.5)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 README_ROWS = [(0.25 + 0.12 * i / 24,) for i in range(25)]  # the README's trace grid, as D_1 prefixes
+K3_EXPAND = BroadcastScenario(3, [3, 1, 0.3], 2)
+
+
+def _k3_rows():
+    """Ten K3_EXPAND prefixes: D_2 = D_2* (N_S / D_2*)^0.15, D_1 from D_1* upward."""
+    f1, f2 = trivial_distortion(K3_EXPAND, 1), trivial_distortion(K3_EXPAND, 2)
+    d2 = f2 * (K3_EXPAND.source_var / f2) ** 0.15
+    return [(f1 * (K3_EXPAND.source_var / f1) ** (0.05 + 0.3 * i / 9), d2) for i in range(10)]
+
+
+K3_ROWS = _k3_rows()
 
 
 def _regimes(rng):
@@ -483,7 +495,7 @@ def _member_probes(monkeypatch, sc, prefixes):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the supremum at b <= 1 or K = 1 is the largest closed-form step value")
+    raise AssertionError("the supremum at b <= 1, K = 1 or K = 2 takes no grid and no search")
 
 
 def test_boundary_members_at_or_below_matched_bandwidth_are_certified(monkeypatch):
@@ -533,6 +545,76 @@ def test_single_receiver_supremum_is_the_closed_form_at_any_bandwidth(monkeypatc
         assert trace_boundary(sc, ()) == pytest.approx(shifted, abs=TRACE_WIDTH)
 
 
+def _k2_draws():
+    """60 seeded K = 2 draws at b > 1: b log-uniform on [1.05, 8] for the
+    first 40, half of them near the floors, then b = 1 + 1e-9 and b = 1e6
+    in turn."""
+    rng = random.Random(97)
+    for i in range(60):
+        extreme = i >= 40
+        b = (1.0 + 1e-9, 1e6)[i % 2] if extreme else math.exp(rng.uniform(math.log(1.05), math.log(8.0)))
+        sc = random_scenario(rng, k_range=(2, 2), bandwidth=b)
+        yield sc, _near_floor(rng, sc, 2) if i % 2 and not extreme else random_distortions(rng, sc)
+
+
+def test_pair_supremum_takes_no_grid_and_no_search(monkeypatch):
+    """At K = 2 and b > 1 the supremum is the closed form (``_pair_sup``),
+    one schedule evaluated: sup_bound_lhs, in_outer_region and
+    trace_boundary never call into ``_search``, on the README trace and on
+    seeded draws, and each verdict holds at its witness."""
+    import gbcbound._search as search
+
+    for name in ("supremum", "_tau_grid", "_links", "_chain_dp", "_enclosure", "_Cells"):
+        monkeypatch.setattr(search, name, _refuse)
+    readme = load_scenario(SCENARIOS / "expansion_k2.json")
+    points = [(readme, prefix + (trace_boundary(readme, prefix),)) for prefix in README_ROWS]
+    for sc, d in points + list(_k2_draws()):
+        sup, verdict = sup_bound_lhs(sc, d), in_outer_region(sc, d)
+        assert sup.iterations == verdict.sup.iterations == 1, (sc, d)
+        assert verdict.member == check_inequality(sc, d, verdict.sup.argmax_tau).satisfied, (sc, d)
+
+
+def _k2_brackets_apart(draws):
+    """The draws at which the closed form's bracket and the grid search's
+    (``_search.supremum`` without a target, called directly) are apart.
+    Each contains the supremum once its lower end is taken down by the
+    evaluator's error bound at its witness (``_Chain.lhs_error``), so the
+    two must overlap."""
+    apart = []
+    for sc, d in draws:
+        chain = _Chain(sc, check_distortions(sc, d))
+        closed = sup_bound_lhs(sc, d)
+        taus, value, _, upper = supremum(chain, None)
+        low = closed.sup_value - chain.lhs_error(closed.argmax_tau.taus)[1]
+        if low > upper or value - chain.lhs_error(taus)[1] > closed.sup_upper:
+            apart.append((sc, d))
+    return apart
+
+
+def test_k2_grid_search_brackets_the_closed_form():
+    """The grid search stays the closed form's independent check at K = 2:
+    on seeded draws at b from 1.05 to 8 and at the extreme 1/b of b = 1 +
+    1e-9 and b = 1e6, its bracket and the closed form's overlap."""
+    assert _k2_brackets_apart(_k2_draws()) == []
+
+
+def test_k2_bracket_check_catches_an_understated_closed_form(monkeypatch):
+    """The check above fails at every draw for a closed form whose value and
+    upper end are understated by 1e-9 relative."""
+    import gbcbound.membership as m
+
+    real = m._pair_sup
+
+    def understated(chain):
+        res = real(chain)
+        return dataclasses.replace(res, sup_value=res.sup_value * (1.0 - 1e-9),
+                                   sup_upper=res.sup_upper * (1.0 - 1e-9))
+
+    monkeypatch.setattr(m, "_pair_sup", understated)
+    draws = list(_k2_draws())
+    assert len(_k2_brackets_apart(draws)) == len(draws)
+
+
 def _rounding_floor(sc, d):
     """The search's rounding allowance 2 K rho relative, rho = eps (4 Y + 8)."""
     chain = _Chain(sc, check_distortions(sc, d))
@@ -574,12 +656,14 @@ def test_b_le_1_sup_upper_is_the_rounded_step_value():
 
 
 def test_readme_trace_member_probes_are_certified(monkeypatch):
-    """At b = 2 the excess over the threshold lies in interior cells, which
-    the search splits and re-bounds with tangent bounds: every probe of the
-    README trace is certified, its member probes among them."""
+    """Every probe of the README trace is certified, its member probes among
+    them, and so is every probe of the K = 3 rows at b = 2, where the excess
+    over the threshold lies in interior cells, which the search splits and
+    re-bounds with tangent bounds."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    probes = _probe_verdicts(monkeypatch, readme, README_ROWS)
-    assert sum(v.member for v in probes) >= 25 and all(v.certified for v in probes)
+    for sc, rows in ((readme, README_ROWS), (K3_EXPAND, K3_ROWS)):
+        probes = _probe_verdicts(monkeypatch, sc, rows)
+        assert sum(v.member for v in probes) >= len(rows) and all(v.certified for v in probes), sc
 
 
 def test_boundary_trace_round_probes_are_certified(monkeypatch):
@@ -616,28 +700,26 @@ def _first_grids(monkeypatch, sc, prefixes):
 
 def test_trace_row_reuses_its_grid(monkeypatch):
     """Each b > 1 search of a trace row after the first starts from the final
-    grid of the one before it: a README row (4 to 8 supremum calls) builds
-    one first grid, however many probes it makes."""
-    readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    for prefix, (_, built) in _first_grids(monkeypatch, readme, README_ROWS).items():
+    grid of the one before it: a K = 3 row at b = 2 (5 supremum calls)
+    builds one first grid, however many probes it makes."""
+    for prefix, (_, built) in _first_grids(monkeypatch, K3_EXPAND, K3_ROWS).items():
         assert built == 1, prefix
 
 
 def test_trace_rows_do_not_depend_on_their_order(monkeypatch):
-    """No grid leaks from one row into the next: the README grid traced
-    forward, in reverse and shuffled gives bit-identical rows, each from
+    """No grid leaks from one row into the next: the K = 3 rows traced
+    forward, in reverse and shuffled give bit-identical rows, each from
     one first grid of its own."""
-    readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    shuffled = list(README_ROWS)
+    shuffled = list(K3_ROWS)
     random.Random(30).shuffle(shuffled)
-    forward = _first_grids(monkeypatch, readme, README_ROWS)
+    forward = _first_grids(monkeypatch, K3_EXPAND, K3_ROWS)
     assert set(built for _, built in forward.values()) == {1}
-    for order in (README_ROWS[::-1], shuffled):
-        assert _first_grids(monkeypatch, readme, order) == forward
+    for order in (K3_ROWS[::-1], shuffled):
+        assert _first_grids(monkeypatch, K3_EXPAND, order) == forward
 
 
 def test_trace_counters_see_every_search(monkeypatch):
-    """``_sup_calls`` and ``_probe_verdicts`` see every b > 1 search a README
+    """``_sup_calls`` and ``_probe_verdicts`` see every b > 1 search a K = 3
     row runs, so the call budgets and the certification tests above hold
     on every probe, not on a path that skips the counters."""
     import gbcbound._search as search
@@ -649,12 +731,11 @@ def test_trace_counters_see_every_search(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "supremum", counted)
-    readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    calls = sum(_sup_calls(monkeypatch, readme, prefix)[0] for prefix in README_ROWS)
+    calls = sum(_sup_calls(monkeypatch, K3_EXPAND, prefix)[0] for prefix in K3_ROWS)
     searches = len(runs)
     runs.clear()
-    probes = _probe_verdicts(monkeypatch, readme, README_ROWS)
-    assert calls == searches == len(probes) == len(runs) > len(README_ROWS)
+    probes = _probe_verdicts(monkeypatch, K3_EXPAND, K3_ROWS)
+    assert calls == searches == len(probes) == len(runs) > len(K3_ROWS)
 
 
 def test_sup_bound_lhs_grid_hand_off():
@@ -662,19 +743,20 @@ def test_sup_bound_lhs_grid_hand_off():
     as none and is left holding the search's final grid (sorted, from 0 to
     +inf); a later call starts from that grid, all of whose points it
     evaluates, and certifies its member; and a grid past GRID_POINTS +
-    POINT_BUDGET points is dropped for a fresh first grid."""
-    readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    threshold = bound_rhs(readme) * (1.0 + DEFAULT_REL_TOL)
+    POINT_BUDGET points is dropped for a fresh first grid.  The points are
+    the first K = 3 row's pinned D_3,min and 1e-10 above it."""
+    threshold = bound_rhs(K3_EXPAND) * (1.0 + DEFAULT_REL_TOL)
+    first, later = (K3_ROWS[0] + (float(K3_EXPANSION_ROWS[0]) + x,) for x in (0.0, 1e-10))
     kept = []
-    fresh = sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold)
-    assert sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold, _grid=kept) == fresh
+    fresh = sup_bound_lhs(K3_EXPAND, first, target=threshold)
+    assert sup_bound_lhs(K3_EXPAND, first, target=threshold, _grid=kept) == fresh
     (grid,) = kept
     assert grid[0] == 0.0 and grid[-1] == math.inf and np.all(np.diff(grid) >= 0.0)
     assert len(grid) > GRID_POINTS  # the search ran and refined it
-    member = sup_bound_lhs(readme, (0.3, 0.0666666666), target=threshold, _grid=kept)
-    assert member.sup_upper <= threshold and member.iterations >= len(grid) + 2
+    member = sup_bound_lhs(K3_EXPAND, later, target=threshold, _grid=kept)
+    assert member.sup_upper <= threshold and member.iterations >= 2 * len(grid) + 2
     wide = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, GRID_POINTS + POINT_BUDGET - 1), [math.inf]))
-    assert sup_bound_lhs(readme, (0.3, 0.0666666665), target=threshold, _grid=[wide]) == fresh
+    assert sup_bound_lhs(K3_EXPAND, first, target=threshold, _grid=[wide]) == fresh
 
 
 def test_peak_skips_points_closer_than_a_float():
@@ -692,17 +774,13 @@ K3_EXPANSION_ROWS = (
 
 
 def test_k3_expansion_boundary_members_are_certified(monkeypatch):
-    """K = 3 at b = 2 (P = 3, N = (3, 1, 0.3)), D_2 = D_2* (N_S / D_2*)^0.15:
-    every member probe of a 10-row trace is certified, and each row's
-    D_3,min is pinned to its repr.  On this grid both the
-    run-extended tangent bounds and the lifted recursion act at K = 3."""
-    sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
-    f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
-    d2 = f2 * (sc.source_var / f2) ** 0.15
-    prefixes = [(f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2) for i in range(10)]
-    probes = _member_probes(monkeypatch, sc, prefixes)
+    """K = 3 at b = 2 (``K3_EXPAND``, ``K3_ROWS``): every member probe of a
+    10-row trace is certified, and each row's D_3,min is pinned to its
+    repr.  On this grid both the run-extended tangent bounds and the lifted
+    recursion act at K = 3."""
+    probes = _member_probes(monkeypatch, K3_EXPAND, K3_ROWS)
     assert len(probes) >= 10 and all(v.certified for v in probes)
-    assert tuple(repr(trace_boundary(sc, prefix)) for prefix in prefixes) == K3_EXPANSION_ROWS
+    assert tuple(repr(trace_boundary(K3_EXPAND, prefix)) for prefix in K3_ROWS) == K3_EXPANSION_ROWS
 
 
 def test_pinned_trace_rows_hold_the_contract():
@@ -712,10 +790,7 @@ def test_pinned_trace_rows_hold_the_contract():
     this reads the pins."""
     readme = load_scenario(SCENARIOS / "expansion_k2.json")
     rows = [(readme, (0.37 if i == 24 else 0.25 + (0.37 - 0.25) * i / 24,)) for i in range(25)]
-    sc = BroadcastScenario(3.0, (3.0, 1.0, 0.3), 2.0)
-    f1, f2 = trivial_distortion(sc, 1), trivial_distortion(sc, 2)
-    d2 = f2 * (sc.source_var / f2) ** 0.15
-    rows += [(sc, (f1 * (sc.source_var / f1) ** (0.05 + 0.3 * i / 9), d2)) for i in range(10)]
+    rows += [(K3_EXPAND, prefix) for prefix in K3_ROWS]
     for sc, prefix in rows:
         dk = trace_boundary(sc, prefix)
         member, below = in_outer_region(sc, prefix + (dk,)), in_outer_region(sc, prefix + (dk - TRACE_WIDTH,))
@@ -812,19 +887,21 @@ def test_every_round_rebounds_the_cells_open_at_its_start():
 
 def test_first_pass_witness_is_polished_to_its_parabola_peaks():
     """At b > 1 the first pass moves its grid witness's entries to their
-    stages' parabola peaks.  On seeded draws at K = 2 and 3, a call that
+    stages' parabola peaks.  On seeded draws at K = 2 and 3, a search that
     the first pass decides (no target can be reached) comes within 1e-7
-    relative of the refined sup_upper of a call without a target, and its
-    sup_value is the evaluator's value at its witness."""
+    relative of the refined upper end of a search without a target, and
+    its value is the evaluator's value at its witness.  The search is
+    called directly: at K = 2 ``sup_bound_lhs`` takes the closed form."""
     rng = random.Random(5)
     for i in range(80):
         k = 2 + i % 2
         sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.uniform(1.05, 8.0))
         d = random_distortions(rng, sc)
-        first = sup_bound_lhs(sc, d, target=1e300)
-        assert first.iterations == (k - 1) * GRID_POINTS + 2, (sc, d)  # the first pass decided
-        assert first.sup_value >= sup_bound_lhs(sc, d).sup_upper * (1.0 - 1e-7), (sc, d)
-        assert first.sup_value == _Chain(sc, check_distortions(sc, d)).lhs(first.argmax_tau.taus)
+        chain = _Chain(sc, check_distortions(sc, d))
+        taus, value, evals, _ = supremum(chain, 1e300)
+        assert evals == (k - 1) * GRID_POINTS + 2, (sc, d)  # the first pass decided
+        assert value >= supremum(chain, None)[3] * (1.0 - 1e-7), (sc, d)
+        assert value == chain.lhs(taus)
 
 
 def _searched(monkeypatch, call):
@@ -844,23 +921,23 @@ def _searched(monkeypatch, call):
 
 
 def test_search_stops_at_the_rounding_floor_within_its_budget(monkeypatch):
-    """On a README trace row, the float next to the boundary of the tolerant
-    verdict has its supremum within the rounding floor of the threshold, so
-    it can be certified neither way: the search stops undecided, within its
-    point budget."""
-    readme = load_scenario(SCENARIOS / "expansion_k2.json")
-    threshold = bound_rhs(readme) * (1.0 + DEFAULT_REL_TOL)
-    d1 = 0.25 + 0.12 * 22 / 24
-    lo, hi = trivial_distortion(readme, 2), 1.0
+    """On a K = 3 trace row at b = 2, the float next to the boundary of the
+    tolerant verdict has its supremum within the rounding floor of the
+    threshold, so it can be certified neither way: the search stops
+    undecided, within its point budget."""
+    threshold = bound_rhs(K3_EXPAND) * (1.0 + DEFAULT_REL_TOL)
+    prefix = K3_ROWS[7]
+    lo, hi = trivial_distortion(K3_EXPAND, 3), 1.0
     for _ in range(200):  # bisect the tolerant verdict to the float next to the boundary
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if in_outer_region(readme, (d1, mid)).member else (mid, hi)
+        lo, hi = (lo, mid) if in_outer_region(K3_EXPAND, prefix + (mid,)).member else (mid, hi)
         if hi - lo <= 2.0 * math.ulp(hi):
             break
-    verdict, rounds = _searched(monkeypatch, lambda: in_outer_region(readme, (d1, hi)))
+    d = prefix + (hi,)
+    verdict, rounds = _searched(monkeypatch, lambda: in_outer_region(K3_EXPAND, d))
     assert verdict.member and not verdict.certified
-    assert abs(verdict.sup.sup_value / threshold - 1.0) <= _rounding_floor(readme, (d1, hi))
-    assert verdict.sup.iterations <= GRID_POINTS + POINT_BUDGET + rounds + 1
+    assert abs(verdict.sup.sup_value / threshold - 1.0) <= _rounding_floor(K3_EXPAND, d)
+    assert verdict.sup.iterations <= 2 * (GRID_POINTS + POINT_BUDGET) + rounds + 1
 
 
 def test_trace_infeasible_prefix_raises_within_three_calls(monkeypatch):
@@ -1027,7 +1104,7 @@ def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
     import gbcbound.membership as m
 
     real = m.sup_bound_lhs
-    for d in ((0.25, 0.0625), (1.0, 1.0)):
+    for sc, d in ((S_EXPAND, (0.25, 0.0625)), (S_EXPAND, (1.0, 1.0)), (K3_EXPAND, K3_ROWS[0] + (0.01,))):
         results = []
 
         def counted(*args, **kwargs):
@@ -1035,7 +1112,7 @@ def test_verdict_makes_one_sup_call_through_the_module(monkeypatch):
             return results[-1]
 
         monkeypatch.setattr(m, "sup_bound_lhs", counted)
-        verdict = in_outer_region(S_EXPAND, d)
+        verdict = in_outer_region(sc, d)
         assert len(results) == 1 and results[0] is verdict.sup
         assert isinstance(verdict.sup, SupResult) and verdict.sup.iterations >= 1
         assert verdict.margin == verdict.rhs - verdict.sup.sup_value

@@ -13,10 +13,11 @@ import random
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 
 from gbcbound.bound import _Chain, eval_lhs, reduced_bound_value
 from gbcbound.core import BroadcastScenario, check_distortions, trivial_distortion
-from gbcbound._search import GRID_POINTS, POINT_BUDGET
+from gbcbound._search import GRID_POINTS, POINT_BUDGET, supremum
 from gbcbound.membership import in_outer_region, sup_bound_lhs, trace_boundary
 from gbcbound.verify import random_distortions, random_scenario
 
@@ -227,13 +228,56 @@ def test_sup_upper_past_float_range_is_inf():
 def test_sup_upper_is_inf_where_a_link_underflows():
     """The rounding factor holds only for results in the normal range.  At
     b = 1.0001, N_S = 1e10 and D = (N_S, e^-709.07 N_S), c_1(0) = e^-708.9
-    is subnormal while the supremum itself is finite, so the bound gives up
-    to +inf, with or without a target."""
+    is subnormal while the supremum itself is finite, so the grid search
+    (called directly: at K = 2 ``sup_bound_lhs`` forms no link) gives its
+    bound up to +inf, with or without a target.  The closed form gives up
+    too: its slope, (D_2 - D_1) T_2 = -8e315, is past the float range."""
     sc = BroadcastScenario(3, [3, 0.01], 1.0001, 1e10)
     d = (1e10, 1e10 * math.exp(-709 * 1.0001))
+    chain = _Chain(sc, check_distortions(sc, d))
     for target in (None, 3.01):
+        _, value, _, upper = supremum(chain, target)
+        assert math.isfinite(value) and upper == math.inf
         res = sup_bound_lhs(sc, d, target=target)
         assert math.isfinite(res.sup_value) and res.sup_upper == math.inf
+
+
+# K = 2 at b > 1, the closed form's cases: (scenario, D, its witness's tau_1)
+_PAIR_CASES = (
+    (BroadcastScenario(3, [3, 1], 2), (0.3, 0.5), 0.0),  # D_2 >= D_1: f rises to tau_1 = 0
+    (BroadcastScenario(3, [3, 1], 2), (0.1, 0.09), 0.0),  # the stationary point clamped at tau_1 = 0
+    (BroadcastScenario(3, [3, 1], 2), (0.9, 0.01), math.inf),  # ... and at tau_1 = +inf
+    (BroadcastScenario(3, [3, 1], 2), (1.0, 0.1), math.inf),  # D_1 = N_S: alpha = 0
+    (BroadcastScenario(3, [3, 1], 2), (0.25, 0.0625), 0.25),  # the README point, interior
+    (BroadcastScenario(3, [100, 0.01], 8), (1e-3, 1e-20), None),  # D_2 << D_1, interior
+    (BroadcastScenario(3, [100, 1e-15], 1e6), (0.5, 1e-300), None),  # h = 1e-17 at the witness
+    (BroadcastScenario(3, [100, 1e-15], 2), (0.5, 1e-300), math.inf),  # D_2 << D_1 at tau_1 = +inf
+    (BroadcastScenario(3, [300, 100], 1.0001, 1e10), (5e9, 1e-297), math.inf),  # T_2 overflows
+)
+
+
+def test_pair_sup_upper_above_reference_at_edge_cases():
+    """K = 2 at b > 1 takes the closed form (``membership._pair_sup``): its
+    sup_upper lies above the 50-digit value at its witness, at the witness
+    with tau_1 scaled by 1 -+ 1e-6, 1/2 and 2, and at every tau_1 on GRID,
+    in each of ``_PAIR_CASES``; its sup_value is the evaluator's at the
+    witness, and the bracket lies within the rounding allowance 2 K rho.
+    The last case's sum overflows: both ends are +inf, and the witness is
+    tau_1 = +inf, as the grid search picks the last +inf."""
+    for sc, d, tau in _PAIR_CASES:
+        res = sup_bound_lhs(sc, d)
+        chain = _Chain(sc, check_distortions(sc, d))
+        witness = res.argmax_tau.taus
+        assert res.iterations == 1 and res.sup_value == chain.lhs(witness), (sc, d)
+        if tau is not None:
+            assert witness[0] == pytest.approx(tau, rel=1e-14), (sc, d, witness)
+        if res.sup_value == math.inf:
+            assert res.sup_upper == math.inf and witness == (math.inf, 0.0)
+            continue
+        assert res.sup_value <= res.sup_upper <= res.sup_value * (1.0 + 4.0 * chain.rho()), (sc, d, res)
+        schedules = [(t, 0.0) for t in GRID] + [(witness[0] * f, 0.0) for f in (1 - 1e-6, 1 + 1e-6, 0.5, 2.0)]
+        for taus in schedules + [witness]:
+            assert Decimal(res.sup_upper) >= lhs_reference(sc, d, taus), (sc, d, taus, res)
 
 
 def test_b_le_1_sup_upper_forms_no_link():
