@@ -13,8 +13,8 @@ over one grid of tau values holding exact 0 and +inf (GRID_POINTS of
 them, or the grid a trace row kept from its last probe), a chain
 dynamic program costing O(K M) for M grid points, on links formed at
 once as (K - 1) x M arrays (``_links``) wherever they are needed, and
-kept nowhere; its witness's entries then move to the peaks of parabolas
-through their stages' grid values (``_polish``).  The same links bound
+kept nowhere; its witness's runs of equal entries then move to their
+exact maxima, in closed form (``_moved``).  The same links bound
 the supremum cell by cell (``_enclosure``), rounded outward by
 (1 + rho)^K, and a branch-and-bound search (``_Cells``) narrows a bracket
 that leaves the question open (``supremum``).  Past the float range a
@@ -25,7 +25,6 @@ never picks a NaN, so the supremum is +inf there.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -97,9 +96,9 @@ def _tau_grid(chain: _Chain) -> np.ndarray:
     return grid
 
 
-def _chain_dp(grid: np.ndarray, links: tuple) -> tuple[list[float], list[float], np.ndarray]:
+def _chain_dp(grid: np.ndarray, links: tuple) -> tuple[list[float], list[float]]:
     """Best schedule with every entry on ``grid`` (ascending, grid[0] = 0,
-    grid[-1] = +inf), each stage's value there, and every stage's values.
+    grid[-1] = +inf) and each stage's value there.
 
     Backward recursion M_k(s) = max_{tau <= s} [a_k(tau) + c_k(tau) M_{k+1}(tau)]
     with M_K = a_K(0): each stage is a running maximum over the grid, and
@@ -122,7 +121,7 @@ def _chain_dp(grid: np.ndarray, links: tuple) -> tuple[list[float], list[float],
         top = _pick(value[:top]) + 1
         taus.append(float(grid[top - 1]))
         stages.append(float(value[top - 1]))
-    return taus + [0.0], stages, c
+    return taus + [0.0], stages
 
 
 def _watch(underflows: list[bool]) -> np.errstate:
@@ -212,27 +211,19 @@ class _Cells:
                 mask[:end] |= hits
         return mask, best
 
-    def beside(self, taus: list[float], values: np.ndarray | None) -> tuple[list[int], dict, float | None]:
+    def beside(self, taus: list[float], both: bool) -> list[int]:
         """The cell next to each free entry (a grid point) that bounds its stage
-        higher; or, given the first grid's stage ``values``, both, the peak of
-        a parabola in u through the stage's values there and beside, and the
-        first stage's peak value, a guess at the supremum."""
-        x, rows, cells, peaks, guess = self.x, self.rows, [], {}, None
+        higher; or, with ``both``, both cells next to it."""
+        x, rows, cells = self.x, self.rows, []
         for k, i in enumerate(np.searchsorted(x, taus[:-1]).tolist()):
             below, above = max(i - 1, 0), min(i, rows.shape[1] - 1)
-            if values is None:
-                cells.append(above if rows[k, above] >= rows[k, below] else below)
-                continue
-            cells += [below, above]
-            if peak := _peak(self.chain.d[k], x, values[k], i):
-                peaks[below if peak[0] < x[i] else above] = peak[0]
-                guess = peak[1] if k == 0 else guess
-        return cells, peaks, guess
+            cells += [below, above] if both else [above if rows[k, above] >= rows[k, below] else below]
+        return cells
 
-    def cut(self, cells: np.ndarray, peaks: dict) -> np.ndarray:
+    def cut(self, cells: np.ndarray, maxima: dict) -> np.ndarray:
         """Points that cut ``cells`` into SPLIT pieces each (geometric in tau,
         but even in tau on [0, x_1] and in 1 / tau on [x, +inf]; the cut
-        nearest a known peak moves onto it)."""
+        nearest a known maximizer, ``maxima[cell]``, moves onto it)."""
         lo, hi = self.x[cells], self.x[cells + 1]
         points = lo[:, None] * (hi / lo)[:, None] ** _CUTS
         if cells[0] == 0:
@@ -240,15 +231,15 @@ class _Cells:
         if hi[-1] == math.inf:
             points[-1] = lo[-1] / (1.0 - _CUTS)
         for row, cell in enumerate(cells.tolist()):
-            if cell in peaks:
-                points[row, min(int((points[row] < peaks[cell]).sum()), SPLIT - 2)] = peaks[cell]
+            if cell in maxima:
+                points[row, min(int((points[row] < maxima[cell]).sum()), SPLIT - 2)] = maxima[cell]
         return points
 
     def lift(self, taus: list[float], points: np.ndarray) -> tuple:
         """The recursion over 0, the free entries of ``taus``, ``points`` and
         +inf: its witness and stage values."""
         grid = np.sort(np.concatenate(([0.0], taus[:-1], points.ravel(), [math.inf])))
-        return _chain_dp(grid, _links(self.chain, self.columns, grid))[:2]
+        return _chain_dp(grid, _links(self.chain, self.columns, grid))
 
     def insert(self, cells: np.ndarray, points: np.ndarray, mask: np.ndarray) -> None:
         """Put the ``points`` that cut ``cells`` into the grid, each piece with its
@@ -329,42 +320,47 @@ class _Cells:
                 held[k] = run[np.maximum(cells - start - 1, 0)], run[cells - start], bound
 
 
-def _peak(d: float, x: np.ndarray, value: np.ndarray, i: int) -> tuple[float, float] | None:
-    """The peak of the parabola in u = 1 / (d + tau) through a stage's
-    ``value`` at the grid points x[i - 1], x[i] and x[i + 1] (all finite),
-    where x[i] holds the highest of the three: its tau, strictly between
-    the outer two, and its value; None where there is no such peak, or
-    where two of the u round to one float (a refined grid, as a trace row
-    keeps, can hold points that close)."""
-    if not (0 < i < len(x) - 2 and value[i] >= max(value[i - 1], value[i + 1])):
-        return None
-    f0, f1, f2 = value[i - 1:i + 2].tolist()
-    u0, u1, u2 = (1.0 / (d + x[i - 1:i + 2])).tolist()
-    if not u0 > u1 > u2:
-        return None
-    s0, s2 = (f0 - f1) / (u0 - u1), (f2 - f1) / (u2 - u1)
-    bend = (s0 - s2) / (u0 - u2)  # f = f1 + slope (u - u1) + bend (u - u1)^2
-    slope = s0 - bend * (u0 - u1)
-    top = u1 - 0.5 * slope / bend if bend < 0.0 else 0.0  # the peak's u
-    tau = 1.0 / top - d if top > 0.0 else math.nan
-    return (tau, f1 - 0.25 * slope * slope / bend) if x[i - 1] < tau < x[i + 1] else None
+def _moved(chain: _Chain, taus: list[float]) -> tuple[list[float], list[float]]:
+    """``taus`` with its runs of equal free entries moved to their exact
+    maxima (``_Chain.turn``), the others held, and its stage values.
 
-
-def _polish(d: Sequence[float], grid: np.ndarray, taus: list[float], values: np.ndarray) -> list[float]:
-    """``taus``, a witness on ``grid``, with each free entry moved to its
-    stage's parabola peak (``_peak``) and then lowered where needed to
-    restore the order tau_k >= tau_{k+1}.  A run of equal entries moves
-    with its first: that stage's values already move the whole run."""
-    out = list(taus)
-    for k, i in enumerate(np.searchsorted(grid, taus[:-1]).tolist()):
-        if k and taus[k] == taus[k - 1]:
-            out[k] = out[k - 1]
-            continue
-        if peak := _peak(d[k], grid, values[k], i):
-            out[k] = peak[0]
-        if k:
-            out[k] = min(out[k], out[k - 1])
-    return out
+    A sweep takes the runs from the last to the first, each from the later
+    stages' value V just formed (stage i's value is a_i + c_i V), on log
+    factors from one ``log_factors`` pass, re-formed only where a run moves.
+    A run's maximum depends on the later entries and its clamps alone, so
+    the sweeps stop after one that moves no run onto a clamp (a merged run
+    moves as one in the next), or after K of them.  A stage value past the
+    float range leaves ``taus`` as it is.
+    """
+    out, free, b, dn = list(taus), len(taus) - 1, chain.b, chain.dn
+    log_g, log_h = chain.log_factors(out)
+    log1p, exp, log, inf = math.log1p, math.exp, math.log, math.inf
+    stages = [0.0] * free
+    try:
+        for _ in range(len(out)):
+            merged, value, j = False, dn[-1] * exp(log_g[-1] / b), free - 1
+            while j >= 0:
+                tau, k = out[j], j
+                while k and out[k - 1] == tau:
+                    k -= 1
+                lo, hi = out[j + 1], out[k - 1] if k else inf
+                new = chain.turn(k, j, log(value) if value else -inf, lo, hi)
+                if new != tau:
+                    merged = merged or new == lo or new == hi
+                    for i in range(k, j + 1):
+                        out[i] = new
+                        log_g[i] = log1p(chain.gap[i] / (chain.d[i] + new))
+                        log_h[i] = chain.sign[i] * log1p(chain.delta[i] / (chain.base[i] + new))
+                for i in range(j, k - 1, -1):
+                    stages[i] = value = dn[i] * exp(log_g[i] / b) + exp(log_h[i] / b) * value
+                if not value < inf:  # past the float range, where exp raises too
+                    raise OverflowError
+                j = k - 1
+            if not merged:
+                break
+    except OverflowError:
+        return list(taus), stages
+    return out, stages
 
 
 def _pick(value: np.ndarray) -> int:
@@ -391,27 +387,27 @@ def supremum(chain: _Chain, target: float | None,
     holds 0 and +inf, so the all-zero and the step schedules are always
     candidates, and the same links bound the supremum from above
     (``_enclosure``), the first stage's largest cell bound scaled by
-    (1 + rho)^K.  The grid witness is then polished, each entry moved to
-    its stage's parabola peak (``_polish``), and the polished schedule
-    kept if the evaluator confirms a gain: so the lower end, and
-    the witness that ``trace_boundary`` aims from, do not hang on the
-    grid's size.  Unless that bracket decides how the supremum compares
-    with ``target`` (``value > target`` or ``upper <= target``), each round
-    of ``_Cells`` starts from the cells that some stage cannot yet close
-    (``_Cells.opened``; stage 1 is held to max(value (1 + 2 K rho),
-    target), the rounding allowance).  It splits the cells beside the
-    witness's entries (in round one both beside each grid witness entry,
-    with a parabola's peak among the cuts; later the one bounding the stage
-    higher, and each stage's highest open cell).  A round has two steps.
-    The lift reruns the recursion over 0, the witness's entries, the new
-    points and +inf, and keeps its witness if the evaluator confirms a
-    gain.  The re-bound puts the points into the grid and re-bounds the
-    pieces and every cell open at the round's start (``_Cells.insert``).
-    The lift runs first, except in a first round whose parabola guesses a
-    member.  After each step the search stops if a link underflowed (that
-    step's bound is dropped) or the bracket decides; it also stops when a
-    later round finds no cell open (the bracket is then within the
-    allowance) or at POINT_BUDGET new points.  The value is the
+    (1 + rho)^K.  The grid witness's runs then move to their exact maxima
+    (``_moved``), and the moved schedule is kept if the evaluator confirms
+    a gain: so the lower end, and the witness that ``trace_boundary`` aims
+    from, do not hang on the grid's size.  Unless that bracket decides how
+    the supremum compares with ``target`` (``value > target`` or ``upper
+    <= target``), each round of ``_Cells`` starts from the cells that some
+    stage cannot yet close (``_Cells.opened``; stage 1 is held to max(value
+    (1 + 2 K rho), target), the rounding allowance, and a later stage to
+    the witness's stage value, at first the lower of the grid witness's and
+    the moved one's, so that fewer loose cells stay under it).  It splits
+    the cells beside the witness's entries (in round one both beside each
+    grid witness entry, with the moved entries among the cuts; later the
+    one bounding the stage higher, and each stage's highest open cell).  A
+    round has two steps.  The lift reruns the recursion over 0, the
+    witness's entries, the new points and +inf, and keeps its witness if
+    the evaluator confirms a gain.  The re-bound then puts the points into
+    the grid and re-bounds the pieces and every cell open at the round's
+    start (``_Cells.insert``).  After each step the search stops if a link
+    underflowed (that step's bound is dropped) or the bracket decides; it
+    also stops when a later round finds no cell open (the bracket is then
+    within the allowance) or at POINT_BUDGET new points.  The value is the
     evaluator's at exactly the witness: on a decided stop, the lower end
     there.
 
@@ -421,9 +417,8 @@ def supremum(chain: _Chain, target: float | None,
     holding the search's final grid alone (``_Cells.x``, or the first grid
     where the first pass decides).  ``trace_boundary`` so hands each probe
     of a row the final grid of the probe before it, already fine where
-    the witness's entries sit; the enclosure, the recursion, the polish
-    and the tangent bounds hold on any sorted grid that holds exact 0 and
-    +inf.
+    the witness's entries sit; the enclosure, the recursion and the
+    tangent bounds hold on any sorted grid that holds exact 0 and +inf.
     """
     free = len(chain.d) - 1
     grid = kept[0] if kept and len(kept[0]) <= GRID_POINTS + POINT_BUDGET else _tau_grid(chain)
@@ -433,53 +428,45 @@ def supremum(chain: _Chain, target: float | None,
         links = _links(chain, columns, grid)
         rows = _enclosure(*links)
     rho = chain.rho()  # a stage's outward rounding (``_enclosure``)
-    on_grid, stages, values = _chain_dp(grid, links)
+    on_grid, stages = _chain_dp(grid, links)
     upper = rows[0].max() * (1.0 + rho) ** len(chain.d)
     upper = float(upper) if not underflows and upper < math.inf else math.inf
     taus, value, evals = on_grid, chain.lhs(on_grid), free * len(grid) + 2
-    polished = _polish(chain.d, grid, on_grid, values)  # kept if the evaluator confirms a gain
-    if polished != taus and (polished_value := chain.lhs(polished)) > value:
-        taus, value = polished, polished_value
+    moved, moved_stages = _moved(chain, on_grid)  # kept if the evaluator confirms a gain
+    if moved != taus and (moved_value := chain.lhs(moved)) > value:
+        taus, value, stages = moved, moved_value, list(map(min, stages, moved_stages))
     tol, spent, first = 1.0 + 2.0 * len(chain.d) * rho, 0, True
 
     def undecided() -> bool:  # the stop test, made after each step of a round
         return not underflows and (target is None or value <= target < upper)
 
-    def lift() -> None:  # rerun the recursion on the round's points; keep the better witness
-        nonlocal taus, value, stages
-        with _watch(underflows):
-            probe, probe_stages = cells.lift(taus, points)
-        if probe != taus and (probe_value := chain.lhs(probe)) > value:
-            taus, value, stages = probe, probe_value, probe_stages
-
-    def rebound() -> None:  # splice in the round's points; re-bound the pieces and open cells
-        nonlocal upper
-        with _watch(underflows):
-            cells.insert(split, points, mask)
-        upper = upper if underflows else min(upper, float(cells.rows[0].max()))
-
     cells = _Cells(chain, columns, grid, rows, rho) if upper < math.inf and undecided() else None
+    if cells:  # each moved entry strictly inside a cell, keyed by the cell
+        at = np.searchsorted(grid, moved[:-1]).tolist()
+        maxima = {i - 1: t for i, t in zip(at, moved) if t < grid[i]}
     while cells and undecided():
         level = value * tol if target is None else max(value * tol, target)
         mask, best = cells.opened(level, stages, tol)
         if not (first or best):  # no cell open
             break
-        # round one splits just the cells beside each entry: first-order bounds miss its peak's side
-        near, peaks, guess = cells.beside(on_grid, values) if first else cells.beside(taus, None)
+        # round one splits both cells beside each entry: first-order bounds miss its maximum's side
+        near = cells.beside(on_grid if first else taus, first)
         room = (POINT_BUDGET - spent) // (SPLIT - 1)  # cells the budget still allows
         chosen = list(dict.fromkeys(near if first else near + best))[:room]
         split = np.array(sorted(chosen), dtype=int)
         if not len(split):
             break
         with _watch(underflows):  # the first cell's ratio hi / 0 is discarded
-            points = cells.cut(split, peaks)
+            points = cells.cut(split, maxima if first else {})
+            probe, probe_stages = cells.lift(taus, points)  # the recursion on the round's points
         spent += points.size
         evals += free * points.size + 1
-        member = first and target is not None and guess is not None and guess <= target
-        for step in (rebound, lift) if member else (lift, rebound):  # a guessed member re-bounds first
-            step()
-            if not undecided():
-                break
+        if probe != taus and (probe_value := chain.lhs(probe)) > value:
+            taus, value, stages = probe, probe_value, probe_stages
+        if undecided():  # splice in the round's points; re-bound the pieces and open cells
+            with _watch(underflows):
+                cells.insert(split, points, mask)
+            upper = upper if underflows else min(upper, float(cells.rows[0].max()))
         first = False
     if kept is not None:
         kept[:] = [cells.x if cells else grid]

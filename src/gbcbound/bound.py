@@ -95,6 +95,7 @@ class _Chain:
     def __init__(self, scenario: BroadcastScenario, d: DistortionTuple) -> None:
         self.ns = ns = scenario.source_var
         self.b = scenario.bandwidth
+        self.n = scenario.noises
         self.dn = scenario.delta_noises()
         self.d = values = d.values
         self.gap, self.delta, self.base, self.sign = [], [], [], []
@@ -114,6 +115,40 @@ class _Chain:
         """
         low = min(self.d)
         return _EPS * (4.0 * math.log1p((self.ns - low) / low) / self.b + 8.0)
+
+    def turn(self, k: int, j: int, log_v: float, lo: float, hi: float) -> float:
+        """The tau in [lo, hi] that maximizes the functional over one run of
+        equal entries tau_k = ... = tau_j (0-based), the others held, where
+        ``log_v`` is the log of the later stages' value V there.
+
+        The run's stages telescope into A g^(1/b) + V h^(1/b), A = N_k -
+        N_{j+1}, g = (N_S + tau) / (D_k + tau), h = (D_{j+1} + tau) / (D_k +
+        tau), both affine in u = 1 / (D_k + tau), so at b > 1 it is concave in
+        u and its maximum is its stationary point clamped to [lo, hi].  There
+        g / h = r = (-beta / alpha)^(b / (1 - b)), alpha = A (N_S - D_k) and
+        beta = V (D_{j+1} - D_k); g / h falls from N_S / D_{j+1} at tau = 0 to
+        1 at +inf.  log r is formed from the logs of its factors, so nothing
+        over- or underflows, and tau = (N_S - r D_{j+1}) / (r - 1) as (N_S / r
+        - D_{j+1}) / (1 - 1 / r).  The functional rises with u where D_{j+1}
+        >= D_k or V = 0 (tau is lo), and falls where D_k = N_S or V is past
+        the float range (tau is hi).
+        """
+        d, below, b = self.d[k], self.d[j + 1], self.b
+        if below >= d:
+            return lo
+        gap = self.gap[k]
+        if gap == 0.0:
+            return hi
+        log = math.log
+        top = math.log1p((self.ns - below) / below)  # log(N_S / D_{j+1}), g / h at tau = 0
+        log_r = b / (1.0 - b) * (log_v + log(d - below) - log(self.n[k] - self.n[j + 1]) - log(gap))
+        if log_r <= 0.0:
+            tau = math.inf
+        elif log_r >= top:
+            tau = 0.0
+        else:
+            tau = max((self.ns * math.exp(-log_r) - below) / -math.expm1(-log_r), 0.0)
+        return min(max(tau, lo), hi)
 
     def log_factors(self, taus: Sequence[float]) -> tuple[list[float], list[float]]:
         """log g_k(tau_k) and log h_k(tau_k) at one schedule.

@@ -30,7 +30,7 @@ closed-form root of the witness's own curve in D_K, corrected by the
 curvature that an earlier probe shows.  Every probe is first tested
 against lo's witness, and costs no supremum call when that schedule
 already violates the bound there.  A row takes 4 to 5 supremum calls at
-b > 1 (4.36 on the README grid, 4.00 on K = 3 rows at b = 2) and 1 at
+b > 1 (4.36 on the README grid, 3.98 on K = 3 rows at b = 2) and 1 at
 b <= 1.  Within a K >= 3 row, each b > 1 search after the first starts
 from the final grid of the one before it, so most member probes certify
 in one search round.  D_K = N_S is probed only when no member has been found
@@ -84,7 +84,7 @@ class SupResult:
     (+inf, 0) is evaluated too, ``_pair_sup``).  At K >= 3 it counts the
     evaluated points, K - 1 per point of the grid the call starts from and
     per new point of each search round, plus one per witness (the first
-    pass's, its polished one and each round's), so (K - 1) GRID_POINTS + 2
+    pass's, the moved one and each round's), so (K - 1) GRID_POINTS + 2
     where the first pass decides on a fresh first grid (``_search``); a
     trace probe starts from its row's kept grid and counts that grid's
     points.  The links that the search forms again where it re-bounds are
@@ -153,29 +153,6 @@ def _step_sup(scenario: BroadcastScenario, chain: _Chain) -> SupResult:
     return _result(taus, value, count, max(top * (1.0 + chain.rho()), value))
 
 
-def _turn(chain: _Chain) -> float:
-    """tau_1 where the K = 2 functional's slope in u vanishes, clamped to
-    [0, +inf]: ``_pair_sup``'s witness at D_2 < D_1.
-
-    log r = b / (1 - b) log(-beta / alpha) is formed from the logs of its
-    factors, so no product over- or underflows; g / h = r at tau_1 = (N_S -
-    r D_2) / (r - 1), here (N_S / r - D_2) / (1 - 1 / r), so r itself is
-    never formed.
-    """
-    d2, ns, b = chain.d[1], chain.ns, chain.b
-    if chain.gap[0] == 0.0:  # alpha = 0 at D_1 = N_S: f falls all the way
-        return math.inf
-    top = math.log1p((ns - d2) / d2)  # log(N_S / D_2), g / h at tau_1 = 0
-    log = math.log
-    log_r = b / (1.0 - b) * (log(chain.dn[1]) + top / b + log(chain.delta[0])
-                             - log(chain.dn[0]) - log(chain.gap[0]))
-    if log_r <= 0.0:
-        return math.inf
-    if log_r >= top:
-        return 0.0
-    return max((ns * math.exp(-log_r) - d2) / -math.expm1(-log_r), 0.0)
-
-
 def _rise(slope: float, span: float, bend: float) -> float:
     """The most a concave function can rise from a point over a distance
     ``span``, where its slope is at most ``slope`` and its curvature at
@@ -198,13 +175,10 @@ def _pair_sup(chain: _Chain) -> SupResult:
     In u = 1 / (D_1 + tau_1) on [0, 1 / D_1] the functional is f(u) = T_1 +
     T_2, T_1 = dN_1 g^(1/b) and T_2 = N_2 (N_S / D_2)^(1/b) h^(1/b), where g =
     1 + (N_S - D_1) u and h = 1 + (D_2 - D_1) u are affine and positive, so
-    at b > 1 both terms are concave in u.  Its slope is f' = a + c, with a =
-    (N_S - D_1) T_1 / (b g) >= 0 and c = (D_2 - D_1) T_2 / (b h).  If D_2 >=
-    D_1, f is nondecreasing and the witness is tau_1 = 0.  Otherwise f' = 0
-    where g / h = r = (-beta / alpha)^(b / (1 - b)), alpha = dN_1 (N_S - D_1)
-    and beta = N_2 (N_S / D_2)^(1/b) (D_2 - D_1), that is at u = (r - 1) /
-    ((N_S - D_1) - r (D_2 - D_1)).  g / h rises from 1 at u = 0 to N_S / D_2
-    at u = 1 / D_1, so r clamped to that range gives the witness (``_turn``).
+    at b > 1 both terms are concave in u, and the witness is the clamped
+    stationary point (``_Chain.turn`` at the run of tau_1 alone, V = N_2
+    (N_S / D_2)^(1/b)), tau_1 = 0 if D_2 >= D_1.  Its slope is f' = a + c,
+    with a = (N_S - D_1) T_1 / (b g) >= 0 and c = (D_2 - D_1) T_2 / (b h).
     h is never formed as 1 + (D_2 - D_1) u, which rounds to 0 at D_2 << D_1:
     the terms are the evaluator's at (tau_1, 0), with h = (D_2 + tau_1) /
     (D_1 + tau_1), and ``sup_value`` is its value there.
@@ -238,7 +212,7 @@ def _pair_sup(chain: _Chain) -> SupResult:
     whose value overflows (``_search._pick`` picks the last +inf).
     """
     (d1, d2), ns, b = chain.d, chain.ns, chain.b
-    tau = 0.0 if d2 >= d1 else _turn(chain)
+    tau = chain.turn(0, 0, math.log(chain.dn[1]) + math.log1p((ns - d2) / d2) / b, 0.0, math.inf)
     taus = [tau, 0.0]
     value, error, (t_1, t_2) = chain.rounding(taus)
     if value == math.inf:
@@ -297,10 +271,10 @@ def sup_bound_lhs(
 
     At b > 1 with K >= 3 ``_search.supremum`` runs the chain dynamic
     program on a first grid that holds 0 and +inf, bounds the supremum
-    from above with the same links, polishes the grid witness, and
-    searches only while that bracket leaves open how the supremum compares
-    with ``target`` (``sup_value > target`` or ``sup_upper <= target``
-    decides).  ``sup_value`` is the evaluator's value at exactly
+    from above with the same links, moves the grid witness's runs of equal
+    entries to their exact maxima, and searches only while that bracket
+    leaves open how the supremum compares with ``target`` (``sup_value >
+    target`` or ``sup_upper <= target`` decides).  ``sup_value`` is the evaluator's value at exactly
     ``argmax_tau``: on a decided stop, the lower end there.  ``_grid`` is
     ``trace_boundary``'s hand-off: a list whose grid, if it holds one, the
     search starts from, and where it leaves its final grid (``_search``).

@@ -37,3 +37,12 @@ def test_cli_imports_only_what_every_command_shares():
     extra = [f"cli.py:{line}: {name}" for name, line in _module_level_imports(SRC / "cli.py")
              if name not in allowed and name.split(".")[0] not in sys.stdlib_module_names]
     assert extra == []
+
+
+def test_no_module_imports_the_search_at_module_level():
+    """``_search`` loads numpy, so a module that searches imports it inside
+    the function that does: the K = 2 and b <= 1 paths never load it, even
+    where they share code with the search."""
+    found = [f"{path.name}:{line}: {name}" for path in SRC.rglob("*.py")
+             for name, line in _module_level_imports(path) if name in ("._search", "gbcbound._search")]
+    assert found == []

@@ -26,7 +26,7 @@ from gbcbound.core import (
     trivial_distortions,
 )
 from gbcbound.errors import InfeasibleEverywhere, InvalidDistortion
-from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links, _peak, supremum
+from gbcbound._search import GRID_POINTS, POINT_BUDGET, _chain_dp, _columns, _links, supremum
 from gbcbound.membership import (
     TRACE_WIDTH,
     SupResult,
@@ -452,7 +452,7 @@ def test_trace_double_root_row_calls(monkeypatch):
 @pytest.mark.parametrize("points", (257, 513, 1025, 2049))
 def test_trace_call_budgets_hold_on_any_first_grid(monkeypatch, points):
     """The two tests above pass whatever the first grid's size: the probes aim
-    from lo's polished witness, which does not sit on that grid."""
+    from lo's moved witness, which does not sit on that grid."""
     import gbcbound._search as search
 
     monkeypatch.setattr(search, "GRID_POINTS", points)
@@ -759,17 +759,10 @@ def test_sup_bound_lhs_grid_hand_off():
     assert sup_bound_lhs(K3_EXPAND, first, target=threshold, _grid=[wide]) == fresh
 
 
-def test_peak_skips_points_closer_than_a_float():
-    """A kept grid can hold neighbours whose u = 1 / (d + tau) round to one
-    float: the parabola through them has no peak."""
-    x = np.array([0.0, 1.0, math.nextafter(1.0, 2.0), 2.0, math.inf])
-    assert _peak(1e3, x, np.array([1.0, 2.0, 3.0, 2.0, 1.0]), 2) is None
-
-
 K3_EXPANSION_ROWS = (
-    "0.01610158387532549", "0.013686864719587358", "0.012227073243200968", "0.011263627660067627",
-    "0.010603150372277976", "0.010147714796001071", "0.00984259594093746", "0.009655672768756996",
-    "0.009568079092611715", "0.00955806321198813",
+    "0.01610158387532149", "0.01368686471958705", "0.012227073243200949", "0.011263627660067646",
+    "0.010603150372277978", "0.010147714796001114", "0.00984259594093747", "0.009655672768757048",
+    "0.009568079092611733", "0.00955806321198813",
 )
 
 
@@ -814,47 +807,44 @@ def _b_gt_1_search_calls():
 
 
 B_GT_1_SEARCH = (
-    '(13.439258039395224, (7.021485262876143e-08, 1.3445124800519256e-17, 0.0), 1393, '
-    '13.439258039395462)',
-    '(13.43925713867855, (7.002276895297484e-08, 1.3428904056887133e-17, 0.0), 1028, '
+    '(13.439258039395229, (7.021485780778076e-08, 1.3445125071162259e-17, 0.0), 1271, '
+    '13.439258039395467)',
+    '(13.439258039395229, (7.021485780778076e-08, 1.3445125071162259e-17, 0.0), 1028, '
     '13.500241756203861)',
-    '(120.31620306359973, (0.9590333476761724, 0.0, 0.0), 1241, 120.31620306360018)',
-    '(120.31620306359459, (0.9590397107464276, 0.0, 0.0), 1028, 120.44230028903227)',
-    '(102.72212051746654, (0.28756698962321364, 0.16495224237971617, 0.021422774262758848, '
-    '5.3475807140339076e-08, 0.0), 3258, 102.72212051746833)',
-    '(102.72212012960493, (0.28747721166318924, 0.164876740047285, 0.02143051709949389, '
-    '5.344625771952768e-08, 0.0), 2054, 103.21066945230466)',
-    '(106.32879570000897, (26.389216573548477, 0.5023437265940913, 0.4526083951104611, '
-    '0.0006652764008451103, 0.0), 3137, 106.3287957000129)',
-    '(106.328795692797, (26.38197553272282, 0.5023343311751133, 0.452613405869839, '
-    '0.0006656480140447632, 0.0), 2054, 106.41633886293528)',
-    '(57.99812780969567, (inf, inf, inf, 10.715894436780312, 10.715894436780312, '
-    '0.4429150385087766, 0.4429150385087766, 0.0), 4750, 57.998127809696854)',
-    '(57.99812780969215, (inf, inf, inf, 10.715894436780312, 10.715894436780312, '
-    '0.4429379180402363, 0.4429379180402363, 0.0), 3593, 57.999377024746394)',
-    '(100.9594188178376, (10.341434126898621, 10.341434126898621, 10.341434126898621, '
-    '0.07036296887268877, 0.0006570332666332859, 0.0006570332666332859, 0.0006570332666332859, '
-    '0.0), 5697, 100.95941881784648)',
-    '(100.95941881674185, (10.340257690839163, 10.340257690839163, 10.340257690839163, '
-    '0.07036807656720212, 0.000656977836774022, 0.000656977836774022, 0.000656977836774022, '
+    '(120.31620306359974, (0.9590332883435296, 0.0, 0.0), 1119, 120.31620306360038)',
+    '(120.31620306359974, (0.9590332883435296, 0.0, 0.0), 1028, 120.44230028903227)',
+    '(102.72212051746655, (0.2875669843426313, 0.1649522423469824, 0.02142277618168175, '
+    '5.347580695158592e-08, 0.0), 3017, 102.7221205174683)',
+    '(102.72212051746655, (0.2875669843426313, 0.1649522423469824, 0.02142277618168175, '
+    '5.347580695158592e-08, 0.0), 2054, 103.21066945230466)',
+    '(106.3287957000093, (26.38920355519033, 0.5023427600817572, 0.4526084181220116, '
+    '0.0006652767538886606, 0.0), 2836, 106.32879570001003)',
+    '(106.3287957000093, (26.38920355519033, 0.5023427600817572, 0.4526084181220116, '
+    '0.0006652767538886606, 0.0), 2054, 106.41633886293528)',
+    '(57.998127809696065, (inf, inf, inf, 10.715883288104415, 10.715883288104415, '
+    '0.44292057654972444, 0.44292057654972444, 0.0), 4119, 57.998127809696435)',
+    '(57.998127809696065, (inf, inf, inf, 10.715883288104415, 10.715883288104415, '
+    '0.44292057654972444, 0.44292057654972444, 0.0), 3593, 57.999377024746394)',
+    '(100.95941881783762, (10.341456511313943, 10.341456511313943, 10.341456511313943, '
+    '0.07036297848563693, 0.0006570329107509875, 0.0006570329107509875, 0.0006570329107509875, '
+    '0.0), 4750, 100.95941881783983)',
+    '(100.95941881783762, (10.341456511313943, 10.341456511313943, 10.341456511313943, '
+    '0.07036297848563693, 0.0006570329107509875, 0.0006570329107509875, 0.0006570329107509875, '
     '0.0), 3593, 101.01167021694313)',
-    '(94.982759014858, (inf, inf, inf, 0.5754895669407408, 0.5754895669407408, '
-    '0.5754895669407408, 0.3508093258228158, 0.3508093258228158, 0.11279668134846751, '
-    '0.009634136998504673, 0.009634136998504673, 0.000670624192248647, 1.4547874144966784e-07, '
-    '1.2403228499503195e-09, 9.573727113814325e-12, 0.0), 19176, 94.98275901485984)',
-    '(94.98275892315834, (inf, inf, inf, 0.5757219078591521, 0.5757219078591521, '
-    '0.5757219078591521, 0.35075181226019464, 0.35075181226019464, 0.11264938347549708, '
-    '0.009633923637750477, 0.009633923637750477, 0.0006703215367449362, '
-    '1.4518634960309062e-07, 1.238796876430704e-09, 9.555616634616862e-12, 0.0), 7697, '
-    '95.04264588387272)',
-    '(66.74523459938042, (inf, inf, inf, inf, inf, inf, 2.370659709926334, 2.370659709926334, '
-    '2.370659709926334, 0.26350978167916816, 0.26350978167916816, 0.26350978167916816, '
-    '0.11062495298885128, 0.11062495298885128, 0.11062495298885128, 0.0), 11299, '
-    '66.74523459938408)',
-    '(66.74523459936353, (inf, inf, inf, inf, inf, inf, 2.370659709926334, 2.370659709926334, '
-    '2.370659709926334, 0.26350978167916816, 0.26350978167916816, 0.26350978167916816, '
-    '0.11063678703083257, 0.11063678703083257, 0.11063678703083257, 0.0), 7697, '
-    '66.74648166527747)',
+    '(94.98275901485802, (inf, inf, inf, 0.5754895200229518, 0.5754895200229518, '
+    '0.5754895200229518, 0.3508092222825273, 0.3508092222825273, 0.11279670357437996, '
+    '0.009634137885829277, 0.009634137885829277, 0.0006706245809179176, 1.4547867981586132e-07, '
+    '1.2403233956583428e-09, 9.573720757203606e-12, 0.0), 14674, 94.98275901486058)',
+    '(94.98275901485802, (inf, inf, inf, 0.5754895200229518, 0.5754895200229518, '
+    '0.5754895200229518, 0.3508092222825273, 0.3508092222825273, 0.11279670357437996, '
+    '0.009634137885829277, 0.009634137885829277, 0.0006706245809179176, 1.4547867981586132e-07, '
+    '1.2403233956583428e-09, 9.573720757203606e-12, 0.0), 7697, 95.04264588387272)',
+    '(66.74523459938115, (inf, inf, inf, inf, inf, inf, 2.370604442056956, 2.370604442056956, '
+    '2.370604442056956, 0.2635042532669947, 0.2635042532669947, 0.2635042532669947, '
+    '0.11062556873914928, 0.11062556873914928, 0.11062556873914928, 0.0), 9273, 66.7452345993819)',
+    '(66.74523459938115, (inf, inf, inf, inf, inf, inf, 2.370604442056956, 2.370604442056956, '
+    '2.370604442056956, 0.2635042532669947, 0.2635042532669947, 0.2635042532669947, '
+    '0.11062556873914928, 0.11062556873914928, 0.11062556873914928, 0.0), 7697, 66.74648166527747)',
 )
 
 
@@ -879,29 +869,99 @@ def test_every_round_rebounds_the_cells_open_at_its_start():
          0.8726184319270892, 7.454312933267315e-06, 7.531777252588529e-07, 0.0006187748281558617)
     res = sup_bound_lhs(sc, d)
     assert repr((res.sup_value, res.argmax_tau.taus, res.iterations, res.sup_upper)) == (
-        "(94.06182097516545, (1.2510616702497903, 1.2510616702497903, 0.09431848447195675, "
-        "0.0027031426863679186, 0.0027031426863679186, 1.567892432308106e-05, 0.0, 0.0), 6537, "
-        "94.06182097516907)"
+        "(94.06182097516613, (1.2510613911000141, 1.2510613911000141, 0.09431854013847092, "
+        "0.0027031443791446365, 0.0027031443791446365, 1.5678929942321856e-05, 0.0, 0.0), 5170, "
+        "94.06182097517399)"
     )
 
 
-def test_first_pass_witness_is_polished_to_its_parabola_peaks():
-    """At b > 1 the first pass moves its grid witness's entries to their
-    stages' parabola peaks.  On seeded draws at K = 2 and 3, a search that
-    the first pass decides (no target can be reached) comes within 1e-7
-    relative of the refined upper end of a search without a target, and
-    its value is the evaluator's value at its witness.  The search is
-    called directly: at K = 2 ``sup_bound_lhs`` takes the closed form."""
+def test_first_pass_witness_moves_its_runs_to_their_maxima():
+    """At b > 1 the first pass moves its grid witness's runs of equal entries
+    to their exact maxima (``_search._moved``).  On seeded draws at K = 2, 3,
+    5 and 8, a search that the first pass decides (no target can be
+    reached) comes within 7.2e-14 relative (the widest gap measured on these
+    draws; parabola peaks left up to 3.7e-10) of the refined upper end of a
+    search without a target, and its value is the evaluator's value at its
+    witness.  The search is called directly: at K = 2 ``sup_bound_lhs``
+    takes the closed form."""
     rng = random.Random(5)
     for i in range(80):
-        k = 2 + i % 2
+        k = (2, 3, 5, 8)[i % 4]
         sc = random_scenario(rng, k_range=(k, k), bandwidth=rng.uniform(1.05, 8.0))
         d = random_distortions(rng, sc)
         chain = _Chain(sc, check_distortions(sc, d))
         taus, value, evals, _ = supremum(chain, 1e300)
         assert evals == (k - 1) * GRID_POINTS + 2, (sc, d)  # the first pass decided
-        assert value >= supremum(chain, None)[3] * (1.0 - 1e-7), (sc, d)
+        assert value >= supremum(chain, None)[3] * (1.0 - 7.2e-14), (sc, d)
         assert value == chain.lhs(taus)
+
+
+def _run_move_excess(chain, taus):
+    """The most that moving one run of equal free entries of ``taus`` across
+    its interval [tau_{j+1}, tau_{k-1}], the others held, raises lhs above its
+    value at ``taus``, net of both values' error bounds
+    (``_Chain.lhs_error``): positive only where some move shows ``taus``
+    below that run's maximum.  The scan is dense in u = 1 / (D_k + tau): 65
+    points even across the interval and 80 within 2^-40 to 1/2 of the run's
+    own u, relatively, on either side."""
+    value, error = chain.lhs_error(taus)
+    worst, j = -math.inf, len(taus) - 2
+    while j >= 0:
+        k = j
+        while k and taus[k - 1] == taus[j]:
+            k -= 1
+        lo, hi, d = taus[j + 1], taus[k - 1] if k else math.inf, chain.d[k]
+        u_lo, u_hi, u = 1.0 / (d + hi), 1.0 / (d + lo), 1.0 / (d + taus[j])
+        scan = [u_lo + (u_hi - u_lo) * i / 64 for i in range(65)]
+        scan += [u * (1.0 + s * 2.0 ** -m) for m in range(1, 41) for s in (-1.0, 1.0)]
+        for x in scan:
+            tau = min(max(1.0 / x - d, lo), hi) if x > 0.0 else hi
+            moved, moved_error = chain.lhs_error(taus[:k] + [tau] * (j - k + 1) + taus[j + 1:])
+            worst = max(worst, moved - moved_error - value - error)
+        j = k - 1
+    return worst
+
+
+def _run_scan_draws():
+    """36 seeded b > 1 draws near the floors at K = 3, 5 and 8 in turn, b
+    log-uniform on [1.05, 8]: each at ``chain``, with its first-pass witness."""
+    rng = random.Random(31)
+    for i in range(36):
+        k = (3, 5, 8)[i % 3]
+        sc = random_scenario(rng, k_range=(k, k), bandwidth=math.exp(rng.uniform(math.log(1.05), math.log(8.0))))
+        chain = _Chain(sc, check_distortions(sc, _near_floor(rng, sc, k)))
+        yield chain, list(supremum(chain, 1e300)[0])
+
+
+def test_first_pass_runs_sit_at_their_maxima():
+    """No move of one run of the first-pass witness, over a dense scan of its
+    interval, raises lhs by more than the evaluator's error bounds."""
+    assert [taus for chain, taus in _run_scan_draws() if _run_move_excess(chain, taus) > 0.0] == []
+
+
+def test_run_step_takes_its_clamps_at_the_edges():
+    """``_Chain.turn`` gives lo where D_{j+1} >= D_k or V = 0 and hi where D_k
+    = N_S or V is past the float range; and the first pass moves its runs to
+    their maxima where some D_{j+1} is far below D_k, so that (D_{j+1} - D_k)
+    / D_k rounds to -1 and only a ratio >= 0 keeps log h finite."""
+    sc = BroadcastScenario(3, [3, 1, 0.3], 2.0)
+    chain = _Chain(sc, check_distortions(sc, (0.5, 0.1, 0.2)))
+    assert chain.turn(1, 1, 0.0, 0.01, 5.0) == chain.turn(0, 0, -math.inf, 0.01, 5.0) == 0.01
+    assert chain.turn(0, 0, math.inf, 0.01, 5.0) == 5.0
+    assert _Chain(sc, check_distortions(sc, (1.0, 0.1, 0.05))).turn(0, 0, 0.0, 0.01, 5.0) == 5.0
+    for d in ((0.5, 0.4, 1e-300), (0.9, 1e-200, 0.5), (1e-300, 0.5, 0.4)):
+        chain = _Chain(sc, check_distortions(sc, d))
+        taus, value, _, upper = supremum(chain, 1e300)
+        assert value <= upper < math.inf and _run_move_excess(chain, list(taus)) <= 0.0, d
+
+
+def test_run_scan_catches_a_misplaced_step(monkeypatch):
+    """The scan above fails on most draws for a step whose tau is scaled by
+    1 + 1e-3."""
+    real = _Chain.turn
+    monkeypatch.setattr(_Chain, "turn", lambda self, *args: real(self, *args) * (1.0 + 1e-3))
+    draws = list(_run_scan_draws())
+    assert sum(_run_move_excess(chain, taus) > 0.0 for chain, taus in draws) > len(draws) / 2
 
 
 def _searched(monkeypatch, call):
